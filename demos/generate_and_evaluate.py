@@ -50,17 +50,18 @@ initial = steps[0].m_prev
 
 # a zero schedule keeps the base posture; no randomness is consumed
 hold = mode_schedule(None, len(audio), "explicit", explicit=[0] * len(audio))
-a = generate_sequence(initial, audio, hold, pose, ckpt.pose_params, rhythm, ckpt.rhythm_params, seed=1)
-b = generate_sequence(initial, audio, hold, pose, ckpt.pose_params, rhythm, ckpt.rhythm_params, seed=2)
+a, b = generate_sequence(initial, audio, hold, pose, ckpt.pose_params, rhythm,
+                         ckpt.rhythm_params, seeds=[1, 2])
 print("zero schedule, seeds 1 vs 2 identical:", np.array_equal(a.motion, b.motion))
 
-# mode changes draw a fresh latent per step; different seeds diverge
+# mode changes draw a fresh latent per step; different seeds diverge.
+# All 8 seeds run as one batch, each with its own generator.
 lively = mode_schedule(None, len(audio), "fixed-interval", interval=2)
 print("fixed-interval labels:", lively.labels)
 runs = [
-    generate_sequence(initial, audio, lively, pose, ckpt.pose_params, rhythm,
-                      ckpt.rhythm_params, seed=s).motion
-    for s in range(8)
+    r.motion
+    for r in generate_sequence(initial, audio, lively, pose, ckpt.pose_params, rhythm,
+                               ckpt.rhythm_params, seeds=range(8))
 ]
 print("8 seeds distinct:", len({m.tobytes() for m in runs}) == 8)
 print("8-seed diversity:", round(diversity(runs), 4))

@@ -43,7 +43,7 @@ from .metrics import (
     lvd,
     quality_score,
 )
-from .model import build_branches, pose_branch_from, rhythm_branch_from
+from .model import build_branches
 from .motion import (
     DEFAULT_FPS,
     DEFAULT_JOINTS,
@@ -128,9 +128,7 @@ __all__ = [
     "mel_filterbank",
     "mode_schedule",
     "normalize_skeleton",
-    "pose_branch_from",
     "quality_score",
-    "rhythm_branch_from",
     "sample_diversity",
     "swap_dynamics",
     "temporal_mean",

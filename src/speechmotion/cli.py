@@ -210,11 +210,13 @@ def _schedule_for(args, config: RunConfig, n_steps: int, transcript) -> ModeSche
 
 
 def cmd_generate(args) -> int:
+    if args.num_seeds < 1:
+        raise _UsageError(f"--num-seeds must be at least 1, got {args.num_seeds}")
     ckpt = io.load_checkpoint(_out_path(args.checkpoint))
     config = ckpt.config
     wave, rate = io.load_waveform(args.audio)
     feats = extract_mfcc(wave, rate, config.mfcc)
-    duration_s = len(wave) / config.mfcc.sample_rate if rate == config.mfcc.sample_rate else len(wave) / rate
+    duration_s = len(wave) / rate
     # round to the nearest frame so sample-level jitter in the audio length
     # cannot drop a clip; alignment still checks feature coverage
     n_frames = int(round(duration_s * config.fps))
@@ -238,44 +240,40 @@ def cmd_generate(args) -> int:
 
     out = _out_path(args.out)
     seeds = [args.seed + i for i in range(args.num_seeds)]
+    results = generate_sequence(
+        initial,
+        clips,
+        schedule,
+        pose,
+        ckpt.pose_params,
+        rhythm,
+        ckpt.rhythm_params,
+        seeds=seeds,
+        condition_on_composed=config.generate.condition_on_composed,
+        recenter_offsets=config.generate.recenter_offsets,
+    )
     if len(seeds) > 1:
         out.mkdir(parents=True, exist_ok=True)
-    motions = []
-    written = []
-    for seed in seeds:
-        result = generate_sequence(
-            initial,
-            clips,
-            schedule,
-            pose,
-            ckpt.pose_params,
-            rhythm,
-            ckpt.rhythm_params,
-            seed=seed,
-            condition_on_composed=config.generate.condition_on_composed,
-            recenter_offsets=config.generate.recenter_offsets,
-        )
-        motions.append(result.motion)
+    for result in results:
         meta = _meta(
             config,
-            seed,
+            result.seed,
             schedule=list(schedule.labels),
             schedule_provenance=schedule.provenance,
             checkpoint_epoch=ckpt.epoch,
         )
-        target = out / f"motion_seed{seed}.npz" if len(seeds) > 1 else out
+        target = out / f"motion_seed{result.seed}.npz" if len(seeds) > 1 else out
         io.save_landmarks(target, result.motion, config.fps, config.joint_spec, meta)
         sidecar = Path(str(target).removesuffix(".npz") + ".meta.json")
         io.save_json(sidecar, {"format": "generation-meta/1", **meta})
-        written.append(target)
     msg = f"generated {n_steps} step(s) x {len(seeds)} seed(s); schedule {schedule.provenance}"
     if len(seeds) > 1:
-        spread = diversity(motions)
+        spread = diversity([r.motion for r in results])
         io.save_json(out / "batch_summary.json",
                      {"format": "generation-batch/1", "seeds": seeds, "diversity": spread,
                       **_meta(config, args.seed)})
         msg += f"; diversity {spread:.4f}"
-    print(msg + f"; wrote {written[-1] if len(written) == 1 else out}")
+    print(msg + f"; wrote {out}")
     return EXIT_OK
 
 

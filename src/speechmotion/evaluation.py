@@ -11,8 +11,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import autodiff as ad
-from . import nn
 from .data import Checkpoint, TrainingSample
 from .errors import DataError
 from .metrics import (
@@ -24,30 +22,25 @@ from .metrics import (
     lvd,
     quality_score,
 )
-from .model import build_branches
+from .model import build_branches, one_step
 
 
 def _one_step_generations(ckpt: Checkpoint, samples, rng: np.random.Generator) -> np.ndarray:
     """Composed (B, T, D) predictions for a list of samples."""
     pose, rhythm = build_branches(ckpt.config)
-    pose_pv = nn.param_vars(ckpt.pose_params)
-    rhythm_pv = nn.param_vars(ckpt.rhythm_params)
-    b = len(samples)
-    t, d = samples[0].m_cur.frames.shape
     x_prev = np.stack([s.m_prev.frames.reshape(-1) for s in samples])
     audio = np.stack(
         [ckpt.feature_stats.transform(s.s_cur.features, s.speaker_id) for s in samples]
     )
     labels = np.array([s.c for s in samples])
-    e_prev = pose.encode_v(pose_pv, ad.Var(x_prev)).data
-    z = np.zeros((b, pose.config.d_z))
+    z = np.zeros((len(samples), pose.config.d_z))
     c1 = np.flatnonzero(labels == 1)
     if len(c1):
         z[c1] = rng.standard_normal((len(c1), pose.config.d_z))
-    e_star = pose.decode_transition_v(pose_pv, ad.Var(z), ad.Var(e_prev)).data
-    pose_out = pose.decode_v(pose_pv, ad.Var(e_star)).data.reshape(b, t, d)
-    rhythm_out = rhythm.forward_v(rhythm_pv, ad.Var(audio)).data
-    return pose_out + rhythm_out
+    pose_flat, offsets = one_step(
+        pose, ckpt.pose_params, rhythm, ckpt.rhythm_params, x_prev, z, audio
+    )
+    return pose_flat.reshape(offsets.shape) + offsets
 
 
 def sample_diversity(
@@ -60,21 +53,14 @@ def sample_diversity(
     if n_samples < 2:
         raise ValueError("need at least two draws")
     pose, rhythm = build_branches(ckpt.config)
-    pose_pv = nn.param_vars(ckpt.pose_params)
-    rhythm_pv = nn.param_vars(ckpt.rhythm_params)
-    t, d = sample.m_cur.frames.shape
     rng = np.random.default_rng(seed)
-    e_prev = pose.encode_v(
-        pose_pv, ad.Var(sample.m_prev.frames.reshape(1, -1))
-    ).data
+    x_prev = sample.m_prev.frames.reshape(1, -1)
     z = rng.standard_normal((n_samples, pose.config.d_z))
-    e_star = pose.decode_transition_v(
-        pose_pv, ad.Var(z), ad.Var(np.repeat(e_prev, n_samples, axis=0))
-    ).data
-    pose_out = pose.decode_v(pose_pv, ad.Var(e_star)).data.reshape(n_samples, t, d)
     audio = ckpt.feature_stats.transform(sample.s_cur.features, sample.speaker_id)
-    offsets = rhythm.forward_v(rhythm_pv, ad.Var(audio[None])).data[0]
-    return diversity(list(pose_out + offsets))
+    pose_flat, offsets = one_step(
+        pose, ckpt.pose_params, rhythm, ckpt.rhythm_params, x_prev, z, audio[None]
+    )
+    return diversity(list(pose_flat.reshape(n_samples, *sample.m_cur.frames.shape) + offsets))
 
 
 def evaluate_checkpoint(

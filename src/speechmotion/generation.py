@@ -6,22 +6,23 @@ the step's label, decodes the next pose-mode clip, adds the rhythm branch's
 offsets for the step's audio, and appends the composed clip. By default the
 autoregression feeds the pose-mode clip forward, not the composed one, so
 rhythm never leaks into posture; conditioning on the composed clip sits
-behind a flag. One generator seeded once drives the whole run, and it is
-consumed only at steps whose label is 1, so a prefix of the schedule
-reproduces a prefix of the output.
+behind a flag. Several seeds run as one batch: the pose-mode chain runs
+once per step for all of them, and the seed-independent rhythm offsets are
+computed once per step and shared. Each seed has its own generator, seeded
+once and consumed only at steps whose label is 1, so a prefix of the
+schedule reproduces a prefix of the output.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
-from . import autodiff as ad
-from . import nn
 from .audio import AudioClip, Transcript
 from .errors import DataError
+from .model import one_step
 from .motion import MotionClip, RhythmOffset
 from .posemode import PoseModeBranch
 from .rhythm import RhythmBranch
@@ -125,24 +126,27 @@ def generate_sequence(
     rhythm: RhythmBranch,
     rhythm_params: Mapping[str, np.ndarray],
     *,
-    seed: int = 0,
+    seeds: Sequence[int] = (0,),
     condition_on_composed: bool = False,
     recenter_offsets: bool = False,
-) -> GenerationResult:
-    """Run the autoregressive loop over aligned audio clips.
+) -> list[GenerationResult]:
+    """Run the autoregressive loop over aligned audio clips, for every seed at once.
 
     Args:
         initial_pose: clip standing in for the step-0 "previous motion".
         audio_clips: one AudioClip of standardized features per step.
         schedule: mode labels, same length as audio_clips.
-        seed: seeds the single generator used for every latent draw.
+        seeds: one generator per seed, each drawing that seed's latent codes.
         condition_on_composed: feed composed clips (pose + rhythm) forward
             instead of pose-mode clips.
         recenter_offsets: subtract each predicted offset clip's own temporal
             mean before composing.
 
     Returns:
-        GenerationResult with motion stacked to (n_steps * T, D).
+        One GenerationResult per seed, in order, each with motion stacked to
+        (n_steps * T, D). Seeds match their own single-seed runs to rounding
+        (batched and single-row matrix products may round differently);
+        rows before the first label-1 step are bit-identical across seeds.
     """
     audio_clips = list(audio_clips)
     if not audio_clips:
@@ -151,27 +155,45 @@ def generate_sequence(
         raise ValueError(
             f"schedule length {len(schedule)} does not match {len(audio_clips)} audio clips"
         )
-    rng = np.random.default_rng(seed)
-    prev = initial_pose
-    records: list[StepRecord] = []
-    pose_pv = nn.param_vars(dict(pose_params))
-    for c, audio in zip(schedule.labels, audio_clips):
-        e_prev = pose.encode_motion(pose_params, prev)
-        z = pose.sample_latent(c, rng=rng, mode="infer")
-        e_star = pose.decode_transition_v(
-            pose_pv, ad.Var(z[None, :]), ad.Var(e_prev[None, :])
-        ).data[0]
-        pose_clip = pose.decode_motion(pose_params, e_star)
-        offsets = rhythm.generate(rhythm_params, audio)
-        if recenter_offsets:
-            offsets = RhythmOffset(offsets.offsets - offsets.offsets.mean(axis=0))
-        records.append(StepRecord(c=c, z=z, pose_clip=pose_clip, rhythm_offset=offsets))
-        composed = pose_clip.frames + offsets.offsets
-        if condition_on_composed:
-            prev = MotionClip(composed, fps=prev.fps, joint_spec=prev.joint_spec)
+    seeds = list(seeds)
+    if not seeds:
+        raise ValueError("generation needs at least one seed")
+    audio = np.stack([clip.features for clip in audio_clips])
+    t, d_z = pose.config.t_frames, pose.config.d_z
+    if audio.shape[1:] != (t, rhythm.config.d_s):
+        raise ValueError(
+            f"audio features shape {audio.shape[1:]} does not match"
+            f" configured ({t}, {rhythm.config.d_s})"
+        )
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    x_prev = pose._flat(initial_pose)
+    steps = []
+    for i, c in enumerate(schedule.labels):
+        if c:
+            z = np.stack([rng.standard_normal(d_z) for rng in rngs])
         else:
-            prev = pose_clip
-    motion = np.concatenate(
-        [r.pose_clip.frames + r.rhythm_offset.offsets for r in records], axis=0
-    )
-    return GenerationResult(motion=motion, per_step=tuple(records), seed=seed)
+            z = np.zeros((len(seeds), d_z))
+        pose_flat, offsets = one_step(
+            pose, pose_params, rhythm, rhythm_params, x_prev, z, audio[i : i + 1]
+        )
+        offsets = offsets[0]
+        if recenter_offsets:
+            offsets = offsets - offsets.mean(axis=0)
+        steps.append((c, z, pose_flat.reshape(len(seeds), t, -1), RhythmOffset(offsets)))
+        x_prev = pose_flat + offsets.reshape(1, -1) if condition_on_composed else pose_flat
+    results = []
+    for i, seed in enumerate(seeds):
+        records = tuple(
+            StepRecord(
+                c=c,
+                z=z[i],
+                pose_clip=MotionClip(frames[i], fps=pose.fps, joint_spec=pose.joint_spec),
+                rhythm_offset=offset,
+            )
+            for c, z, frames, offset in steps
+        )
+        motion = np.concatenate(
+            [r.pose_clip.frames + r.rhythm_offset.offsets for r in records], axis=0
+        )
+        results.append(GenerationResult(motion=motion, per_step=records, seed=seed))
+    return results

@@ -219,17 +219,3 @@ class PoseModeBranch:
         recon = self.decode_v(pv, self.encode_v(pv, x))
         err = np.abs(recon.data - x.data)
         return float(err[0].mean() + err[1].mean())
-
-    def generate_pose_mode(
-        self,
-        params: Mapping[str, np.ndarray],
-        m_prev: MotionClip,
-        c: int,
-        rng: np.random.Generator | None = None,
-    ) -> MotionClip:
-        """One autoregressive step: previous clip + mode label -> next pose-mode clip."""
-        e_prev = self.encode_motion(params, m_prev)
-        z = self.sample_latent(c, rng=rng, mode="infer")
-        pv = nn.param_vars(params)
-        e_star = self.decode_transition_v(pv, ad.Var(z[None, :]), ad.Var(e_prev[None, :]))
-        return self.decode_motion(params, e_star.data[0])

@@ -30,7 +30,7 @@ from .data import Checkpoint, DatasetSplit, TrainingSample
 from .errors import DataError, NumericError
 from .io import load_landmarks, load_waveform
 from .metrics import lvd
-from .model import build_branches
+from .model import build_branches, one_step
 from .motion import chunk_sequence, label_mode_change, normalize_skeleton
 from .posemode import PoseModeBranch
 from .rhythm import RhythmBranch
@@ -321,29 +321,6 @@ def total_loss(
 # -- validation metric -----------------------------------------------------------
 
 
-def _forward_generate(
-    pose: PoseModeBranch,
-    pose_params: dict[str, np.ndarray],
-    rhythm: RhythmBranch,
-    rhythm_params: dict[str, np.ndarray],
-    batch: _Batch,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Batched one-step generation (composed clips), constants only."""
-    b = batch.x_prev.shape[0]
-    pose_pv = nn.param_vars(pose_params)
-    rhythm_pv = nn.param_vars(rhythm_params)
-    e_prev = pose.encode_v(pose_pv, ad.Var(batch.x_prev)).data
-    z = np.zeros((b, pose.config.d_z))
-    c1 = np.flatnonzero(batch.labels == 1)
-    if len(c1):
-        z[c1] = rng.standard_normal((len(c1), pose.config.d_z))
-    e_star = pose.decode_transition_v(pose_pv, ad.Var(z), ad.Var(e_prev)).data
-    pose_flat = pose.decode_v(pose_pv, ad.Var(e_star)).data
-    rhythm_out = rhythm.forward_v(rhythm_pv, ad.Var(batch.audio)).data
-    return pose_flat + rhythm_out.reshape(b, -1)
-
-
 def validation_lvd(
     samples,
     pose: PoseModeBranch,
@@ -357,13 +334,15 @@ def validation_lvd(
     if not samples:
         return float("nan")
     batch = _make_batch(list(samples), stats)
-    t, d = samples[0].m_cur.frames.shape
-    composed = _forward_generate(
-        pose, pose_params, rhythm, rhythm_params, batch, np.random.default_rng(seed)
+    z = np.zeros((len(samples), pose.config.d_z))
+    c1 = np.flatnonzero(batch.labels == 1)
+    if len(c1):
+        z[c1] = np.random.default_rng(seed).standard_normal((len(c1), pose.config.d_z))
+    pose_flat, offsets = one_step(
+        pose, pose_params, rhythm, rhythm_params, batch.x_prev, z, batch.audio
     )
-    values = [
-        lvd(composed[i].reshape(t, d), s.m_cur.frames) for i, s in enumerate(samples)
-    ]
+    composed = pose_flat.reshape(offsets.shape) + offsets
+    values = [lvd(composed[i], s.m_cur.frames) for i, s in enumerate(samples)]
     return float(np.mean(values))
 
 
@@ -396,13 +375,10 @@ def train(
     rng = np.random.default_rng(tcfg.seed)
     pose_params = pose.init_params(rng)
     rhythm_params = rhythm.init_params(rng)
-    optimizer = nn.Adam(
-        {**{f"pose.{k}": v for k, v in pose_params.items()},
-         **{f"rhythm.{k}": v for k, v in rhythm_params.items()}},
-        lr=tcfg.lr,
-    )
+    # one dict over the same arrays: Adam updates them in place for both branches
     merged = {**{f"pose.{k}": v for k, v in pose_params.items()},
               **{f"rhythm.{k}": v for k, v in rhythm_params.items()}}
+    optimizer = nn.Adam(merged, lr=tcfg.lr)
 
     weights = LossWeights.from_config(config)
     stats = dataset.feature_stats

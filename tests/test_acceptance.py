@@ -262,7 +262,9 @@ def test_criterion_4_zero_code_determinism():
 
     zeros = ModeSchedule(labels=(0, 0, 0), provenance="explicit")
     runs = [
-        generate_sequence(initial, audio, zeros, pose, pose_params, rhythm, rhythm_params, seed=s)
+        generate_sequence(
+            initial, audio, zeros, pose, pose_params, rhythm, rhythm_params, seeds=[s]
+        )[0]
         for s in (0, 0, 12345)
     ]
     same_seed = np.array_equal(runs[0].motion, runs[1].motion)
@@ -270,10 +272,10 @@ def test_criterion_4_zero_code_determinism():
 
     ones = ModeSchedule(labels=(1, 1, 1), provenance="explicit")
     motions = [
-        generate_sequence(
-            initial, audio, ones, pose, pose_params, rhythm, rhythm_params, seed=s
-        ).motion
-        for s in range(64)
+        r.motion
+        for r in generate_sequence(
+            initial, audio, ones, pose, pose_params, rhythm, rhythm_params, seeds=range(64)
+        )
     ]
     distinct = len({m.tobytes() for m in motions})
     spread = diversity(motions)
@@ -292,11 +294,11 @@ def test_criterion_5_branch_decoupling():
     pose, pose_params, rhythm, rhythm_params, initial, audio = _tiny_generation_setup()
     schedule = ModeSchedule(labels=(0, 1, 1), provenance="explicit")
     zeroed = {k: np.zeros_like(v) for k, v in rhythm_params.items()}
-    with_rhythm = generate_sequence(
-        initial, audio, schedule, pose, pose_params, rhythm, rhythm_params, seed=5
+    (with_rhythm,) = generate_sequence(
+        initial, audio, schedule, pose, pose_params, rhythm, rhythm_params, seeds=[5]
     )
-    without_rhythm = generate_sequence(
-        initial, audio, schedule, pose, pose_params, rhythm, zeroed, seed=5
+    (without_rhythm,) = generate_sequence(
+        initial, audio, schedule, pose, pose_params, rhythm, zeroed, seeds=[5]
     )
     pose_identical = all(
         np.array_equal(a.pose_clip.frames, b.pose_clip.frames)

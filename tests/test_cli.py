@@ -155,6 +155,25 @@ def test_generate_num_seeds_batch(workspace, tmp_path):
     assert summary["diversity"] > 0.0
 
 
+def test_generate_num_seeds_matches_single_seed_runs(workspace, tmp_path):
+    common = [
+        "generate",
+        "--checkpoint",
+        str(workspace["checkpoint"]),
+        "--audio",
+        str(workspace["audio"]),
+        "--labels",
+        "01101",
+    ]
+    assert main([*common, "--num-seeds", "3", "--out", str(tmp_path / "batch")]) == 0
+    for seed in range(3):
+        single = tmp_path / f"single{seed}.npz"
+        assert main([*common, "--seed", str(seed), "--out", str(single)]) == 0
+        batched = io.load_landmarks(tmp_path / "batch" / f"motion_seed{seed}.npz")[0]
+        alone = io.load_landmarks(single)[0]
+        assert np.abs(batched - alone).max() <= 1e-12 * np.abs(alone).max()
+
+
 def test_generate_keyword_policy(workspace, tmp_path):
     out = tmp_path / "kw.npz"
     assert (
@@ -264,6 +283,8 @@ def test_usage_errors_exit_1(tmp_path):
     assert main(["make-toy", "--out", str(tmp_path), "--set", "no_such.key=1"]) == 1
     assert main(["make-toy", "--out", str(tmp_path), "--set", "t_frames"]) == 1
     assert main(["no-such-command"]) == 1
+    assert main(["generate", "--checkpoint", "x.npz", "--audio", "x.wav", "--out",
+                 str(tmp_path / "g.npz"), "--num-seeds", "0"]) == 1
 
 
 def test_bad_labels_exit_1(workspace, tmp_path):

@@ -6,6 +6,7 @@ import pytest
 from speechmotion import (
     AudioClip,
     DataError,
+    JointSpec,
     ModeSchedule,
     MotionClip,
     Transcript,
@@ -13,6 +14,10 @@ from speechmotion import (
     generate_sequence,
     mode_schedule,
 )
+from speechmotion import autodiff as ad
+from speechmotion import nn
+from speechmotion.posemode import PoseModeBranch, PoseModeConfig
+from speechmotion.rhythm import RhythmBranch, RhythmConfig
 
 CLIP_S = 64 / 15.0  # duration of one default clip
 
@@ -94,8 +99,8 @@ def _run(setup, labels, seed=0, **kwargs):
     pose, pp, rhythm, rp, initial, clips = setup
     sched = ModeSchedule(tuple(labels), "explicit")
     return generate_sequence(
-        initial, clips[: len(labels)], sched, pose, pp, rhythm, rp, seed=seed, **kwargs
-    )
+        initial, clips[: len(labels)], sched, pose, pp, rhythm, rp, seeds=[seed], **kwargs
+    )[0]
 
 
 def test_zero_schedule_bit_identical_and_seed_independent(gen_setup):
@@ -132,11 +137,23 @@ def test_single_step_equals_component_calls(gen_setup):
     pose, pp, rhythm, rp, initial, clips = gen_setup
     seed = 5
     result = _run(gen_setup, (1,), seed=seed)
-    expected_pose = pose.generate_pose_mode(pp, initial, 1, np.random.default_rng(seed))
+    e_prev = pose.encode_motion(pp, initial)
+    z = pose.sample_latent(1, rng=np.random.default_rng(seed), mode="infer")
+    e_star = pose.decode_transition_v(
+        nn.param_vars(pp), ad.Var(z[None, :]), ad.Var(e_prev[None, :])
+    ).data[0]
+    expected_pose = pose.decode_motion(pp, e_star)
     expected_rhythm = rhythm.generate(rp, clips[0])
     np.testing.assert_array_equal(
         result.motion, expected_pose.frames + expected_rhythm.offsets
     )
+
+
+def test_each_step_offsets_come_from_its_own_audio(gen_setup):
+    pose, pp, rhythm, rp, initial, clips = gen_setup
+    result = _run(gen_setup, (0, 1, 0), seed=2)
+    for audio, rec in zip(clips, result.per_step):
+        np.testing.assert_array_equal(rec.rhythm_offset.offsets, rhythm.generate(rp, audio).offsets)
 
 
 def test_prefix_stability(gen_setup):
@@ -149,8 +166,8 @@ def test_zeroed_rhythm_keeps_pose_clips(gen_setup):
     pose, pp, rhythm, rp, initial, clips = gen_setup
     zeroed = {k: np.zeros_like(v) for k, v in rp.items()}
     sched = ModeSchedule((0, 1, 1), "explicit")
-    with_rhythm = generate_sequence(initial, clips, sched, pose, pp, rhythm, rp, seed=4)
-    without = generate_sequence(initial, clips, sched, pose, pp, rhythm, zeroed, seed=4)
+    (with_rhythm,) = generate_sequence(initial, clips, sched, pose, pp, rhythm, rp, seeds=[4])
+    (without,) = generate_sequence(initial, clips, sched, pose, pp, rhythm, zeroed, seeds=[4])
     assert np.abs(with_rhythm.motion - without.motion).max() > 0
     for a, b in zip(with_rhythm.per_step, without.per_step):
         np.testing.assert_array_equal(a.pose_clip.frames, b.pose_clip.frames)
@@ -182,3 +199,73 @@ def test_schedule_length_mismatch(gen_setup):
         generate_sequence(
             initial, clips, ModeSchedule((0, 1), "explicit"), pose, pp, rhythm, rp
         )
+
+
+def test_empty_seed_list_rejected(gen_setup):
+    pose, pp, rhythm, rp, initial, clips = gen_setup
+    with pytest.raises(ValueError):
+        generate_sequence(
+            initial, clips, ModeSchedule((0, 1, 0), "explicit"), pose, pp, rhythm, rp, seeds=[]
+        )
+
+
+def test_audio_width_mismatch_rejected(gen_setup):
+    pose, pp, rhythm, rp, initial, _ = gen_setup
+    with pytest.raises(ValueError, match="audio features shape"):
+        generate_sequence(
+            initial, [AudioClip(np.zeros((4, 5)))], ModeSchedule((0,), "explicit"),
+            pose, pp, rhythm, rp,
+        )
+
+
+# -- seeds in one batch ------------------------------------------------------------------
+
+MIXED = (0, 0, 1, 0, 1, 1, 0)  # first label-1 step is step 2
+
+
+@pytest.fixture(scope="module")
+def batch_setup():
+    """A branch wide enough that its GEMMs take BLAS's blocked kernels, not toy sizes."""
+    spec = JointSpec(names=("nose", "neck", "right_palm"), hand_indices=(2,))
+    pose = PoseModeBranch(
+        PoseModeConfig(t_frames=16, d_m=6, d_e=32, d_z=8, enc_hidden=(64,), latent_hidden=(32,)),
+        joint_spec=spec,
+    )
+    rhythm = RhythmBranch(RhythmConfig(t_frames=16, d_s=5, d_m=6, hidden=16, n_layers=2))
+    rng = np.random.default_rng(21)
+    pp, rp = pose.init_params(rng), rhythm.init_params(rng)
+    initial = MotionClip(rng.normal(size=(16, 6)), joint_spec=spec)
+    clips = [AudioClip(rng.normal(size=(16, 5))) for _ in MIXED]
+    return pose, pp, rhythm, rp, initial, clips
+
+
+@pytest.mark.parametrize("n_seeds", [1, 3, 8, 9])
+def test_batched_seeds_match_single_seed_runs(batch_setup, n_seeds):
+    pose, pp, rhythm, rp, initial, clips = batch_setup
+    sched = ModeSchedule(MIXED, "explicit")
+    seeds = [100 + s for s in range(n_seeds)]
+    batched = generate_sequence(initial, clips, sched, pose, pp, rhythm, rp, seeds=seeds)
+    assert [r.seed for r in batched] == seeds
+    for seed, got in zip(seeds, batched):
+        (alone,) = generate_sequence(initial, clips, sched, pose, pp, rhythm, rp, seeds=[seed])
+        scale = np.abs(alone.motion).max()
+        assert np.abs(got.motion - alone.motion).max() <= 1e-12 * scale
+        for a, b in zip(got.per_step, alone.per_step):
+            assert a.c == b.c
+            np.testing.assert_array_equal(a.z, b.z)
+            np.testing.assert_array_equal(a.rhythm_offset.offsets, b.rhythm_offset.offsets)
+
+
+@pytest.mark.parametrize("n_seeds", [1, 3, 8, 9])
+def test_batched_rows_before_first_draw_identical_across_seeds(batch_setup, n_seeds):
+    pose, pp, rhythm, rp, initial, clips = batch_setup
+    sched = ModeSchedule(MIXED, "explicit")
+    results = generate_sequence(
+        initial, clips, sched, pose, pp, rhythm, rp, seeds=range(n_seeds)
+    )
+    t = initial.t
+    before = MIXED.index(1) * t
+    for r in results:
+        np.testing.assert_array_equal(r.motion[:before], results[0].motion[:before])
+    if n_seeds > 1:
+        assert np.abs(results[1].motion[before:] - results[0].motion[before:]).max() > 0

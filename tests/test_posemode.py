@@ -5,7 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from speechmotion import JointSpec, LatentPosterior, MotionClip, loss_vae, transition_feature
+from speechmotion import (
+    AudioClip,
+    JointSpec,
+    LatentPosterior,
+    MotionClip,
+    loss_vae,
+    transition_feature,
+)
+from speechmotion.model import one_step
 from speechmotion.posemode import PoseModeBranch, PoseModeConfig
 
 
@@ -214,19 +222,34 @@ def test_loss_reg_matches_hand_computation(tiny_pose, clip_factory):
 # -- one-step generation ------------------------------------------------------------------------
 
 
-def test_generate_pose_mode_c0_deterministic(tiny_pose, clip_factory):
+def _pose_step(branch, params, tiny_rhythm, prev, z):
+    """Pose-mode clips of one core step from one previous clip, one row per latent code."""
+    rhythm, rhythm_params = tiny_rhythm
+    x_prev = prev.frames.reshape(1, -1)
+    audio = np.zeros((1, prev.t, rhythm.config.d_s))
+    pose_flat, _ = one_step(branch, params, rhythm, rhythm_params, x_prev, z, audio)
+    return pose_flat.reshape(len(z), *prev.frames.shape)
+
+
+def test_generate_pose_mode_c0_deterministic(tiny_pose, tiny_rhythm, clip_factory):
     branch, params = tiny_pose
     prev = clip_factory(seed=6)
-    a = branch.generate_pose_mode(params, prev, 0)
-    b = branch.generate_pose_mode(params, prev, 0)
-    np.testing.assert_array_equal(a.frames, b.frames)
+    z = branch.sample_latent(0)[None, :]
+    a = _pose_step(branch, params, tiny_rhythm, prev, z)
+    b = _pose_step(branch, params, tiny_rhythm, prev, z)
+    np.testing.assert_array_equal(a, b)
 
 
-def test_generate_pose_mode_matches_component_chain(tiny_pose, clip_factory):
+def test_generate_pose_mode_matches_component_chain(tiny_pose, tiny_rhythm, clip_factory):
     branch, params = tiny_pose
+    rhythm, rhythm_params = tiny_rhythm
     prev = clip_factory(seed=7)
+    audio = AudioClip(np.random.default_rng(14).normal(size=(4, 3)))
     seed = 13
-    got = branch.generate_pose_mode(params, prev, 1, np.random.default_rng(seed))
+    z_rows = np.random.default_rng(seed).standard_normal((1, branch.config.d_z))
+    got_pose, got_offsets = one_step(
+        branch, params, rhythm, rhythm_params, prev.frames.reshape(1, -1), z_rows, audio.features[None]
+    )
 
     from speechmotion import autodiff as ad
     from speechmotion import nn
@@ -237,16 +260,15 @@ def test_generate_pose_mode_matches_component_chain(tiny_pose, clip_factory):
         nn.param_vars(params), ad.Var(z[None, :]), ad.Var(e_prev[None, :])
     ).data[0]
     expected = branch.decode_motion(params, e_star)
-    np.testing.assert_array_equal(got.frames, expected.frames)
+    np.testing.assert_array_equal(got_pose[0].reshape(prev.frames.shape), expected.frames)
+    np.testing.assert_array_equal(got_offsets[0], rhythm.generate(rhythm_params, audio).offsets)
 
 
-def test_generate_pose_mode_c1_draws_differ(tiny_pose, clip_factory):
+def test_generate_pose_mode_c1_draws_differ(tiny_pose, tiny_rhythm, clip_factory):
     branch, params = tiny_pose
     prev = clip_factory(seed=8)
-    outs = [
-        branch.generate_pose_mode(params, prev, 1, np.random.default_rng(s)).frames
-        for s in range(12)
-    ]
+    z = np.stack([np.random.default_rng(s).standard_normal(branch.config.d_z) for s in range(12)])
+    outs = _pose_step(branch, params, tiny_rhythm, prev, z)
     for i in range(len(outs)):
         for j in range(i + 1, len(outs)):
             assert np.abs(outs[i] - outs[j]).max() > 0
