@@ -215,7 +215,10 @@ def cmd_generate(args) -> int:
     ckpt = io.load_checkpoint(_out_path(args.checkpoint))
     config = ckpt.config
     wave, rate = io.load_waveform(args.audio)
-    feats = extract_mfcc(wave, rate, config.mfcc)
+    try:
+        feats = extract_mfcc(wave, rate, config.mfcc)
+    except DataError as exc:
+        raise DataError(f"{args.audio}: {exc}") from None
     duration_s = len(wave) / rate
     # round to the nearest frame so sample-level jitter in the audio length
     # cannot drop a clip; alignment still checks feature coverage
@@ -223,7 +226,7 @@ def cmd_generate(args) -> int:
     n_steps = n_frames // config.t_frames
     if n_steps < 1:
         raise DataError(
-            f"audio of {duration_s:.2f}s yields no full clip of {config.t_frames} frames"
+            f"{args.audio}: audio of {duration_s:.2f}s yields no full clip of {config.t_frames} frames"
         )
     n_frames = n_steps * config.t_frames
     aligned = align_audio_to_motion(feats, config.mfcc.hop_s, config.fps, n_frames)

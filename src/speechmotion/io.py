@@ -144,7 +144,12 @@ def save_waveform(path, samples: np.ndarray, sample_rate: int, meta: dict | None
 
 
 def load_waveform(path) -> tuple[np.ndarray, int]:
-    """Read audio from a waveform/1 npz or a mono 16-bit PCM WAV file."""
+    """Read audio from a waveform/1 npz or a mono 16-bit PCM WAV file.
+
+    Raises:
+        DataError naming the file: unreadable, not mono, non-finite npz
+        samples, or a sample rate that is not positive.
+    """
     path = Path(path)
     if path.suffix.lower() == ".wav":
         try:
@@ -157,10 +162,18 @@ def load_waveform(path) -> tuple[np.ndarray, int]:
             raise DataError(f"{path}: expected mono audio, got shape {data.shape}")
         if data.dtype != np.int16:
             raise DataError(f"{path}: expected 16-bit PCM, got {data.dtype}")
-        return data.astype(np.float64) / 32768.0, int(rate)
-    npz = _load_npz(path)
-    _check_format(npz, "waveform/1", path)
-    return np.asarray(npz["samples"], dtype=np.float64), int(npz["sample_rate"])
+        samples, rate = data.astype(np.float64) / 32768.0, int(rate)
+    else:
+        npz = _load_npz(path)
+        _check_format(npz, "waveform/1", path)
+        samples, rate = np.asarray(npz["samples"], dtype=np.float64), int(npz["sample_rate"])
+        if samples.ndim != 1:
+            raise DataError(f"{path}: expected mono 1-D samples, got shape {samples.shape}")
+        if not np.all(np.isfinite(samples)):
+            raise DataError(f"{path}: samples contain non-finite values")
+    if rate <= 0:
+        raise DataError(f"{path}: sample rate must be positive, got {rate}")
+    return samples, rate
 
 
 def save_wav(path, samples: np.ndarray, sample_rate: int) -> None:

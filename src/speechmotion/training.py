@@ -85,8 +85,11 @@ def _segment_samples(lm_path: Path, audio_path: Path, config: RunConfig) -> list
     normalized = normalize_skeleton(frames, spec)
 
     wave, rate = load_waveform(audio_path)
-    feats = extract_mfcc(wave, rate, config.mfcc)
-    aligned = align_audio_to_motion(feats, config.mfcc.hop_s, config.fps, len(normalized))
+    try:
+        feats = extract_mfcc(wave, rate, config.mfcc)
+        aligned = align_audio_to_motion(feats, config.mfcc.hop_s, config.fps, len(normalized))
+    except DataError as exc:
+        raise DataError(f"{audio_path}: {exc}") from None
 
     clips = chunk_sequence(normalized, config.t_frames, fps=config.fps, joint_spec=spec)
     if len(clips) < 2:

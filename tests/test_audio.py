@@ -5,6 +5,8 @@ plain loops and an explicit cosine-transform matrix, sharing only the
 framing convention with the implementation under test.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -18,8 +20,13 @@ from speechmotion import (
     extract_mfcc,
     mel_filterbank,
 )
+from speechmotion.audio import _BLOCK_FRAMES
 
 SETTINGS = MfccSettings()
+
+
+def _samples_for_frames(n_frames, settings=SETTINGS):
+    return settings.window_samples + settings.hop_samples * (n_frames - 1)
 
 
 # -- independent reference implementation --------------------------------------------
@@ -90,13 +97,49 @@ def test_silence_is_constant_with_closed_form_first_coefficient():
     assert np.abs(feats[0, 1:]).max() < 1e-9  # higher cepstra and all deltas vanish
 
 
-def test_matches_independent_reference():
+@pytest.mark.parametrize(
+    "n_samples",
+    [4000] + [_samples_for_frames(f) for f in
+              (_BLOCK_FRAMES - 1, _BLOCK_FRAMES, _BLOCK_FRAMES + 1, 2 * _BLOCK_FRAMES + 1)],
+    ids=["4000-samples", "block-1", "block", "block+1", "2block+1"],
+)
+def test_matches_independent_reference(n_samples):
     rng = np.random.default_rng(7)
-    wave = 0.3 * np.sin(2 * np.pi * 250 * np.arange(4000) / 16000) + 0.05 * rng.normal(size=4000)
+    t = np.arange(n_samples)
+    wave = 0.3 * np.sin(2 * np.pi * 250 * t / 16000) + 0.05 * rng.normal(size=n_samples)
     ours = extract_mfcc(wave, 16000, SETTINGS)
     theirs = _reference_mfcc(wave, SETTINGS)
     assert ours.shape == theirs.shape
     assert np.abs(ours - theirs).max() < 1e-9
+
+
+def test_prefix_gives_prefix_across_blocks():
+    # the prefix ends a few frames into a second block, so a rounding that
+    # depends on a row's place in its block, or on a block's row count, shows
+    rng = np.random.default_rng(11)
+    wave = 0.2 * rng.normal(size=_samples_for_frames(2 * _BLOCK_FRAMES + 500))
+    full = extract_mfcc(wave, 16000, SETTINGS)
+    n_frames = _BLOCK_FRAMES + 5
+    prefix = extract_mfcc(wave[: _samples_for_frames(n_frames)], 16000, SETTINGS)
+    assert prefix.shape == (n_frames, SETTINGS.d_s)
+    # deltas of the last two rows clamp at the prefix's edge; the rest is bit-equal
+    assert np.array_equal(prefix[:-2], full[: n_frames - 2])
+    assert np.array_equal(prefix[:, : SETTINGS.n_mfcc], full[:n_frames, : SETTINGS.n_mfcc])
+
+
+def test_memory_grows_only_with_output():
+    rng = np.random.default_rng(2)
+    peaks = {}
+    for seconds in (60, 240):
+        wave = 0.1 * rng.normal(size=16000 * seconds)
+        tracemalloc.start()
+        try:
+            extract_mfcc(wave, 16000, SETTINGS)
+            peaks[seconds] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    mb_per_s = (peaks[240] - peaks[60]) / 1e6 / 180
+    assert mb_per_s < 0.15, f"traced peak grows {mb_per_s:.3f} MB per second of audio"
 
 
 def test_no_delta_variant_width():

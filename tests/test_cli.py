@@ -337,6 +337,44 @@ def test_data_errors_exit_2(tmp_path):
     )
 
 
+def _write_waveform_npz(path, samples, sample_rate):
+    # written directly: io.save_waveform refuses some of these shapes itself
+    np.savez(path, format="waveform/1", samples=samples, sample_rate=np.int64(sample_rate), meta="{}")
+
+
+BAD_WAVEFORMS = {
+    "nan_samples": (np.full(16000, np.nan), 16000),
+    "two_d_samples": (np.zeros((16000, 2)), 16000),
+    "zero_sample_rate": (np.zeros(16000), 0),
+    "shorter_than_window": (np.zeros(100), 16000),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_WAVEFORMS))
+def test_bad_waveform_generate_names_file(workspace, tmp_path, capsys, case):
+    audio = tmp_path / "bad.npz"
+    _write_waveform_npz(audio, *BAD_WAVEFORMS[case])
+    code = main(["generate", "--checkpoint", str(workspace["checkpoint"]), "--audio", str(audio),
+                 "--out", str(tmp_path / "x.npz")])
+    assert code == 2
+    assert str(audio) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("case", sorted(BAD_WAVEFORMS))
+def test_bad_waveform_preprocess_names_file(workspace, tmp_path, capsys, case):
+    landmarks, audio_dir = tmp_path / "landmarks", tmp_path / "audio"
+    landmarks.mkdir()
+    audio_dir.mkdir()
+    source = workspace["toy"] / "landmarks" / "spk0_seg00.npz"
+    (landmarks / source.name).write_bytes(source.read_bytes())
+    audio = audio_dir / source.name
+    _write_waveform_npz(audio, *BAD_WAVEFORMS[case])
+    code = main(["preprocess", "--config", str(workspace["config"]), "--landmarks", str(landmarks),
+                 "--audio", str(audio_dir), "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert str(audio) in capsys.readouterr().err
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow is the point
 def test_numeric_error_exit_3(workspace, tmp_path, capsys):
     code = main(
