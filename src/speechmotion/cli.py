@@ -248,9 +248,8 @@ def cmd_generate(args) -> int:
         clips,
         schedule,
         pose,
-        ckpt.pose_params,
         rhythm,
-        ckpt.rhythm_params,
+        ckpt.params,
         seeds=seeds,
         condition_on_composed=config.generate.condition_on_composed,
         recenter_offsets=config.generate.recenter_offsets,

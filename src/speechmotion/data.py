@@ -57,10 +57,13 @@ class DatasetSplit:
 
 @dataclass
 class Checkpoint:
-    """Everything needed to resume or run a trained model."""
+    """Everything needed to run a trained model.
 
-    pose_params: dict[str, np.ndarray]
-    rhythm_params: dict[str, np.ndarray]
+    params holds both branches' weights, keyed as their init_params returns
+    them (`pose.f_enc.w0`, ..., `rhythm.head.b`).
+    """
+
+    params: dict[str, np.ndarray]
     config: RunConfig
     feature_stats: FeatureStats
     rest_posture: np.ndarray

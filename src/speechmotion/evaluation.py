@@ -23,24 +23,7 @@ from .metrics import (
     quality_score,
 )
 from .model import build_branches, one_step
-
-
-def _one_step_generations(ckpt: Checkpoint, samples, rng: np.random.Generator) -> np.ndarray:
-    """Composed (B, T, D) predictions for a list of samples."""
-    pose, rhythm = build_branches(ckpt.config)
-    x_prev = np.stack([s.m_prev.frames.reshape(-1) for s in samples])
-    audio = np.stack(
-        [ckpt.feature_stats.transform(s.s_cur.features, s.speaker_id) for s in samples]
-    )
-    labels = np.array([s.c for s in samples])
-    z = np.zeros((len(samples), pose.config.d_z))
-    c1 = np.flatnonzero(labels == 1)
-    if len(c1):
-        z[c1] = rng.standard_normal((len(c1), pose.config.d_z))
-    pose_flat, offsets = one_step(
-        pose, ckpt.pose_params, rhythm, ckpt.rhythm_params, x_prev, z, audio
-    )
-    return pose_flat.reshape(offsets.shape) + offsets
+from .training import one_step_predictions
 
 
 def sample_diversity(
@@ -57,9 +40,7 @@ def sample_diversity(
     x_prev = sample.m_prev.frames.reshape(1, -1)
     z = rng.standard_normal((n_samples, pose.config.d_z))
     audio = ckpt.feature_stats.transform(sample.s_cur.features, sample.speaker_id)
-    pose_flat, offsets = one_step(
-        pose, ckpt.pose_params, rhythm, ckpt.rhythm_params, x_prev, z, audio[None]
-    )
+    pose_flat, offsets = one_step(pose, rhythm, ckpt.params, x_prev, z, audio[None])
     return diversity(list(pose_flat.reshape(n_samples, *sample.m_cur.frames.shape) + offsets))
 
 
@@ -75,6 +56,7 @@ def evaluate_checkpoint(
     if not samples:
         raise DataError("no samples to evaluate")
     ev = ckpt.config.evaluate
+    pose, rhythm = build_branches(ckpt.config)
     by_speaker: dict[str, list[TrainingSample]] = {}
     for s in samples:
         by_speaker.setdefault(s.speaker_id, []).append(s)
@@ -83,7 +65,9 @@ def evaluate_checkpoint(
     for speaker in sorted(by_speaker):
         group = by_speaker[speaker]
         rng = np.random.default_rng([seed, len(group)])
-        generated = _one_step_generations(ckpt, group, rng)
+        generated = one_step_predictions(
+            group, pose, rhythm, ckpt.params, ckpt.feature_stats, rng
+        )
         t = group[0].m_cur.t
         lvd_model = float(
             np.mean([lvd(generated[i], s.m_cur.frames) for i, s in enumerate(group)])

@@ -122,9 +122,8 @@ def generate_sequence(
     audio_clips,
     schedule: ModeSchedule,
     pose: PoseModeBranch,
-    pose_params: Mapping[str, np.ndarray],
     rhythm: RhythmBranch,
-    rhythm_params: Mapping[str, np.ndarray],
+    params: Mapping[str, np.ndarray],
     *,
     seeds: Sequence[int] = (0,),
     condition_on_composed: bool = False,
@@ -136,6 +135,7 @@ def generate_sequence(
         initial_pose: clip standing in for the step-0 "previous motion".
         audio_clips: one AudioClip of standardized features per step.
         schedule: mode labels, same length as audio_clips.
+        params: both branches' weights.
         seeds: one generator per seed, each drawing that seed's latent codes.
         condition_on_composed: feed composed clips (pose + rhythm) forward
             instead of pose-mode clips.
@@ -173,9 +173,7 @@ def generate_sequence(
             z = np.stack([rng.standard_normal(d_z) for rng in rngs])
         else:
             z = np.zeros((len(seeds), d_z))
-        pose_flat, offsets = one_step(
-            pose, pose_params, rhythm, rhythm_params, x_prev, z, audio[i : i + 1]
-        )
+        pose_flat, offsets = one_step(pose, rhythm, params, x_prev, z, audio[i : i + 1])
         offsets = offsets[0]
         if recenter_offsets:
             offsets = offsets - offsets.mean(axis=0)

@@ -10,7 +10,7 @@ Formats (documented here and in the README):
   features/1    features (N, D_S) float64, sample_rate, hop_s, settings, meta
   waveform/1    samples (N,) float64 in [-1, 1], sample_rate, meta
   split/1       stacked sample arrays of one dataset split + meta
-  checkpoint/1  param.pose.* / param.rhythm.* arrays, stats.*, config, meta
+  checkpoint/1  param.<branch>.* arrays, stats.*, config, meta
   report/1      JSON metric report with per-speaker rows (not an npz)
 Transcripts are text: one `word start_s end_s` row per line, '#' comments.
 WAV audio is mono 16-bit PCM via scipy.
@@ -28,6 +28,7 @@ from .audio import AudioClip, FeatureStats, MfccSettings, Transcript
 from .config import RunConfig
 from .data import Checkpoint, TrainingSample
 from .errors import DataError
+from .model import build_branches
 from .motion import JointSpec, MotionClip
 
 
@@ -293,11 +294,41 @@ def load_stats(path) -> FeatureStats:
 # -- checkpoints -------------------------------------------------------------
 
 
+class _LayoutOnly:
+    """Generator stand-in that makes init_params return only keys and shapes.
+
+    Drawing real initial values costs 15-20 ms at the paper size, a sixth of
+    a one-segment `generate`; these zero-stride views cost nothing.
+    """
+
+    def uniform(self, low, high, size):
+        return np.broadcast_to(np.float64(0.0), size)
+
+
+def _check_params(path, params: dict[str, np.ndarray], config: RunConfig) -> None:
+    """Keys and shapes must be those of the stored config's branches; values finite."""
+    pose, rhythm = build_branches(config)
+    layout = {**pose.init_params(_LayoutOnly()), **rhythm.init_params(_LayoutOnly())}
+    missing = sorted(layout.keys() - params.keys())
+    if missing:
+        raise DataError(f"{path}: checkpoint lacks parameter(s) {', '.join(missing)}")
+    extra = sorted(params.keys() - layout.keys())
+    if extra:
+        raise DataError(
+            f"{path}: checkpoint has parameter(s) {', '.join(extra)} its config does not define"
+        )
+    for key, expected in layout.items():
+        if params[key].shape != expected.shape:
+            raise DataError(
+                f"{path}: parameter {key} has shape {params[key].shape},"
+                f" its config needs {expected.shape}"
+            )
+        if not np.all(np.isfinite(params[key])):
+            raise DataError(f"{path}: parameter {key} contains non-finite values")
+
+
 def save_checkpoint(path, ckpt: Checkpoint) -> None:
-    arrays: dict[str, np.ndarray] = {}
-    for side, params in (("pose", ckpt.pose_params), ("rhythm", ckpt.rhythm_params)):
-        for key, value in params.items():
-            arrays[f"param.{side}.{key}"] = value
+    arrays = {f"param.{key}": value for key, value in ckpt.params.items()}
     arrays.update(_stats_arrays(ckpt.feature_stats))
     meta = {
         "seed": ckpt.seed,
@@ -317,23 +348,26 @@ def save_checkpoint(path, ckpt: Checkpoint) -> None:
 
 
 def load_checkpoint(path) -> Checkpoint:
+    """Read a checkpoint/1 file.
+
+    Raises:
+        DataError naming the file: a parameter missing from it, one its
+        config does not define, a shape that does not fit the config, or a
+        non-finite value.
+    """
     npz = _load_npz(path)
     _check_format(npz, "checkpoint/1", path)
     config = RunConfig.from_dict(json.loads(str(npz["config"])))
-    pose: dict[str, np.ndarray] = {}
-    rhythm: dict[str, np.ndarray] = {}
-    for key in npz.files:
-        if key.startswith("param.pose."):
-            pose[key[len("param.pose.") :]] = np.asarray(npz[key], dtype=np.float64)
-        elif key.startswith("param.rhythm."):
-            rhythm[key[len("param.rhythm.") :]] = np.asarray(npz[key], dtype=np.float64)
-    if not pose or not rhythm:
-        raise DataError(f"{path}: checkpoint is missing parameters for one branch")
+    params = {
+        key.removeprefix("param."): np.asarray(npz[key], dtype=np.float64)
+        for key in npz.files
+        if key.startswith("param.")
+    }
+    _check_params(path, params, config)
     meta = json.loads(str(npz["meta"]))
     known = {"seed", "epoch", "val_lvd", "config_hash"}
     return Checkpoint(
-        pose_params=pose,
-        rhythm_params=rhythm,
+        params=params,
         config=config,
         feature_stats=_stats_from(npz),
         rest_posture=np.asarray(npz["rest_posture"], dtype=np.float64),

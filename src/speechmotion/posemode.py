@@ -109,12 +109,13 @@ class PoseModeBranch:
         self.h_dec = nn.MLP((config.d_z + config.d_e, *config.latent_hidden, config.d_e), act)
 
     def init_params(self, rng: np.random.Generator) -> dict[str, np.ndarray]:
+        """Initial weights keyed `pose.<network>.<layer>`, drawn in network order."""
         params: dict[str, np.ndarray] = {}
         for prefix, net in (
-            ("f_enc", self.f_enc),
-            ("f_dec", self.f_dec),
-            ("h_enc", self.h_enc),
-            ("h_dec", self.h_dec),
+            ("pose.f_enc", self.f_enc),
+            ("pose.f_dec", self.f_dec),
+            ("pose.h_enc", self.h_enc),
+            ("pose.h_dec", self.h_dec),
         ):
             for key, value in net.init_params(rng).items():
                 params[f"{prefix}.{key}"] = value
@@ -127,14 +128,14 @@ class PoseModeBranch:
     # -- tape-level pieces (batched, shapes (B, ...)) --------------------
 
     def encode_v(self, pv: Mapping[str, ad.Var], x: ad.Var) -> ad.Var:
-        return self.f_enc.apply(pv, x, "f_enc.")
+        return self.f_enc.apply(pv, x, "pose.f_enc.")
 
     def decode_v(self, pv: Mapping[str, ad.Var], e: ad.Var) -> ad.Var:
-        return self.f_dec.apply(pv, e, "f_dec.")
+        return self.f_dec.apply(pv, e, "pose.f_dec.")
 
     def posterior_v(self, pv: Mapping[str, ad.Var], tau: ad.Var) -> tuple[ad.Var, ad.Var]:
         """Posterior head on transition features: (mu, logvar), each (B, d_z)."""
-        out = self.h_enc.apply(pv, tau, "h_enc.")
+        out = self.h_enc.apply(pv, tau, "pose.h_enc.")
         d_z = self.config.d_z
         stats = out.data.shape[-1]
         if stats != 2 * d_z:
@@ -144,7 +145,7 @@ class PoseModeBranch:
         return mu, logvar
 
     def decode_transition_v(self, pv: Mapping[str, ad.Var], z: ad.Var, e_prev: ad.Var) -> ad.Var:
-        return self.h_dec.apply(pv, ad.concat([z, e_prev], axis=1), "h_dec.")
+        return self.h_dec.apply(pv, ad.concat([z, e_prev], axis=1), "pose.h_dec.")
 
     # -- public single-sample surface ------------------------------------
 

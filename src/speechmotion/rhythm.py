@@ -47,7 +47,8 @@ class RhythmBranch:
         )
 
     def init_params(self, rng: np.random.Generator) -> dict[str, np.ndarray]:
-        return self.net.init_params(rng)
+        """Initial weights keyed `rhythm.<layer>`."""
+        return {f"rhythm.{key}": value for key, value in self.net.init_params(rng).items()}
 
     @property
     def n_params(self) -> int:
@@ -55,7 +56,7 @@ class RhythmBranch:
 
     def forward_v(self, pv: Mapping[str, ad.Var], x: ad.Var) -> ad.Var:
         """Tape-level forward on a (B, T, D_S) batch."""
-        return self.net.apply(pv, x)
+        return self.net.apply(pv, x, "rhythm.")
 
     def generate(self, params: Mapping[str, np.ndarray], audio: AudioClip) -> RhythmOffset:
         """Predict offsets for one clip of aligned audio features."""

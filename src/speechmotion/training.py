@@ -201,11 +201,32 @@ def _make_batch(samples, stats: FeatureStats | None) -> _Batch:
     return _Batch(x_prev, x_cur, audio, offsets, labels)
 
 
+def one_step_predictions(
+    samples,
+    pose: PoseModeBranch,
+    rhythm: RhythmBranch,
+    params: dict[str, np.ndarray],
+    stats: FeatureStats | None,
+    rng: np.random.Generator,
+) -> np.ndarray:
+    """Composed (B, T, D) one-step generations for a sample list.
+
+    Each sample's previous clip is encoded and its latent code is zero,
+    except for c = 1 samples, whose codes are drawn from rng in sample order.
+    """
+    batch = _make_batch(samples, stats)
+    z = np.zeros((len(samples), pose.config.d_z))
+    c1 = np.flatnonzero(batch.labels == 1)
+    if len(c1):
+        z[c1] = rng.standard_normal((len(c1), pose.config.d_z))
+    pose_flat, offsets = one_step(pose, rhythm, params, batch.x_prev, z, batch.audio)
+    return pose_flat.reshape(offsets.shape) + offsets
+
+
 def _batch_loss(
     pose: PoseModeBranch,
-    pose_pv: dict[str, ad.Var],
     rhythm: RhythmBranch,
-    rhythm_pv: dict[str, ad.Var],
+    pv: dict[str, ad.Var],
     batch: _Batch,
     weights: LossWeights,
     rng: np.random.Generator | None,
@@ -229,13 +250,13 @@ def _batch_loss(
     if need_embeddings:
         x_prev = ad.Var(batch.x_prev)
         x_cur = ad.Var(batch.x_cur)
-        e_prev = pose.encode_v(pose_pv, x_prev)
-        e_cur = pose.encode_v(pose_pv, x_cur)
+        e_prev = pose.encode_v(pv, x_prev)
+        e_cur = pose.encode_v(pv, x_cur)
     if need_posterior:
-        mu, logvar = pose.posterior_v(pose_pv, e_cur - e_prev)
+        mu, logvar = pose.posterior_v(pv, e_cur - e_prev)
 
     if need_rhythm:
-        rhythm_out = rhythm.forward_v(rhythm_pv, ad.Var(batch.audio))
+        rhythm_out = rhythm.forward_v(pv, ad.Var(batch.audio))
         rhythm_flat = ad.reshape(rhythm_out, (b, -1))
 
     if weights.vae > 0:
@@ -265,16 +286,16 @@ def _batch_loss(
             z_full = ad.scatter_rows(z1, c1, b)
         else:
             z_full = ad.Var(np.zeros((b, d_z)))
-        e_star = pose.decode_transition_v(pose_pv, z_full, e_prev)
-        pose_flat = pose.decode_v(pose_pv, e_star)
+        e_star = pose.decode_transition_v(pv, z_full, e_prev)
+        pose_flat = pose.decode_v(pv, e_star)
         terms["rec"] = ad.mean(ad.absolute(pose_flat + rhythm_flat - x_cur))
 
     if weights.rhythm > 0:
         terms["rhythm"] = ad.mean(ad.absolute(rhythm_flat - ad.Var(batch.offsets)))
 
     if weights.reg > 0:
-        rec_cur = pose.decode_v(pose_pv, e_cur)
-        rec_prev = pose.decode_v(pose_pv, e_prev)
+        rec_cur = pose.decode_v(pv, e_cur)
+        rec_prev = pose.decode_v(pv, e_prev)
         terms["reg"] = ad.mean(ad.absolute(rec_cur - x_cur)) + ad.mean(
             ad.absolute(rec_prev - x_prev)
         )
@@ -296,9 +317,8 @@ def _batch_loss(
 def total_loss(
     sample: TrainingSample,
     pose: PoseModeBranch,
-    pose_params: dict[str, np.ndarray],
     rhythm: RhythmBranch,
-    rhythm_params: dict[str, np.ndarray],
+    params: dict[str, np.ndarray],
     weights: LossWeights,
     rng: np.random.Generator | None = None,
     feature_stats: FeatureStats | None = None,
@@ -309,15 +329,7 @@ def total_loss(
     consumed when the sample has c = 1 and reconstruction is active.
     """
     batch = _make_batch([sample], feature_stats)
-    total, breakdown = _batch_loss(
-        pose,
-        nn.param_vars(pose_params),
-        rhythm,
-        nn.param_vars(rhythm_params),
-        batch,
-        weights,
-        rng,
-    )
+    total, breakdown = _batch_loss(pose, rhythm, nn.param_vars(params), batch, weights, rng)
     return float(total.data), breakdown
 
 
@@ -327,24 +339,17 @@ def total_loss(
 def validation_lvd(
     samples,
     pose: PoseModeBranch,
-    pose_params: dict[str, np.ndarray],
     rhythm: RhythmBranch,
-    rhythm_params: dict[str, np.ndarray],
+    params: dict[str, np.ndarray],
     stats: FeatureStats | None,
     seed,
 ) -> float:
     """Mean velocity-difference between one-step generations and ground truth."""
     if not samples:
         return float("nan")
-    batch = _make_batch(list(samples), stats)
-    z = np.zeros((len(samples), pose.config.d_z))
-    c1 = np.flatnonzero(batch.labels == 1)
-    if len(c1):
-        z[c1] = np.random.default_rng(seed).standard_normal((len(c1), pose.config.d_z))
-    pose_flat, offsets = one_step(
-        pose, pose_params, rhythm, rhythm_params, batch.x_prev, z, batch.audio
+    composed = one_step_predictions(
+        list(samples), pose, rhythm, params, stats, np.random.default_rng(seed)
     )
-    composed = pose_flat.reshape(offsets.shape) + offsets
     values = [lvd(composed[i], s.m_cur.frames) for i, s in enumerate(samples)]
     return float(np.mean(values))
 
@@ -376,12 +381,8 @@ def train(
     pose, rhythm = build_branches(config)
     tcfg = config.train
     rng = np.random.default_rng(tcfg.seed)
-    pose_params = pose.init_params(rng)
-    rhythm_params = rhythm.init_params(rng)
-    # one dict over the same arrays: Adam updates them in place for both branches
-    merged = {**{f"pose.{k}": v for k, v in pose_params.items()},
-              **{f"rhythm.{k}": v for k, v in rhythm_params.items()}}
-    optimizer = nn.Adam(merged, lr=tcfg.lr)
+    params = {**pose.init_params(rng), **rhythm.init_params(rng)}
+    optimizer = nn.Adam(params, lr=tcfg.lr)
 
     weights = LossWeights.from_config(config)
     stats = dataset.feature_stats
@@ -397,8 +398,7 @@ def train(
 
     def checkpoint(epoch: int, val: float | None) -> Checkpoint:
         return Checkpoint(
-            pose_params=copy.deepcopy(pose_params),
-            rhythm_params=copy.deepcopy(rhythm_params),
+            params=copy.deepcopy(params),
             config=config,
             feature_stats=stats,
             rest_posture=rest_posture.copy(),
@@ -420,22 +420,15 @@ def train(
                 idx = order[start : start + batch_size]
                 batch = _make_batch([dataset.train[i] for i in idx], stats)
                 vae_scale = min(1.0, (step + 1) / warmup) if warmup else 1.0
-                pose_pv = nn.param_vars(pose_params)
-                rhythm_pv = nn.param_vars(rhythm_params)
-                total, breakdown = _batch_loss(
-                    pose, pose_pv, rhythm, rhythm_pv, batch, weights, rng, vae_scale
-                )
+                pv = nn.param_vars(params)
+                total, breakdown = _batch_loss(pose, rhythm, pv, batch, weights, rng, vae_scale)
                 value = float(total.data)
                 if not np.isfinite(value):
                     raise NumericError(
                         f"loss diverged to {value} at epoch {epoch} step {step}"
                     )
                 total.backward()
-                grads = {
-                    **{f"pose.{k}": g for k, g in nn.gradients(pose_pv).items()},
-                    **{f"rhythm.{k}": g for k, g in nn.gradients(rhythm_pv).items()},
-                }
-                optimizer.step(merged, grads)
+                optimizer.step(params, nn.gradients(pv))
                 step += 1
                 frac = len(idx) / n
                 sums["total"] += value * frac
@@ -443,7 +436,7 @@ def train(
                     sums[key] += breakdown[key] * frac
 
             val = validation_lvd(
-                dataset.val, pose, pose_params, rhythm, rhythm_params, stats,
+                dataset.val, pose, rhythm, params, stats,
                 seed=[tcfg.seed, 7919, epoch],
             ) if dataset.val else None
             record = {"epoch": epoch, **{k: sums[k] for k in sums}, "val_lvd": val}

@@ -164,8 +164,7 @@ def test_criterion_3_gradient_checks():
     assert n_params <= 200
 
     rng = np.random.default_rng(3)
-    pose_params = pose.init_params(rng)
-    rhythm_params = rhythm.init_params(rng)
+    params = {**pose.init_params(rng), **rhythm.init_params(rng)}
     samples = []
     for i, c in enumerate((1, 0)):
         data = np.random.default_rng(20 + i)
@@ -181,13 +180,12 @@ def test_criterion_3_gradient_checks():
         )
     batch = _make_batch(samples, None)
 
-    def loss_value(pp, rp, weights):
+    def loss_value(params, weights):
         # identical generator per call so the latent draw replays under FD
         total, _ = _batch_loss(
             pose,
-            nn.param_vars(pp),
             rhythm,
-            nn.param_vars(rp),
+            nn.param_vars(params),
             batch,
             weights,
             np.random.default_rng(7),
@@ -203,33 +201,26 @@ def test_criterion_3_gradient_checks():
     h = 1e-5
     report = {}
     for name, weights in cases.items():
-        pose_pv = nn.param_vars(pose_params)
-        rhythm_pv = nn.param_vars(rhythm_params)
-        total, _ = _batch_loss(
-            pose, pose_pv, rhythm, rhythm_pv, batch, weights, np.random.default_rng(7)
-        )
+        pv = nn.param_vars(params)
+        total, _ = _batch_loss(pose, rhythm, pv, batch, weights, np.random.default_rng(7))
         total.backward()
-        analytic = {
-            **{f"pose.{k}": g for k, g in nn.gradients(pose_pv).items()},
-            **{f"rhythm.{k}": g for k, g in nn.gradients(rhythm_pv).items()},
-        }
+        analytic = nn.gradients(pv)
         worst = 0.0
-        for side, params in (("pose", pose_params), ("rhythm", rhythm_params)):
-            for key, value in params.items():
-                flat = value.reshape(-1)
-                for j in range(flat.size):
-                    keep = flat[j]
-                    flat[j] = keep + h
-                    up = float(loss_value(pose_params, rhythm_params, weights).data)
-                    flat[j] = keep - h
-                    down = float(loss_value(pose_params, rhythm_params, weights).data)
-                    flat[j] = keep
-                    fd = (up - down) / (2 * h)
-                    a = analytic[f"{side}.{key}"].reshape(-1)[j]
-                    # the absolute floor keeps FD cancellation noise on
-                    # parameters a term never touches (gradient exactly 0)
-                    # from registering as relative error
-                    worst = max(worst, abs(a - fd) / max(abs(a), abs(fd), 1e-4))
+        for key, value in params.items():
+            flat = value.reshape(-1)
+            for j in range(flat.size):
+                keep = flat[j]
+                flat[j] = keep + h
+                up = float(loss_value(params, weights).data)
+                flat[j] = keep - h
+                down = float(loss_value(params, weights).data)
+                flat[j] = keep
+                fd = (up - down) / (2 * h)
+                a = analytic[key].reshape(-1)[j]
+                # the absolute floor keeps FD cancellation noise on
+                # parameters a term never touches (gradient exactly 0)
+                # from registering as relative error
+                worst = max(worst, abs(a - fd) / max(abs(a), abs(fd), 1e-4))
         report[name] = worst
     elapsed = time.perf_counter() - t0
     summary = ", ".join(f"{k} {v:.2e}" for k, v in report.items())
@@ -263,7 +254,7 @@ def test_criterion_4_zero_code_determinism():
     zeros = ModeSchedule(labels=(0, 0, 0), provenance="explicit")
     runs = [
         generate_sequence(
-            initial, audio, zeros, pose, pose_params, rhythm, rhythm_params, seeds=[s]
+            initial, audio, zeros, pose, rhythm, {**pose_params, **rhythm_params}, seeds=[s]
         )[0]
         for s in (0, 0, 12345)
     ]
@@ -274,7 +265,7 @@ def test_criterion_4_zero_code_determinism():
     motions = [
         r.motion
         for r in generate_sequence(
-            initial, audio, ones, pose, pose_params, rhythm, rhythm_params, seeds=range(64)
+            initial, audio, ones, pose, rhythm, {**pose_params, **rhythm_params}, seeds=range(64)
         )
     ]
     distinct = len({m.tobytes() for m in motions})
@@ -295,10 +286,10 @@ def test_criterion_5_branch_decoupling():
     schedule = ModeSchedule(labels=(0, 1, 1), provenance="explicit")
     zeroed = {k: np.zeros_like(v) for k, v in rhythm_params.items()}
     (with_rhythm,) = generate_sequence(
-        initial, audio, schedule, pose, pose_params, rhythm, rhythm_params, seeds=[5]
+        initial, audio, schedule, pose, rhythm, {**pose_params, **rhythm_params}, seeds=[5]
     )
     (without_rhythm,) = generate_sequence(
-        initial, audio, schedule, pose, pose_params, rhythm, zeroed, seeds=[5]
+        initial, audio, schedule, pose, rhythm, {**pose_params, **zeroed}, seeds=[5]
     )
     pose_identical = all(
         np.array_equal(a.pose_clip.frames, b.pose_clip.frames)

@@ -375,6 +375,41 @@ def test_bad_waveform_preprocess_names_file(workspace, tmp_path, capsys, case):
     assert str(audio) in capsys.readouterr().err
 
 
+def _write_bad_checkpoint(source, path, case) -> str:
+    """Copy a checkpoint with one parameter broken; returns the parameter's name."""
+    arrays = dict(np.load(source, allow_pickle=False))
+    if case == "missing":
+        key = "pose.h_dec.w1"
+        del arrays[f"param.{key}"]
+    elif case == "extra":
+        key = "pose.f_enc.w9"
+        arrays[f"param.{key}"] = np.zeros((2, 2))
+    elif case == "wrong_shape":
+        key = "rhythm.head.w"
+        arrays[f"param.{key}"] = arrays[f"param.{key}"][:, :-1]
+    else:
+        key = "pose.f_enc.w0"
+        arrays[f"param.{key}"][0, 0] = np.nan
+    np.savez(path, **arrays)
+    return key
+
+
+@pytest.mark.parametrize("command", ["generate", "evaluate"])
+@pytest.mark.parametrize("case", ["missing", "extra", "wrong_shape", "non_finite"])
+def test_bad_checkpoint_names_file(workspace, tmp_path, capsys, case, command):
+    checkpoint = tmp_path / "bad.npz"
+    key = _write_bad_checkpoint(workspace["checkpoint"], checkpoint, case)
+    if command == "generate":
+        rest = ["--audio", str(workspace["audio"]), "--out", str(tmp_path / "x.npz")]
+    else:
+        rest = ["--data", str(workspace["data"]), "--out", str(tmp_path / "report.json")]
+    code = main([command, "--checkpoint", str(checkpoint), *rest])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert str(checkpoint) in err
+    assert key in err
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow is the point
 def test_numeric_error_exit_3(workspace, tmp_path, capsys):
     code = main(

@@ -99,7 +99,7 @@ def _run(setup, labels, seed=0, **kwargs):
     pose, pp, rhythm, rp, initial, clips = setup
     sched = ModeSchedule(tuple(labels), "explicit")
     return generate_sequence(
-        initial, clips[: len(labels)], sched, pose, pp, rhythm, rp, seeds=[seed], **kwargs
+        initial, clips[: len(labels)], sched, pose, rhythm, {**pp, **rp}, seeds=[seed], **kwargs
     )[0]
 
 
@@ -166,8 +166,8 @@ def test_zeroed_rhythm_keeps_pose_clips(gen_setup):
     pose, pp, rhythm, rp, initial, clips = gen_setup
     zeroed = {k: np.zeros_like(v) for k, v in rp.items()}
     sched = ModeSchedule((0, 1, 1), "explicit")
-    (with_rhythm,) = generate_sequence(initial, clips, sched, pose, pp, rhythm, rp, seeds=[4])
-    (without,) = generate_sequence(initial, clips, sched, pose, pp, rhythm, zeroed, seeds=[4])
+    (with_rhythm,) = generate_sequence(initial, clips, sched, pose, rhythm, {**pp, **rp}, seeds=[4])
+    (without,) = generate_sequence(initial, clips, sched, pose, rhythm, {**pp, **zeroed}, seeds=[4])
     assert np.abs(with_rhythm.motion - without.motion).max() > 0
     for a, b in zip(with_rhythm.per_step, without.per_step):
         np.testing.assert_array_equal(a.pose_clip.frames, b.pose_clip.frames)
@@ -190,14 +190,14 @@ def test_recenter_offsets_flag(gen_setup):
 def test_empty_audio_is_data_error(gen_setup):
     pose, pp, rhythm, rp, initial, _ = gen_setup
     with pytest.raises(DataError):
-        generate_sequence(initial, [], ModeSchedule((), "explicit"), pose, pp, rhythm, rp)
+        generate_sequence(initial, [], ModeSchedule((), "explicit"), pose, rhythm, {**pp, **rp})
 
 
 def test_schedule_length_mismatch(gen_setup):
     pose, pp, rhythm, rp, initial, clips = gen_setup
     with pytest.raises(ValueError):
         generate_sequence(
-            initial, clips, ModeSchedule((0, 1), "explicit"), pose, pp, rhythm, rp
+            initial, clips, ModeSchedule((0, 1), "explicit"), pose, rhythm, {**pp, **rp}
         )
 
 
@@ -205,7 +205,8 @@ def test_empty_seed_list_rejected(gen_setup):
     pose, pp, rhythm, rp, initial, clips = gen_setup
     with pytest.raises(ValueError):
         generate_sequence(
-            initial, clips, ModeSchedule((0, 1, 0), "explicit"), pose, pp, rhythm, rp, seeds=[]
+            initial, clips, ModeSchedule((0, 1, 0), "explicit"), pose, rhythm, {**pp, **rp},
+            seeds=[],
         )
 
 
@@ -214,7 +215,7 @@ def test_audio_width_mismatch_rejected(gen_setup):
     with pytest.raises(ValueError, match="audio features shape"):
         generate_sequence(
             initial, [AudioClip(np.zeros((4, 5)))], ModeSchedule((0,), "explicit"),
-            pose, pp, rhythm, rp,
+            pose, rhythm, {**pp, **rp},
         )
 
 
@@ -244,10 +245,12 @@ def test_batched_seeds_match_single_seed_runs(batch_setup, n_seeds):
     pose, pp, rhythm, rp, initial, clips = batch_setup
     sched = ModeSchedule(MIXED, "explicit")
     seeds = [100 + s for s in range(n_seeds)]
-    batched = generate_sequence(initial, clips, sched, pose, pp, rhythm, rp, seeds=seeds)
+    batched = generate_sequence(initial, clips, sched, pose, rhythm, {**pp, **rp}, seeds=seeds)
     assert [r.seed for r in batched] == seeds
     for seed, got in zip(seeds, batched):
-        (alone,) = generate_sequence(initial, clips, sched, pose, pp, rhythm, rp, seeds=[seed])
+        (alone,) = generate_sequence(
+            initial, clips, sched, pose, rhythm, {**pp, **rp}, seeds=[seed]
+        )
         scale = np.abs(alone.motion).max()
         assert np.abs(got.motion - alone.motion).max() <= 1e-12 * scale
         for a, b in zip(got.per_step, alone.per_step):
@@ -261,7 +264,7 @@ def test_batched_rows_before_first_draw_identical_across_seeds(batch_setup, n_se
     pose, pp, rhythm, rp, initial, clips = batch_setup
     sched = ModeSchedule(MIXED, "explicit")
     results = generate_sequence(
-        initial, clips, sched, pose, pp, rhythm, rp, seeds=range(n_seeds)
+        initial, clips, sched, pose, rhythm, {**pp, **rp}, seeds=range(n_seeds)
     )
     t = initial.t
     before = MIXED.index(1) * t

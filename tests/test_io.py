@@ -1,5 +1,6 @@
 """File containers: lossless round trips and format guards."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -16,7 +17,10 @@ from speechmotion import (
     RunConfig,
     Transcript,
     TrainingSample,
+    build_branches,
+    generate_sequence,
     io,
+    mode_schedule,
 )
 
 SPEC = JointSpec(names=("nose", "neck", "right_palm"), hand_indices=(2,))
@@ -136,11 +140,18 @@ def test_stats_round_trip(tmp_path):
 
 def _checkpoint():
     rng = np.random.default_rng(4)
-    config = RunConfig()
+    base = RunConfig()
+    config = base.replace(
+        t_frames=4,
+        model=dataclasses.replace(
+            base.model, d_e=4, d_z=2, enc_hidden=(8,), latent_hidden=(4,),
+            rhythm_hidden=4, rhythm_layers=1,
+        ),
+    )
+    pose, rhythm = build_branches(config)
     stats = FeatureStats.fit({"a": rng.normal(size=(30, config.mfcc.d_s))})
     return Checkpoint(
-        pose_params={"f_enc.w0": rng.normal(size=(3, 2)), "f_enc.b0": np.zeros(2)},
-        rhythm_params={"conv0.w": rng.normal(size=(3, 2, 4))},
+        params={**pose.init_params(rng), **rhythm.init_params(rng)},
         config=config,
         feature_stats=stats,
         rest_posture=rng.normal(size=config.d_m),
@@ -156,11 +167,9 @@ def test_checkpoint_round_trip(tmp_path):
     path = tmp_path / "ck.npz"
     io.save_checkpoint(path, ckpt)
     loaded = io.load_checkpoint(path)
-    assert set(loaded.pose_params) == set(ckpt.pose_params)
-    for k in ckpt.pose_params:
-        np.testing.assert_array_equal(loaded.pose_params[k], ckpt.pose_params[k])
-    for k in ckpt.rhythm_params:
-        np.testing.assert_array_equal(loaded.rhythm_params[k], ckpt.rhythm_params[k])
+    assert set(loaded.params) == set(ckpt.params)
+    for k in ckpt.params:
+        np.testing.assert_array_equal(loaded.params[k], ckpt.params[k])
     assert loaded.config.to_dict() == ckpt.config.to_dict()
     assert loaded.seed == 7 and loaded.epoch == 12 and loaded.val_lvd == 0.25
     assert loaded.extra["note"] == "hello"
@@ -177,6 +186,46 @@ def test_checkpoint_missing_branch_is_data_error(tmp_path):
     np.savez(tmp_path / "broken.npz", **stripped)
     with pytest.raises(DataError):
         io.load_checkpoint(tmp_path / "broken.npz")
+
+
+# the parameter names checkpoint/1 stores for _checkpoint()'s config; other readers
+# of the files (the benchmark's reference forward among them) rely on them
+CHECKPOINT_1_PARAMS = (
+    *(f"param.pose.{net}.{kind}{layer}" for net in ("f_enc", "f_dec", "h_enc", "h_dec")
+      for layer in (0, 1) for kind in "wb"),
+    "param.rhythm.conv0.w", "param.rhythm.conv0.b", "param.rhythm.head.w", "param.rhythm.head.b",
+)
+
+
+def test_checkpoint_parameter_keys_unchanged(tmp_path):
+    path = tmp_path / "ck.npz"
+    io.save_checkpoint(path, _checkpoint())
+    with np.load(path) as npz:
+        assert {k for k in npz.files if k.startswith("param.")} == set(CHECKPOINT_1_PARAMS)
+
+
+def test_checkpoint_1_file_generates_same_motion(tmp_path):
+    ckpt = _checkpoint()
+    path = tmp_path / "ck.npz"
+    io.save_checkpoint(path, ckpt)
+    with np.load(path) as npz:
+        others = {k: npz[k] for k in npz.files if not k.startswith("param.")}
+    # every parameter array written under its checkpoint/1 name, not by save_checkpoint
+    arrays = {key: ckpt.params[key.removeprefix("param.")] for key in CHECKPOINT_1_PARAMS}
+    np.savez(tmp_path / "old.npz", **others, **arrays)
+    loaded = io.load_checkpoint(tmp_path / "old.npz")
+
+    config = ckpt.config
+    pose, rhythm = build_branches(config)
+    rng = np.random.default_rng(8)
+    initial = MotionClip(rng.normal(size=(config.t_frames, config.d_m)),
+                         joint_spec=config.joint_spec)
+    audio = [AudioClip(rng.normal(size=(config.t_frames, config.mfcc.d_s))) for _ in range(3)]
+    schedule = mode_schedule(None, 3, "explicit", explicit=[0, 1, 1])
+    expected = generate_sequence(initial, audio, schedule, pose, rhythm, ckpt.params, seeds=[1, 2])
+    got = generate_sequence(initial, audio, schedule, pose, rhythm, loaded.params, seeds=[1, 2])
+    for a, b in zip(expected, got):
+        np.testing.assert_array_equal(a.motion, b.motion)
 
 
 def test_json_round_trip(tmp_path):

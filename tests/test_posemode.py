@@ -197,10 +197,10 @@ def test_loss_reg_zero_for_identity_autoencoder():
     config = PoseModeConfig(t_frames=2, d_m=4, d_e=8, d_z=2, enc_hidden=(), latent_hidden=())
     branch = PoseModeBranch(config, joint_spec=spec)
     params = branch.init_params(np.random.default_rng(0))
-    params["f_enc.w0"] = np.eye(8)
-    params["f_enc.b0"] = np.zeros(8)
-    params["f_dec.w0"] = np.eye(8)
-    params["f_dec.b0"] = np.zeros(8)
+    params["pose.f_enc.w0"] = np.eye(8)
+    params["pose.f_enc.b0"] = np.zeros(8)
+    params["pose.f_dec.w0"] = np.eye(8)
+    params["pose.f_dec.b0"] = np.zeros(8)
     rng = np.random.default_rng(1)
     a = MotionClip(rng.normal(size=(2, 4)), joint_spec=spec)
     b = MotionClip(rng.normal(size=(2, 4)), joint_spec=spec)
@@ -227,7 +227,7 @@ def _pose_step(branch, params, tiny_rhythm, prev, z):
     rhythm, rhythm_params = tiny_rhythm
     x_prev = prev.frames.reshape(1, -1)
     audio = np.zeros((1, prev.t, rhythm.config.d_s))
-    pose_flat, _ = one_step(branch, params, rhythm, rhythm_params, x_prev, z, audio)
+    pose_flat, _ = one_step(branch, rhythm, {**params, **rhythm_params}, x_prev, z, audio)
     return pose_flat.reshape(len(z), *prev.frames.shape)
 
 
@@ -248,7 +248,8 @@ def test_generate_pose_mode_matches_component_chain(tiny_pose, tiny_rhythm, clip
     seed = 13
     z_rows = np.random.default_rng(seed).standard_normal((1, branch.config.d_z))
     got_pose, got_offsets = one_step(
-        branch, params, rhythm, rhythm_params, prev.frames.reshape(1, -1), z_rows, audio.features[None]
+        branch, rhythm, {**params, **rhythm_params}, prev.frames.reshape(1, -1), z_rows,
+        audio.features[None],
     )
 
     from speechmotion import autodiff as ad

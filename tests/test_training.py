@@ -70,7 +70,7 @@ def test_weights_from_config():
 def test_all_weights_zero_gives_zero():
     pose, pp, rhythm, rp = _tiny_branches()
     total, breakdown = total_loss(
-        _sample(), pose, pp, rhythm, rp, LossWeights(0.0, 0.0, 0.0, 0.0)
+        _sample(), pose, rhythm, {**pp, **rp}, LossWeights(0.0, 0.0, 0.0, 0.0)
     )
     assert total == 0.0
     assert breakdown == {"rec": 0.0, "vae": 0.0, "rhythm": 0.0, "reg": 0.0}
@@ -88,7 +88,7 @@ def test_perfect_model_on_zero_clip_reconstructs():
         speaker_id="s",
         segment_id="seg",
     )
-    total, breakdown = total_loss(zero, pose, pp, rhythm, rp, LossWeights(1.0, 0.0, 0.0, 0.0))
+    total, breakdown = total_loss(zero, pose, rhythm, {**pp, **rp}, LossWeights(1.0, 0.0, 0.0, 0.0))
     assert total == 0.0
     assert breakdown["rec"] == 0.0
 
@@ -98,7 +98,7 @@ def test_breakdown_additivity():
     weights = LossWeights(1.0, 0.01, 1.0, 1.0)
     for c, seed in ((0, 1), (1, 2)):
         total, breakdown = total_loss(
-            _sample(seed, c), pose, pp, rhythm, rp, weights, rng=np.random.default_rng(0)
+            _sample(seed, c), pose, rhythm, {**pp, **rp}, weights, rng=np.random.default_rng(0)
         )
         weighted = (
             weights.rec * breakdown["rec"]
@@ -114,10 +114,10 @@ def test_weight_zeroing_identity():
     pose, pp, rhythm, rp = _tiny_branches()
     full = LossWeights(1.0, 1.0, 1.0, 1.0)
     sample = _sample(3, c=1)
-    _, breakdown = total_loss(sample, pose, pp, rhythm, rp, full, rng=np.random.default_rng(5))
+    _, breakdown = total_loss(sample, pose, rhythm, {**pp, **rp}, full, rng=np.random.default_rng(5))
     for dropped in ("rec", "vae", "rhythm", "reg"):
         weights = LossWeights(**{k: 0.0 if k == dropped else 1.0 for k in ("rec", "vae", "rhythm", "reg")})
-        total, sub = total_loss(sample, pose, pp, rhythm, rp, weights, rng=np.random.default_rng(5))
+        total, sub = total_loss(sample, pose, rhythm, {**pp, **rp}, weights, rng=np.random.default_rng(5))
         assert sub[dropped] == 0.0
         expected = sum(breakdown[k] for k in breakdown if k != dropped)
         assert abs(total - expected) < 1e-9
@@ -128,7 +128,7 @@ def test_indicator_semantics_of_vae_term(tiny_pose=None):
     for c in (0, 1):
         sample = _sample(seed=4, c=c)
         _, breakdown = total_loss(
-            sample, pose, pp, rhythm, rp, LossWeights(0.0, 1.0, 0.0, 0.0)
+            sample, pose, rhythm, {**pp, **rp}, LossWeights(0.0, 1.0, 0.0, 0.0)
         )
         e_prev = pose.encode_motion(pp, sample.m_prev)
         e_cur = pose.encode_motion(pp, sample.m_cur)
@@ -141,7 +141,7 @@ def test_total_loss_matches_hand_traced_forward():
     sample = _sample(seed=10, c=1)
     weights = LossWeights(1.0, 0.01, 1.0, 1.0)
     got_total, got_parts = total_loss(
-        sample, pose, pp, rhythm, rp, weights, rng=np.random.default_rng(21)
+        sample, pose, rhythm, {**pp, **rp}, weights, rng=np.random.default_rng(21)
     )
 
     # independent forward pass in plain numpy
@@ -154,34 +154,34 @@ def test_total_loss_matches_hand_traced_forward():
 
     x_prev = sample.m_prev.frames.reshape(1, -1)
     x_cur = sample.m_cur.frames.reshape(1, -1)
-    e_prev = mlp("f_enc", x_prev, 2)
-    e_cur = mlp("f_enc", x_cur, 2)
-    stats = mlp("h_enc", e_cur - e_prev, 2)
+    e_prev = mlp("pose.f_enc", x_prev, 2)
+    e_cur = mlp("pose.f_enc", x_cur, 2)
+    stats = mlp("pose.h_enc", e_cur - e_prev, 2)
     mu, logvar = stats[:, :3], stats[:, 3:]
 
     vae = float(0.5 * np.sum(mu**2 + np.exp(logvar) - 1.0 - logvar))
 
     eps = np.random.default_rng(21).standard_normal((1, 3))
     z = mu + np.exp(0.5 * logvar) * eps
-    e_star = mlp("h_dec", np.concatenate([z, e_prev], axis=1), 2)
-    pose_flat = mlp("f_dec", e_star, 2)
+    e_star = mlp("pose.h_dec", np.concatenate([z, e_prev], axis=1), 2)
+    pose_flat = mlp("pose.f_dec", e_star, 2)
 
     audio = sample.s_cur.features[None]
     h = audio
     for i in range(2):
-        w, b_ = rp[f"conv{i}.w"], rp[f"conv{i}.b"]
+        w, b_ = rp[f"rhythm.conv{i}.w"], rp[f"rhythm.conv{i}.b"]
         pad = np.pad(h, ((0, 0), (1, 1), (0, 0)))
         h = sum(pad[:, k : k + 4] @ w[k] for k in range(3)) + b_
         h = np.tanh(h)
-    rhythm_out = h @ rp["head.w"] + rp["head.b"]
+    rhythm_out = h @ rp["rhythm.head.w"] + rp["rhythm.head.b"]
     rhythm_flat = rhythm_out.reshape(1, -1)
 
     rec = float(np.abs(pose_flat + rhythm_flat - x_cur).mean())
     gt_off = sample.m_cur.frames - sample.m_cur.frames.mean(axis=0)
     rhythm_term = float(np.abs(rhythm_out[0] - gt_off).mean())
     reg = float(
-        np.abs(mlp("f_dec", e_cur, 2) - x_cur).mean()
-        + np.abs(mlp("f_dec", e_prev, 2) - x_prev).mean()
+        np.abs(mlp("pose.f_dec", e_cur, 2) - x_cur).mean()
+        + np.abs(mlp("pose.f_dec", e_prev, 2) - x_prev).mean()
     )
     expected_total = rec + 0.01 * vae + rhythm_term + reg
 
@@ -195,7 +195,7 @@ def test_total_loss_matches_hand_traced_forward():
 def test_c1_reconstruction_needs_rng():
     pose, pp, rhythm, rp = _tiny_branches()
     with pytest.raises(ValueError):
-        total_loss(_sample(c=1), pose, pp, rhythm, rp, LossWeights(1.0, 0.0, 0.0, 0.0))
+        total_loss(_sample(c=1), pose, rhythm, {**pp, **rp}, LossWeights(1.0, 0.0, 0.0, 0.0))
 
 
 # -- dataset assembly ------------------------------------------------------------------
@@ -319,11 +319,9 @@ def test_train_reproducible_and_logs(toy_corpus, tmp_path):
     r2 = train(split, config)
     assert r1.history[0]["total"] == r2.history[0]["total"]  # bit-identical rerun
     assert abs(r1.history[0]["total"] - r2.history[0]["total"]) < 1e-6
-    for k in ("pose", "rhythm"):
-        p1 = getattr(r1.final, f"{k}_params")
-        p2 = getattr(r2.final, f"{k}_params")
-        for key in p1:
-            np.testing.assert_array_equal(p1[key], p2[key])
+    p1, p2 = r1.final.params, r2.final.params
+    for key in p1:
+        np.testing.assert_array_equal(p1[key], p2[key])
 
     lines = [json.loads(line) for line in log.read_text().splitlines()]
     assert len(lines) == config.train.epochs
@@ -350,7 +348,7 @@ def test_train_loss_decreases(toy_corpus):
 
 def test_validation_lvd_empty_is_nan():
     pose, pp, rhythm, rp = _tiny_branches()
-    assert np.isnan(validation_lvd([], pose, pp, rhythm, rp, None, seed=0))
+    assert np.isnan(validation_lvd([], pose, rhythm, {**pp, **rp}, None, seed=0))
 
 
 def test_validation_lvd_positive(toy_corpus):
@@ -365,7 +363,7 @@ def test_validation_lvd_positive(toy_corpus):
     rhythm = RhythmBranch(rcfg)
     rng = np.random.default_rng(0)
     value = validation_lvd(
-        split.val, pose, pose.init_params(rng), rhythm, rhythm.init_params(rng),
+        split.val, pose, rhythm, {**pose.init_params(rng), **rhythm.init_params(rng)},
         split.feature_stats, seed=0,
     )
     assert value > 0
