@@ -60,16 +60,10 @@ from .motion import (
     swap_dynamics,
     temporal_mean,
 )
-from .posemode import (
-    LatentPosterior,
-    PoseModeBranch,
-    PoseModeConfig,
-    loss_vae,
-    transition_feature,
-)
-from .rhythm import RhythmBranch, RhythmConfig, loss_rhythm
+from .posemode import PoseModeBranch, PoseModeConfig
+from .rhythm import RhythmBranch, RhythmConfig
 from .toydata import make_toy_dataset
-from .training import LossWeights, TrainResult, build_dataset, total_loss, train, validation_lvd
+from .training import LossWeights, TrainResult, build_dataset, train, validation_lvd
 
 __version__ = "0.1.0"
 
@@ -86,7 +80,6 @@ __all__ = [
     "GenerateSettings",
     "GenerationResult",
     "JointSpec",
-    "LatentPosterior",
     "LossWeights",
     "MeanPosture",
     "MetricReport",
@@ -121,8 +114,6 @@ __all__ = [
     "extract_mfcc",
     "generate_sequence",
     "label_mode_change",
-    "loss_rhythm",
-    "loss_vae",
     "lvd",
     "make_toy_dataset",
     "mel_filterbank",
@@ -132,8 +123,6 @@ __all__ = [
     "sample_diversity",
     "swap_dynamics",
     "temporal_mean",
-    "total_loss",
     "train",
-    "transition_feature",
     "validation_lvd",
 ]

@@ -172,6 +172,8 @@ def _initial_pose(args, ckpt) -> MotionClip:
     config = ckpt.config
     if args.initial_pose:
         frames, fps, spec, _ = io.load_landmarks(args.initial_pose)
+        if spec.names != tuple(config.joint_names):
+            raise DataError(f"{args.initial_pose}: joint names do not match the configured skeleton")
         if abs(fps - config.fps) > 1e-9:
             raise DataError(f"{args.initial_pose}: fps {fps} != configured {config.fps}")
         normalized = normalize_skeleton(frames, spec)

@@ -165,8 +165,13 @@ def generate_sequence(
             f"audio features shape {audio.shape[1:]} does not match"
             f" configured ({t}, {rhythm.config.d_s})"
         )
+    if initial_pose.frames.shape != (t, pose.config.d_m):
+        raise ValueError(
+            f"initial pose shape {initial_pose.frames.shape} does not match"
+            f" configured ({t}, {pose.config.d_m})"
+        )
     rngs = [np.random.default_rng(seed) for seed in seeds]
-    x_prev = pose._flat(initial_pose)
+    x_prev = initial_pose.frames.reshape(1, -1)
     steps = []
     for i, c in enumerate(schedule.labels):
         if c:

@@ -7,7 +7,6 @@ file. Round-trips are lossless: float64 in, bit-equal float64 out.
 
 Formats (documented here and in the README):
   landmarks/1   frames (N, D) float64, fps, joint_names, hand_indices, meta
-  features/1    features (N, D_S) float64, sample_rate, hop_s, settings, meta
   waveform/1    samples (N,) float64 in [-1, 1], sample_rate, meta
   split/1       stacked sample arrays of one dataset split + meta
   checkpoint/1  param.<branch>.* arrays, stats.*, config, meta
@@ -24,7 +23,7 @@ from pathlib import Path
 import numpy as np
 from scipy.io import wavfile
 
-from .audio import AudioClip, FeatureStats, MfccSettings, Transcript
+from .audio import AudioClip, FeatureStats, Transcript
 from .config import RunConfig
 from .data import Checkpoint, TrainingSample
 from .errors import DataError
@@ -76,6 +75,12 @@ def save_landmarks(
 
 
 def load_landmarks(path) -> tuple[np.ndarray, float, JointSpec, dict]:
+    """Read a landmarks/1 file.
+
+    Raises:
+        DataError naming the file: frames that do not fit its joint spec, or
+        non-finite frame values.
+    """
     npz = _load_npz(path)
     _check_format(npz, "landmarks/1", path)
     spec = JointSpec(
@@ -85,47 +90,9 @@ def load_landmarks(path) -> tuple[np.ndarray, float, JointSpec, dict]:
     frames = np.asarray(npz["frames"], dtype=np.float64)
     if frames.ndim != 2 or frames.shape[1] != spec.d_m:
         raise DataError(f"{path}: frames shape {frames.shape} does not fit its joint spec")
+    if not np.all(np.isfinite(frames)):
+        raise DataError(f"{path}: frames contain non-finite values")
     return frames, float(npz["fps"]), spec, json.loads(str(npz["meta"]))
-
-
-# -- audio features ------------------------------------------------------
-
-
-def save_features(
-    path,
-    features: np.ndarray,
-    settings: MfccSettings,
-    meta: dict | None = None,
-) -> None:
-    features = np.asarray(features, dtype=np.float64)
-    if features.ndim != 2:
-        raise ValueError("features must be 2-D")
-    np.savez(
-        path,
-        format="features/1",
-        features=features,
-        sample_rate=np.int64(settings.sample_rate),
-        hop_s=np.float64(settings.hop_s),
-        settings=json.dumps(
-            {
-                "sample_rate": settings.sample_rate,
-                "window_s": settings.window_s,
-                "hop_s": settings.hop_s,
-                "n_mels": settings.n_mels,
-                "n_mfcc": settings.n_mfcc,
-                "deltas": settings.deltas,
-            },
-            sort_keys=True,
-        ),
-        meta=_meta_json(meta),
-    )
-
-
-def load_features(path) -> tuple[np.ndarray, MfccSettings, dict]:
-    npz = _load_npz(path)
-    _check_format(npz, "features/1", path)
-    settings = MfccSettings(**json.loads(str(npz["settings"])))
-    return np.asarray(npz["features"], dtype=np.float64), settings, json.loads(str(npz["meta"]))
 
 
 # -- waveforms -----------------------------------------------------------
@@ -351,20 +318,27 @@ def load_checkpoint(path) -> Checkpoint:
     """Read a checkpoint/1 file.
 
     Raises:
-        DataError naming the file: a parameter missing from it, one its
-        config does not define, a shape that does not fit the config, or a
-        non-finite value.
+        DataError naming the file: a stored config whose hash is not the one
+        recorded in meta, a parameter missing from it, one its config does
+        not define, a shape that does not fit the config, or a non-finite
+        value.
     """
     npz = _load_npz(path)
     _check_format(npz, "checkpoint/1", path)
     config = RunConfig.from_dict(json.loads(str(npz["config"])))
+    meta = json.loads(str(npz["meta"]))
+    recorded, actual = meta.get("config_hash"), config.config_hash()
+    if recorded != actual:
+        raise DataError(
+            f"{path}: meta.config_hash {recorded} does not match {actual},"
+            " the hash of its stored config"
+        )
     params = {
         key.removeprefix("param."): np.asarray(npz[key], dtype=np.float64)
         for key in npz.files
         if key.startswith("param.")
     }
     _check_params(path, params, config)
-    meta = json.loads(str(npz["meta"]))
     known = {"seed", "epoch", "val_lvd", "config_hash"}
     return Checkpoint(
         params=params,

@@ -15,8 +15,6 @@ import numpy as np
 
 from . import autodiff as ad
 from . import nn
-from .audio import AudioClip
-from .motion import MotionClip, RhythmOffset
 
 
 @dataclass(frozen=True)
@@ -57,28 +55,3 @@ class RhythmBranch:
     def forward_v(self, pv: Mapping[str, ad.Var], x: ad.Var) -> ad.Var:
         """Tape-level forward on a (B, T, D_S) batch."""
         return self.net.apply(pv, x, "rhythm.")
-
-    def generate(self, params: Mapping[str, np.ndarray], audio: AudioClip) -> RhythmOffset:
-        """Predict offsets for one clip of aligned audio features."""
-        cfg = self.config
-        if audio.features.shape != (cfg.t_frames, cfg.d_s):
-            raise ValueError(
-                f"audio features shape {audio.features.shape} does not match"
-                f" configured ({cfg.t_frames}, {cfg.d_s})"
-            )
-        out = self.forward_v(nn.param_vars(params), ad.Var(audio.features[None]))
-        return RhythmOffset(out.data[0])
-
-
-def loss_rhythm(pred: RhythmOffset, gt: MotionClip) -> float:
-    """Mean-absolute error against the ground-truth offsets of a clip.
-
-    The target is the clip minus its own temporal mean, so the branch is
-    never asked to reproduce posture, only residual motion.
-    """
-    if pred.offsets.shape != gt.frames.shape:
-        raise ValueError(
-            f"offset shape {pred.offsets.shape} does not match clip shape {gt.frames.shape}"
-        )
-    target = gt.frames - gt.frames.mean(axis=0)
-    return float(np.mean(np.abs(pred.offsets - target)))

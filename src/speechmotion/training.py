@@ -314,25 +314,6 @@ def _batch_loss(
     return total, breakdown
 
 
-def total_loss(
-    sample: TrainingSample,
-    pose: PoseModeBranch,
-    rhythm: RhythmBranch,
-    params: dict[str, np.ndarray],
-    weights: LossWeights,
-    rng: np.random.Generator | None = None,
-    feature_stats: FeatureStats | None = None,
-) -> tuple[float, dict[str, float]]:
-    """Combined objective of one sample; returns (total, unweighted breakdown).
-
-    The weighted sum of the breakdown equals the total. A generator is only
-    consumed when the sample has c = 1 and reconstruction is active.
-    """
-    batch = _make_batch([sample], feature_stats)
-    total, breakdown = _batch_loss(pose, rhythm, nn.param_vars(params), batch, weights, rng)
-    return float(total.data), breakdown
-
-
 # -- validation metric -----------------------------------------------------------
 
 

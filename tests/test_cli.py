@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from speechmotion import RunConfig, io
+from speechmotion import JointSpec, RunConfig, io
 from speechmotion.cli import main
 
 
@@ -376,9 +376,15 @@ def test_bad_waveform_preprocess_names_file(workspace, tmp_path, capsys, case):
 
 
 def _write_bad_checkpoint(source, path, case) -> str:
-    """Copy a checkpoint with one parameter broken; returns the parameter's name."""
+    """Copy a checkpoint with one part broken; returns what the error must name."""
     arrays = dict(np.load(source, allow_pickle=False))
-    if case == "missing":
+    if case == "config_hash":
+        stored = json.loads(str(arrays["meta"]))["config_hash"]
+        tree = json.loads(str(arrays["config"]))
+        tree["train"]["seed"] += 1  # same parameter shapes, different config
+        arrays["config"] = json.dumps(tree, sort_keys=True)
+        key = f"{stored} does not match {RunConfig.from_dict(tree).config_hash()}"
+    elif case == "missing":
         key = "pose.h_dec.w1"
         del arrays[f"param.{key}"]
     elif case == "extra":
@@ -395,7 +401,7 @@ def _write_bad_checkpoint(source, path, case) -> str:
 
 
 @pytest.mark.parametrize("command", ["generate", "evaluate"])
-@pytest.mark.parametrize("case", ["missing", "extra", "wrong_shape", "non_finite"])
+@pytest.mark.parametrize("case", ["config_hash", "missing", "extra", "wrong_shape", "non_finite"])
 def test_bad_checkpoint_names_file(workspace, tmp_path, capsys, case, command):
     checkpoint = tmp_path / "bad.npz"
     key = _write_bad_checkpoint(workspace["checkpoint"], checkpoint, case)
@@ -408,6 +414,39 @@ def test_bad_checkpoint_names_file(workspace, tmp_path, capsys, case, command):
     err = capsys.readouterr().err
     assert str(checkpoint) in err
     assert key in err
+
+
+def _nan_landmarks(workspace, path):
+    frames, fps, spec, _ = io.load_landmarks(workspace["toy"] / "landmarks" / "spk0_seg00.npz")
+    frames[3, 1] = np.nan
+    io.save_landmarks(path, frames, fps, spec)
+
+
+def test_non_finite_landmarks_preprocess_names_file(workspace, tmp_path, capsys):
+    landmarks, audio_dir = tmp_path / "landmarks", tmp_path / "audio"
+    landmarks.mkdir()
+    audio_dir.mkdir()
+    bad = landmarks / "spk0_seg00.npz"
+    _nan_landmarks(workspace, bad)
+    (audio_dir / "spk0_seg00.wav").write_bytes(workspace["audio"].read_bytes())
+    code = main(["preprocess", "--config", str(workspace["config"]), "--landmarks", str(landmarks),
+                 "--audio", str(audio_dir), "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert str(bad) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("case", ["non_finite", "other_joints"])
+def test_bad_initial_pose_names_file(workspace, tmp_path, capsys, case):
+    bad = tmp_path / "pose.npz"
+    if case == "non_finite":
+        _nan_landmarks(workspace, bad)
+    else:
+        spec = JointSpec(names=("nose", "neck", "right_palm"), hand_indices=(2,))
+        io.save_landmarks(bad, np.random.default_rng(0).normal(size=(40, spec.d_m)), 15.0, spec)
+    code = main(["generate", "--checkpoint", str(workspace["checkpoint"]), "--audio",
+                 str(workspace["audio"]), "--initial-pose", str(bad), "--out", str(tmp_path / "x.npz")])
+    assert code == 2
+    assert str(bad) in capsys.readouterr().err
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow is the point

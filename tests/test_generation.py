@@ -19,6 +19,8 @@ from speechmotion import nn
 from speechmotion.posemode import PoseModeBranch, PoseModeConfig
 from speechmotion.rhythm import RhythmBranch, RhythmConfig
 
+from oracles import decode_motion, encode_motion, rhythm_generate, sample_latent
+
 CLIP_S = 64 / 15.0  # duration of one default clip
 
 
@@ -137,13 +139,13 @@ def test_single_step_equals_component_calls(gen_setup):
     pose, pp, rhythm, rp, initial, clips = gen_setup
     seed = 5
     result = _run(gen_setup, (1,), seed=seed)
-    e_prev = pose.encode_motion(pp, initial)
-    z = pose.sample_latent(1, rng=np.random.default_rng(seed), mode="infer")
+    e_prev = encode_motion(pose, pp, initial)
+    z = sample_latent(pose, 1, rng=np.random.default_rng(seed), mode="infer")
     e_star = pose.decode_transition_v(
         nn.param_vars(pp), ad.Var(z[None, :]), ad.Var(e_prev[None, :])
     ).data[0]
-    expected_pose = pose.decode_motion(pp, e_star)
-    expected_rhythm = rhythm.generate(rp, clips[0])
+    expected_pose = decode_motion(pose, pp, e_star)
+    expected_rhythm = rhythm_generate(rhythm, rp, clips[0])
     np.testing.assert_array_equal(
         result.motion, expected_pose.frames + expected_rhythm.offsets
     )
@@ -153,7 +155,7 @@ def test_each_step_offsets_come_from_its_own_audio(gen_setup):
     pose, pp, rhythm, rp, initial, clips = gen_setup
     result = _run(gen_setup, (0, 1, 0), seed=2)
     for audio, rec in zip(clips, result.per_step):
-        np.testing.assert_array_equal(rec.rhythm_offset.offsets, rhythm.generate(rp, audio).offsets)
+        np.testing.assert_array_equal(rec.rhythm_offset.offsets, rhythm_generate(rhythm, rp, audio).offsets)
 
 
 def test_prefix_stability(gen_setup):
@@ -216,6 +218,15 @@ def test_audio_width_mismatch_rejected(gen_setup):
         generate_sequence(
             initial, [AudioClip(np.zeros((4, 5)))], ModeSchedule((0,), "explicit"),
             pose, rhythm, {**pp, **rp},
+        )
+
+
+def test_initial_pose_shape_mismatch_rejected(gen_setup, small_spec):
+    pose, pp, rhythm, rp, _, clips = gen_setup
+    wrong = MotionClip(np.zeros((6, small_spec.d_m)), joint_spec=small_spec)
+    with pytest.raises(ValueError, match=r"initial pose shape \(6, 6\) does not match configured \(4, 6\)"):
+        generate_sequence(
+            wrong, clips[:1], ModeSchedule((0,), "explicit"), pose, rhythm, {**pp, **rp},
         )
 
 

@@ -12,7 +12,6 @@ from speechmotion import (
     DataError,
     FeatureStats,
     JointSpec,
-    MfccSettings,
     MotionClip,
     RunConfig,
     Transcript,
@@ -42,17 +41,6 @@ def test_landmarks_reject_foreign_file(tmp_path):
     np.savez(path, stuff=np.zeros(3))
     with pytest.raises(DataError):
         io.load_landmarks(path)
-
-
-def test_features_round_trip(tmp_path):
-    feats = np.random.default_rng(1).normal(size=(20, 26))
-    settings = MfccSettings()
-    path = tmp_path / "feat.npz"
-    io.save_features(path, feats, settings, {"src": "x.wav"})
-    loaded, back, meta = io.load_features(path)
-    np.testing.assert_array_equal(loaded, feats)
-    assert back == settings
-    assert meta["src"] == "x.wav"
 
 
 def test_waveform_npz_round_trip(tmp_path):

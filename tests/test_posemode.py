@@ -5,16 +5,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from speechmotion import (
-    AudioClip,
-    JointSpec,
-    LatentPosterior,
-    MotionClip,
-    loss_vae,
-    transition_feature,
-)
+from speechmotion import AudioClip, JointSpec, MotionClip
 from speechmotion.model import one_step
 from speechmotion.posemode import PoseModeBranch, PoseModeConfig
+
+from oracles import (
+    LatentPosterior,
+    decode_motion,
+    encode_motion,
+    loss_reg,
+    loss_vae,
+    posterior,
+    rhythm_generate,
+    sample_latent,
+    transition_feature,
+)
 
 
 def _mc_kl(mu, sigma, n=100_000, seed=0):
@@ -98,21 +103,21 @@ def test_transition_feature_length_mismatch():
 def test_encode_decode_deterministic(tiny_pose, clip_factory):
     branch, params = tiny_pose
     clip = clip_factory(seed=1)
-    e1 = branch.encode_motion(params, clip)
-    e2 = branch.encode_motion(params, clip)
+    e1 = encode_motion(branch, params, clip)
+    e2 = encode_motion(branch, params, clip)
     np.testing.assert_array_equal(e1, e2)
     assert e1.shape == (branch.config.d_e,)
-    d1 = branch.decode_motion(params, e1)
-    d2 = branch.decode_motion(params, e1)
+    d1 = decode_motion(branch, params, e1)
+    d2 = decode_motion(branch, params, e1)
     np.testing.assert_array_equal(d1.frames, d2.frames)
 
 
 def test_decode_is_continuous_in_embedding(tiny_pose, clip_factory):
     branch, params = tiny_pose
-    e = branch.encode_motion(params, clip_factory(seed=2))
-    base = branch.decode_motion(params, e).frames
+    e = encode_motion(branch, params, clip_factory(seed=2))
+    base = decode_motion(branch, params, e).frames
     for h in (1e-4, 1e-6):
-        bumped = branch.decode_motion(params, e + h).frames
+        bumped = decode_motion(branch, params, e + h).frames
         assert np.abs(bumped - base).max() < 1e3 * h  # bounded sensitivity
 
 
@@ -120,11 +125,11 @@ def test_shape_validation(tiny_pose, small_spec):
     branch, params = tiny_pose
     wrong = MotionClip(np.zeros((6, small_spec.d_m)), joint_spec=small_spec)
     with pytest.raises(ValueError):
-        branch.encode_motion(params, wrong)
+        encode_motion(branch, params, wrong)
     with pytest.raises(ValueError):
-        branch.decode_motion(params, np.zeros(branch.config.d_e + 1))
+        decode_motion(branch, params, np.zeros(branch.config.d_e + 1))
     with pytest.raises(ValueError):
-        branch.posterior(params, np.zeros(branch.config.d_e + 2))
+        posterior(branch, params, np.zeros(branch.config.d_e + 2))
 
 
 def test_posterior_deterministic_and_positive(tiny_pose):
@@ -132,8 +137,8 @@ def test_posterior_deterministic_and_positive(tiny_pose):
     rng = np.random.default_rng(9)
     for _ in range(100):
         tau = rng.normal(size=branch.config.d_e)
-        post = branch.posterior(params, tau)
-        again = branch.posterior(params, tau)
+        post = posterior(branch, params, tau)
+        again = posterior(branch, params, tau)
         np.testing.assert_array_equal(post.mu, again.mu)
         np.testing.assert_array_equal(post.sigma, again.sigma)
         assert (post.sigma > 0).all()
@@ -144,7 +149,7 @@ def test_posterior_rejects_non_finite(tiny_pose):
     tau = np.zeros(branch.config.d_e)
     tau[0] = np.inf
     with pytest.raises(ValueError):
-        branch.posterior(params, tau)
+        posterior(branch, params, tau)
 
 
 # -- latent sampling ------------------------------------------------------------------------
@@ -154,39 +159,39 @@ def test_sample_latent_c0_is_zero_and_consumes_no_randomness(tiny_pose):
     branch, _ = tiny_pose
     rng = np.random.default_rng(5)
     before = rng.bit_generator.state
-    z = branch.sample_latent(0, rng=rng, mode="infer")
+    z = sample_latent(branch, 0, rng=rng, mode="infer")
     np.testing.assert_array_equal(z, np.zeros(branch.config.d_z))
     assert rng.bit_generator.state == before
-    np.testing.assert_array_equal(branch.sample_latent(0, mode="train"), z)
+    np.testing.assert_array_equal(sample_latent(branch, 0, mode="train"), z)
 
 
 def test_sample_latent_degenerate_sigma_returns_mu(tiny_pose):
     branch, _ = tiny_pose
     mu = np.arange(branch.config.d_z, dtype=float)
     post = LatentPosterior(mu, np.full(branch.config.d_z, 1e-12))
-    z = branch.sample_latent(1, post, np.random.default_rng(0), mode="train")
+    z = sample_latent(branch, 1, post, np.random.default_rng(0), mode="train")
     assert np.abs(z - mu).max() < 1e-8
 
 
 def test_sample_latent_infer_reproducible_and_standard(tiny_pose):
     branch, _ = tiny_pose
-    a = branch.sample_latent(1, rng=np.random.default_rng(7), mode="infer")
-    b = branch.sample_latent(1, rng=np.random.default_rng(7), mode="infer")
+    a = sample_latent(branch, 1, rng=np.random.default_rng(7), mode="infer")
+    b = sample_latent(branch, 1, rng=np.random.default_rng(7), mode="infer")
     np.testing.assert_array_equal(a, b)
 
     rng = np.random.default_rng(0)
-    draws = np.stack([branch.sample_latent(1, rng=rng, mode="infer") for _ in range(20000)])
+    draws = np.stack([sample_latent(branch, 1, rng=rng, mode="infer") for _ in range(20000)])
     assert np.abs(draws.mean(axis=0)).max() < 0.02
 
 
 def test_sample_latent_error_paths(tiny_pose):
     branch, _ = tiny_pose
     with pytest.raises(ValueError):
-        branch.sample_latent(1, mode="train", rng=np.random.default_rng(0))  # no posterior
+        sample_latent(branch, 1, mode="train", rng=np.random.default_rng(0))  # no posterior
     with pytest.raises(ValueError):
-        branch.sample_latent(1, mode="infer")  # no rng
+        sample_latent(branch, 1, mode="infer")  # no rng
     with pytest.raises(ValueError):
-        branch.sample_latent(0, mode="hybrid")
+        sample_latent(branch, 0, mode="hybrid")
 
 
 # -- autoencoding loss ------------------------------------------------------------------------
@@ -204,17 +209,17 @@ def test_loss_reg_zero_for_identity_autoencoder():
     rng = np.random.default_rng(1)
     a = MotionClip(rng.normal(size=(2, 4)), joint_spec=spec)
     b = MotionClip(rng.normal(size=(2, 4)), joint_spec=spec)
-    assert branch.loss_reg(params, a, b) == 0.0
+    assert loss_reg(branch, params, a, b) == 0.0
 
 
 def test_loss_reg_matches_hand_computation(tiny_pose, clip_factory):
     branch, params = tiny_pose
     a, b = clip_factory(seed=3), clip_factory(seed=4)
-    got = branch.loss_reg(params, a, b)
+    got = loss_reg(branch, params, a, b)
     expected = 0.0
     for clip in (b, a):
-        e = branch.encode_motion(params, clip)
-        recon = branch.decode_motion(params, e)
+        e = encode_motion(branch, params, clip)
+        recon = decode_motion(branch, params, e)
         expected += np.abs(recon.frames - clip.frames).mean()
     assert abs(got - expected) < 1e-12
 
@@ -234,7 +239,7 @@ def _pose_step(branch, params, tiny_rhythm, prev, z):
 def test_generate_pose_mode_c0_deterministic(tiny_pose, tiny_rhythm, clip_factory):
     branch, params = tiny_pose
     prev = clip_factory(seed=6)
-    z = branch.sample_latent(0)[None, :]
+    z = sample_latent(branch, 0)[None, :]
     a = _pose_step(branch, params, tiny_rhythm, prev, z)
     b = _pose_step(branch, params, tiny_rhythm, prev, z)
     np.testing.assert_array_equal(a, b)
@@ -255,14 +260,14 @@ def test_generate_pose_mode_matches_component_chain(tiny_pose, tiny_rhythm, clip
     from speechmotion import autodiff as ad
     from speechmotion import nn
 
-    e_prev = branch.encode_motion(params, prev)
-    z = branch.sample_latent(1, rng=np.random.default_rng(seed), mode="infer")
+    e_prev = encode_motion(branch, params, prev)
+    z = sample_latent(branch, 1, rng=np.random.default_rng(seed), mode="infer")
     e_star = branch.decode_transition_v(
         nn.param_vars(params), ad.Var(z[None, :]), ad.Var(e_prev[None, :])
     ).data[0]
-    expected = branch.decode_motion(params, e_star)
+    expected = decode_motion(branch, params, e_star)
     np.testing.assert_array_equal(got_pose[0].reshape(prev.frames.shape), expected.frames)
-    np.testing.assert_array_equal(got_offsets[0], rhythm.generate(rhythm_params, audio).offsets)
+    np.testing.assert_array_equal(got_offsets[0], rhythm_generate(rhythm, rhythm_params, audio).offsets)
 
 
 def test_generate_pose_mode_c1_draws_differ(tiny_pose, tiny_rhythm, clip_factory):

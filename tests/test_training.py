@@ -17,15 +17,15 @@ from speechmotion import (
     TrainingSample,
     build_dataset,
     label_mode_change,
-    loss_vae,
     make_toy_dataset,
-    total_loss,
     train,
     validation_lvd,
 )
 from speechmotion.config import ModelSettings, ToySettings, TrainSettings
 from speechmotion.posemode import PoseModeBranch, PoseModeConfig
 from speechmotion.rhythm import RhythmBranch, RhythmConfig
+
+from oracles import encode_motion, loss_vae, posterior, total_loss
 
 SPEC = JointSpec(names=("nose", "neck", "right_palm"), hand_indices=(2,))
 
@@ -130,9 +130,9 @@ def test_indicator_semantics_of_vae_term(tiny_pose=None):
         _, breakdown = total_loss(
             sample, pose, rhythm, {**pp, **rp}, LossWeights(0.0, 1.0, 0.0, 0.0)
         )
-        e_prev = pose.encode_motion(pp, sample.m_prev)
-        e_cur = pose.encode_motion(pp, sample.m_cur)
-        post = pose.posterior(pp, e_cur - e_prev)
+        e_prev = encode_motion(pose, pp, sample.m_prev)
+        e_cur = encode_motion(pose, pp, sample.m_cur)
+        post = posterior(pose, pp, e_cur - e_prev)
         assert abs(breakdown["vae"] - loss_vae(post, c)) < 1e-9
 
 
