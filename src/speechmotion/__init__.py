@@ -30,7 +30,6 @@ from .evaluation import evaluate_checkpoint, sample_diversity
 from .generation import (
     GenerationResult,
     ModeSchedule,
-    StepRecord,
     generate_sequence,
     mode_schedule,
 )
@@ -95,7 +94,6 @@ __all__ = [
     "RhythmOffset",
     "RunConfig",
     "SpeakerMetrics",
-    "StepRecord",
     "ToySettings",
     "TrainResult",
     "TrainSettings",

@@ -1,8 +1,10 @@
 """Command-line entry point.
 
 Subcommands: make-toy, preprocess, train, generate, evaluate, swap-demo.
-Every command takes --config (JSON mirroring RunConfig) and repeatable
---set dotted.key=value overrides; precedence is defaults < file < flags.
+The commands that build their config (make-toy, preprocess, train and
+swap-demo) take --config (JSON mirroring RunConfig) and repeatable --set
+dotted.key=value overrides; precedence is defaults < file < flags.
+generate and evaluate run from the config stored in their checkpoint.
 Output locations honor the SPEECHMOTION_OUTPUT_ROOT environment variable
 when relative.
 
@@ -214,6 +216,8 @@ def _schedule_for(args, config: RunConfig, n_steps: int, transcript) -> ModeSche
 def cmd_generate(args) -> int:
     if args.num_seeds < 1:
         raise _UsageError(f"--num-seeds must be at least 1, got {args.num_seeds}")
+    if args.interval is not None and args.interval < 1:
+        raise _UsageError(f"--interval must be at least 1, got {args.interval}")
     ckpt = io.load_checkpoint(_out_path(args.checkpoint))
     config = ckpt.config
     wave, rate = io.load_waveform(args.audio)
@@ -364,7 +368,6 @@ def _build_parser() -> _Parser:
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("generate", help="generate motion for an audio file")
-    common(p)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--audio", required=True, help=".wav or waveform .npz")
     p.add_argument("--out", required=True, help="output .npz (or directory with --num-seeds > 1)")
@@ -379,7 +382,6 @@ def _build_parser() -> _Parser:
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("evaluate", help="write a metric report for a checkpoint")
-    common(p)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--data", required=True, help="directory written by preprocess")
     p.add_argument("--split", choices=["train", "val", "test"], default="test")

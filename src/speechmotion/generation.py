@@ -2,8 +2,9 @@
 
 A run of n steps consumes n aligned audio clips and n mode labels. Each step
 embeds the previous pose-mode clip, draws (or zeroes) a latent code under
-the step's label, decodes the next pose-mode clip, adds the rhythm branch's
-offsets for the step's audio, and appends the composed clip. By default the
+the step's label, decodes the next pose-mode clip and computes the rhythm
+branch's offsets for the step's audio. A run's result is these two outputs
+as arrays, kept apart; the motion is their sum. By default the
 autoregression feeds the pose-mode clip forward, not the composed one, so
 rhythm never leaks into posture; conditioning on the composed clip sits
 behind a flag. Several seeds run as one batch: the pose-mode chain runs
@@ -21,9 +22,9 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .audio import AudioClip, Transcript
-from .errors import DataError
+from .errors import DataError, NumericError
 from .model import one_step
-from .motion import MotionClip, RhythmOffset
+from .motion import MotionClip
 from .posemode import PoseModeBranch
 from .rhythm import RhythmBranch
 
@@ -95,26 +96,29 @@ def mode_schedule(
 
 
 @dataclass(frozen=True)
-class StepRecord:
-    """Intermediates of one generation step."""
-
-    c: int
-    z: np.ndarray
-    pose_clip: MotionClip
-    rhythm_offset: RhythmOffset
-
-
-@dataclass(frozen=True)
 class GenerationResult:
-    """Composed motion of a full run plus per-step intermediates."""
+    """One seed's run: the two branch outputs of every step, kept apart.
 
-    motion: np.ndarray
-    per_step: tuple[StepRecord, ...]
+    z (n_steps, d_z) are the seed's latent codes (zero rows where the label
+    is 0) and pose (n_steps, T, D) its pose-mode clips. offsets
+    (n_steps, T, D) are the rhythm offsets: they do not depend on the seed,
+    and every result of one call shares the same read-only array.
+    """
+
     seed: int
+    labels: tuple[int, ...]
+    z: np.ndarray
+    pose: np.ndarray
+    offsets: np.ndarray
 
     @property
     def n_steps(self) -> int:
-        return len(self.per_step)
+        return len(self.labels)
+
+    @property
+    def motion(self) -> np.ndarray:
+        """Composed motion, the steps stacked to (n_steps * T, D)."""
+        return (self.pose + self.offsets).reshape(-1, self.pose.shape[-1])
 
 
 def generate_sequence(
@@ -143,10 +147,14 @@ def generate_sequence(
             mean before composing.
 
     Returns:
-        One GenerationResult per seed, in order, each with motion stacked to
-        (n_steps * T, D). Seeds match their own single-seed runs to rounding
-        (batched and single-row matrix products may round differently);
-        rows before the first label-1 step are bit-identical across seeds.
+        One GenerationResult per seed, in order. Seeds match their own
+        single-seed runs to rounding (batched and single-row matrix products
+        may round differently); rows before the first label-1 step are
+        bit-identical across seeds.
+
+    Raises:
+        NumericError naming the first step whose pose-mode clips or offsets
+        hold a non-finite value.
     """
     audio_clips = list(audio_clips)
     if not audio_clips:
@@ -172,7 +180,7 @@ def generate_sequence(
         )
     rngs = [np.random.default_rng(seed) for seed in seeds]
     x_prev = initial_pose.frames.reshape(1, -1)
-    steps = []
+    z_steps, pose_steps, offset_steps = [], [], []
     for i, c in enumerate(schedule.labels):
         if c:
             z = np.stack([rng.standard_normal(d_z) for rng in rngs])
@@ -182,21 +190,21 @@ def generate_sequence(
         offsets = offsets[0]
         if recenter_offsets:
             offsets = offsets - offsets.mean(axis=0)
-        steps.append((c, z, pose_flat.reshape(len(seeds), t, -1), RhythmOffset(offsets)))
+        z_steps.append(z)
+        pose_steps.append(pose_flat)
+        offset_steps.append(offsets)
         x_prev = pose_flat + offsets.reshape(1, -1) if condition_on_composed else pose_flat
-    results = []
-    for i, seed in enumerate(seeds):
-        records = tuple(
-            StepRecord(
-                c=c,
-                z=z[i],
-                pose_clip=MotionClip(frames[i], fps=pose.fps, joint_spec=pose.joint_spec),
-                rhythm_offset=offset,
-            )
-            for c, z, frames, offset in steps
+    n = len(schedule)
+    z = np.stack(z_steps, axis=1)
+    pose_clips = np.stack(pose_steps, axis=1).reshape(len(seeds), n, t, -1)
+    offsets = np.stack(offset_steps)
+    offsets.flags.writeable = False
+    finite = np.isfinite(pose_clips).all(axis=(0, 2, 3)) & np.isfinite(offsets).all(axis=(1, 2))
+    if not finite.all():
+        raise NumericError(
+            f"generation produced non-finite motion at step {int(np.argmin(finite))} of {n}"
         )
-        motion = np.concatenate(
-            [r.pose_clip.frames + r.rhythm_offset.offsets for r in records], axis=0
-        )
-        results.append(GenerationResult(motion=motion, per_step=records, seed=seed))
-    return results
+    return [
+        GenerationResult(seed, schedule.labels, z[i], pose_clips[i], offsets)
+        for i, seed in enumerate(seeds)
+    ]

@@ -261,21 +261,10 @@ def load_stats(path) -> FeatureStats:
 # -- checkpoints -------------------------------------------------------------
 
 
-class _LayoutOnly:
-    """Generator stand-in that makes init_params return only keys and shapes.
-
-    Drawing real initial values costs 15-20 ms at the paper size, a sixth of
-    a one-segment `generate`; these zero-stride views cost nothing.
-    """
-
-    def uniform(self, low, high, size):
-        return np.broadcast_to(np.float64(0.0), size)
-
-
 def _check_params(path, params: dict[str, np.ndarray], config: RunConfig) -> None:
     """Keys and shapes must be those of the stored config's branches; values finite."""
     pose, rhythm = build_branches(config)
-    layout = {**pose.init_params(_LayoutOnly()), **rhythm.init_params(_LayoutOnly())}
+    layout = {**pose.param_shapes(), **rhythm.param_shapes()}
     missing = sorted(layout.keys() - params.keys())
     if missing:
         raise DataError(f"{path}: checkpoint lacks parameter(s) {', '.join(missing)}")
@@ -285,10 +274,10 @@ def _check_params(path, params: dict[str, np.ndarray], config: RunConfig) -> Non
             f"{path}: checkpoint has parameter(s) {', '.join(extra)} its config does not define"
         )
     for key, expected in layout.items():
-        if params[key].shape != expected.shape:
+        if params[key].shape != expected:
             raise DataError(
                 f"{path}: parameter {key} has shape {params[key].shape},"
-                f" its config needs {expected.shape}"
+                f" its config needs {expected}"
             )
         if not np.all(np.isfinite(params[key])):
             raise DataError(f"{path}: parameter {key} contains non-finite values")

@@ -146,7 +146,7 @@ def quality_score(
     net = nn.TemporalConv(
         c_in=train_x.shape[2], c_out=1, hidden=hidden, n_layers=n_layers, kernel=kernel
     )
-    params = net.init_params(rng)
+    params = nn.init_params(net.param_shapes(), rng)
     optimizer = nn.Adam(params, lr=lr)
     y = train_y[:, None]
 

@@ -1,13 +1,16 @@
 """Dense and temporal-convolution building blocks with explicit parameters.
 
 Parameters live in flat dicts mapping dotted names to float64 arrays; the
-layer classes only hold architecture. Training wraps the arrays in tape Vars,
-runs a graph, and reads gradients back out, so the same forward code serves
-both training and (constant-input) inference.
+layer classes only hold architecture and state their layout once, in
+`param_shapes`. `init_params` draws values for any such layout. Training
+wraps the arrays in tape Vars, runs a graph, and reads gradients back out,
+so the same forward code serves both training and (constant-input)
+inference.
 """
 
 from __future__ import annotations
 
+import math
 from collections.abc import Mapping, Sequence
 
 import numpy as np
@@ -23,9 +26,25 @@ def activation_fn(name: str):
     return _ACTIVATIONS[name]
 
 
-def glorot_uniform(rng: np.random.Generator, fan_in: int, fan_out: int, shape) -> np.ndarray:
-    limit = np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-limit, limit, size=shape)
+def init_params(
+    shapes: Mapping[str, tuple[int, ...]], rng: np.random.Generator
+) -> dict[str, np.ndarray]:
+    """Initial values for a layout, drawn in its key order.
+
+    1-D shapes (biases) get zeros and draw nothing. Other shapes get the
+    Glorot-uniform draw (Glorot & Bengio, AISTATS 2010) with the leading axes
+    as receptive field: fan_in = rf * shape[-2] and fan_out = rf * shape[-1],
+    rf = prod(shape[:-2]).
+    """
+    params: dict[str, np.ndarray] = {}
+    for key, shape in shapes.items():
+        if len(shape) == 1:
+            params[key] = np.zeros(shape)
+        else:
+            rf = math.prod(shape[:-2])
+            limit = np.sqrt(6.0 / (rf * shape[-2] + rf * shape[-1]))
+            params[key] = rng.uniform(-limit, limit, size=shape)
+    return params
 
 
 class MLP:
@@ -42,12 +61,12 @@ class MLP:
         self.activation = activation
         self._act = activation_fn(activation)
 
-    def init_params(self, rng: np.random.Generator) -> dict[str, np.ndarray]:
-        params: dict[str, np.ndarray] = {}
+    def param_shapes(self) -> dict[str, tuple[int, ...]]:
+        shapes: dict[str, tuple[int, ...]] = {}
         for i, (n_in, n_out) in enumerate(zip(self.sizes[:-1], self.sizes[1:])):
-            params[f"w{i}"] = glorot_uniform(rng, n_in, n_out, (n_in, n_out))
-            params[f"b{i}"] = np.zeros(n_out)
-        return params
+            shapes[f"w{i}"] = (n_in, n_out)
+            shapes[f"b{i}"] = (n_out,)
+        return shapes
 
     def apply(self, params: Mapping[str, ad.Var], x: ad.Var, prefix: str = "") -> ad.Var:
         n_layers = len(self.sizes) - 1
@@ -56,10 +75,6 @@ class MLP:
             if i < n_layers - 1:
                 x = self._act(x)
         return x
-
-    @property
-    def n_params(self) -> int:
-        return sum((a + 1) * b for a, b in zip(self.sizes[:-1], self.sizes[1:]))
 
 
 class TemporalConv:
@@ -87,28 +102,21 @@ class TemporalConv:
         self.activation = activation
         self._act = activation_fn(activation)
 
-    def init_params(self, rng: np.random.Generator) -> dict[str, np.ndarray]:
-        params: dict[str, np.ndarray] = {}
+    def param_shapes(self) -> dict[str, tuple[int, ...]]:
+        shapes: dict[str, tuple[int, ...]] = {}
         widths = [self.c_in] + [self.hidden] * self.n_layers
         for i, (a, b) in enumerate(zip(widths[:-1], widths[1:])):
-            fan_in, fan_out = self.kernel * a, self.kernel * b
-            params[f"conv{i}.w"] = glorot_uniform(rng, fan_in, fan_out, (self.kernel, a, b))
-            params[f"conv{i}.b"] = np.zeros(b)
-        params["head.w"] = glorot_uniform(rng, self.hidden, self.c_out, (self.hidden, self.c_out))
-        params["head.b"] = np.zeros(self.c_out)
-        return params
+            shapes[f"conv{i}.w"] = (self.kernel, a, b)
+            shapes[f"conv{i}.b"] = (b,)
+        shapes["head.w"] = (self.hidden, self.c_out)
+        shapes["head.b"] = (self.c_out,)
+        return shapes
 
     def apply(self, params: Mapping[str, ad.Var], x: ad.Var, prefix: str = "") -> ad.Var:
         for i in range(self.n_layers):
             x = ad.conv1d_same(x, params[f"{prefix}conv{i}.w"], params[f"{prefix}conv{i}.b"])
             x = self._act(x)
         return x @ params[f"{prefix}head.w"] + params[f"{prefix}head.b"]
-
-    @property
-    def n_params(self) -> int:
-        widths = [self.c_in] + [self.hidden] * self.n_layers
-        convs = sum((self.kernel * a + 1) * b for a, b in zip(widths[:-1], widths[1:]))
-        return convs + (self.hidden + 1) * self.c_out
 
 
 def param_vars(params: Mapping[str, np.ndarray]) -> dict[str, ad.Var]:

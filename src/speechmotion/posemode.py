@@ -68,22 +68,18 @@ class PoseModeBranch:
         self.h_enc = nn.MLP((config.d_e, *config.latent_hidden, 2 * config.d_z), act)
         self.h_dec = nn.MLP((config.d_z + config.d_e, *config.latent_hidden, config.d_e), act)
 
-    def init_params(self, rng: np.random.Generator) -> dict[str, np.ndarray]:
-        """Initial weights keyed `pose.<network>.<layer>`, drawn in network order."""
-        params: dict[str, np.ndarray] = {}
-        for prefix, net in (
-            ("pose.f_enc", self.f_enc),
-            ("pose.f_dec", self.f_dec),
-            ("pose.h_enc", self.h_enc),
-            ("pose.h_dec", self.h_dec),
-        ):
-            for key, value in net.init_params(rng).items():
-                params[f"{prefix}.{key}"] = value
-        return params
-
-    @property
-    def n_params(self) -> int:
-        return self.f_enc.n_params + self.f_dec.n_params + self.h_enc.n_params + self.h_dec.n_params
+    def param_shapes(self) -> dict[str, tuple[int, ...]]:
+        """Layout keyed `pose.<network>.<layer>`, in network order."""
+        return {
+            f"{prefix}.{key}": shape
+            for prefix, net in (
+                ("pose.f_enc", self.f_enc),
+                ("pose.f_dec", self.f_dec),
+                ("pose.h_enc", self.h_enc),
+                ("pose.h_dec", self.h_dec),
+            )
+            for key, shape in net.param_shapes().items()
+        }
 
     # -- tape-level pieces (batched, shapes (B, ...)) --------------------
 

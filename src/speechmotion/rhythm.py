@@ -11,8 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
-import numpy as np
-
 from . import autodiff as ad
 from . import nn
 
@@ -44,13 +42,9 @@ class RhythmBranch:
             activation=config.activation,
         )
 
-    def init_params(self, rng: np.random.Generator) -> dict[str, np.ndarray]:
-        """Initial weights keyed `rhythm.<layer>`."""
-        return {f"rhythm.{key}": value for key, value in self.net.init_params(rng).items()}
-
-    @property
-    def n_params(self) -> int:
-        return self.net.n_params
+    def param_shapes(self) -> dict[str, tuple[int, ...]]:
+        """Layout keyed `rhythm.<layer>`."""
+        return {f"rhythm.{key}": shape for key, shape in self.net.param_shapes().items()}
 
     def forward_v(self, pv: Mapping[str, ad.Var], x: ad.Var) -> ad.Var:
         """Tape-level forward on a (B, T, D_S) batch."""

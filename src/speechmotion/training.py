@@ -362,7 +362,7 @@ def train(
     pose, rhythm = build_branches(config)
     tcfg = config.train
     rng = np.random.default_rng(tcfg.seed)
-    params = {**pose.init_params(rng), **rhythm.init_params(rng)}
+    params = nn.init_params({**pose.param_shapes(), **rhythm.param_shapes()}, rng)
     optimizer = nn.Adam(params, lr=tcfg.lr)
 
     weights = LossWeights.from_config(config)

@@ -7,7 +7,7 @@ lives only in the acceptance suite.
 import numpy as np
 import pytest
 
-from speechmotion import JointSpec, MotionClip
+from speechmotion import JointSpec, MotionClip, nn
 from speechmotion.posemode import PoseModeBranch, PoseModeConfig
 from speechmotion.rhythm import RhythmBranch, RhythmConfig
 
@@ -29,7 +29,7 @@ def tiny_pose(small_spec):
         latent_hidden=(6,),
     )
     branch = PoseModeBranch(config, fps=15.0, joint_spec=small_spec)
-    params = branch.init_params(np.random.default_rng(11))
+    params = nn.init_params(branch.param_shapes(), np.random.default_rng(11))
     return branch, params
 
 
@@ -39,7 +39,7 @@ def tiny_rhythm(small_spec):
         t_frames=4, d_s=3, d_m=small_spec.d_m, hidden=4, n_layers=2, kernel=3
     )
     branch = RhythmBranch(config)
-    params = branch.init_params(np.random.default_rng(12))
+    params = nn.init_params(branch.param_shapes(), np.random.default_rng(12))
     return branch, params
 
 

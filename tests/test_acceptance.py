@@ -7,6 +7,7 @@ deterministic on one machine.
 """
 
 import dataclasses
+import math
 import time
 
 import numpy as np
@@ -160,11 +161,11 @@ def test_criterion_3_gradient_checks():
         joint_spec=SPEC2,
     )
     rhythm = RhythmBranch(RhythmConfig(t_frames=2, d_s=2, d_m=4, hidden=2, n_layers=1, kernel=3))
-    n_params = pose.n_params + rhythm.n_params
+    n_params = sum(math.prod(s) for s in {**pose.param_shapes(), **rhythm.param_shapes()}.values())
     assert n_params <= 200
 
     rng = np.random.default_rng(3)
-    params = {**pose.init_params(rng), **rhythm.init_params(rng)}
+    params = nn.init_params({**pose.param_shapes(), **rhythm.param_shapes()}, rng)
     samples = []
     for i, c in enumerate((1, 0)):
         data = np.random.default_rng(20 + i)
@@ -240,8 +241,8 @@ def _tiny_generation_setup():
     )
     rhythm = RhythmBranch(RhythmConfig(t_frames=8, d_s=3, d_m=8, hidden=6, n_layers=2, kernel=3))
     rng = np.random.default_rng(17)
-    pose_params = pose.init_params(rng)
-    rhythm_params = rhythm.init_params(rng)
+    pose_params = nn.init_params(pose.param_shapes(), rng)
+    rhythm_params = nn.init_params(rhythm.param_shapes(), rng)
     initial = MotionClip(rng.normal(size=(8, 8)), joint_spec=SPEC4)
     audio = [AudioClip(rng.normal(size=(8, 3))) for _ in range(3)]
     return pose, pose_params, rhythm, rhythm_params, initial, audio
@@ -292,8 +293,7 @@ def test_criterion_5_branch_decoupling():
         initial, audio, schedule, pose, rhythm, {**pose_params, **zeroed}, seeds=[5]
     )
     pose_identical = all(
-        np.array_equal(a.pose_clip.frames, b.pose_clip.frames)
-        for a, b in zip(with_rhythm.per_step, without_rhythm.per_step)
+        np.array_equal(a, b) for a, b in zip(with_rhythm.pose, without_rhythm.pose)
     )
     composed_differ = not np.array_equal(with_rhythm.motion, without_rhythm.motion)
     ok = pose_identical and composed_differ

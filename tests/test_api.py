@@ -8,7 +8,7 @@ PUBLIC = {
     "GenerationResult", "JointSpec", "LossWeights", "MeanPosture", "MetricReport",
     "MfccSettings", "ModeSchedule", "ModelSettings", "MotionClip", "NumericError",
     "PoseModeBranch", "PoseModeConfig", "RhythmBranch", "RhythmConfig", "RhythmOffset",
-    "RunConfig", "SpeakerMetrics", "StepRecord", "ToySettings", "TrainResult", "TrainSettings",
+    "RunConfig", "SpeakerMetrics", "ToySettings", "TrainResult", "TrainSettings",
     "TrainingSample", "Transcript", "align_audio_to_motion", "baseline_last_step",
     "baseline_mean_velocity", "build_branches", "build_dataset", "chunk_sequence", "compose",
     "decompose", "diversity", "evaluate_checkpoint", "extract_mfcc", "generate_sequence",
@@ -19,7 +19,7 @@ PUBLIC = {
 
 
 def test_public_names_are_pinned():
-    assert len(speechmotion.__all__) == len(set(speechmotion.__all__)) == 57
+    assert len(speechmotion.__all__) == len(set(speechmotion.__all__)) == 56
     assert set(speechmotion.__all__) == PUBLIC
     for name in speechmotion.__all__:
         assert getattr(speechmotion, name) is not None

@@ -1,5 +1,7 @@
 """Reverse-mode tape: every op's gradient against central finite differences."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -143,10 +145,10 @@ def test_operator_sugar_matches_functions():
 
 def test_mlp_shapes_and_param_count():
     mlp = nn.MLP((4, 7, 3))
-    params = mlp.init_params(np.random.default_rng(0))
+    params = nn.init_params(mlp.param_shapes(), np.random.default_rng(0))
     assert params["w0"].shape == (4, 7)
     assert params["b1"].shape == (3,)
-    assert mlp.n_params == 4 * 7 + 7 + 7 * 3 + 3
+    assert sum(math.prod(s) for s in mlp.param_shapes().values()) == 4 * 7 + 7 + 7 * 3 + 3
     out = mlp.apply(nn.param_vars(params), ad.Var(np.zeros((2, 4))))
     assert out.shape == (2, 3)
 
@@ -161,7 +163,7 @@ def test_mlp_two_sizes_is_pure_linear():
 
 def test_mlp_gradient_through_layers():
     mlp = nn.MLP((3, 4, 2))
-    params = mlp.init_params(np.random.default_rng(1))
+    params = nn.init_params(mlp.param_shapes(), np.random.default_rng(1))
     x = RNG.normal(size=(2, 3))
 
     def loss_of(w0):
@@ -177,7 +179,7 @@ def test_mlp_gradient_through_layers():
 
 def test_temporal_conv_shapes():
     net = nn.TemporalConv(c_in=3, c_out=5, hidden=4, n_layers=2, kernel=3)
-    params = net.init_params(np.random.default_rng(2))
+    params = nn.init_params(net.param_shapes(), np.random.default_rng(2))
     out = net.apply(nn.param_vars(params), ad.Var(np.zeros((2, 7, 3))))
     assert out.shape == (2, 7, 5)
 

@@ -283,8 +283,16 @@ def test_usage_errors_exit_1(tmp_path):
     assert main(["make-toy", "--out", str(tmp_path), "--set", "no_such.key=1"]) == 1
     assert main(["make-toy", "--out", str(tmp_path), "--set", "t_frames"]) == 1
     assert main(["no-such-command"]) == 1
-    assert main(["generate", "--checkpoint", "x.npz", "--audio", "x.wav", "--out",
-                 str(tmp_path / "g.npz"), "--num-seeds", "0"]) == 1
+    generate = ["generate", "--checkpoint", "x.npz", "--audio", "x.wav",
+                "--out", str(tmp_path / "g.npz")]
+    assert main([*generate, "--num-seeds", "0"]) == 1
+    assert main([*generate, "--interval", "0"]) == 1
+    # generate and evaluate run from the checkpoint's config and take no config flags
+    evaluate = ["evaluate", "--checkpoint", "x.npz", "--data", str(tmp_path),
+                "--out", str(tmp_path / "r.json")]
+    for command in (generate, evaluate):
+        assert main([*command, "--set", "no_such.key=1"]) == 1
+        assert main([*command, "--config", str(tmp_path / "none.json")]) == 1
 
 
 def test_bad_labels_exit_1(workspace, tmp_path):
@@ -469,6 +477,22 @@ def test_numeric_error_exit_3(workspace, tmp_path, capsys):
     )
     assert code == 3
     assert "diverged" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow is the point
+def test_non_finite_generation_exit_3(workspace, tmp_path, capsys):
+    # a finite checkpoint whose pose decoder output, 1.7e308 + 16 tanh(1) 1e307, overflows
+    arrays = dict(np.load(workspace["checkpoint"], allow_pickle=False))
+    arrays["param.pose.f_dec.w0"][:] = 0.0
+    arrays["param.pose.f_dec.b0"][:] = 1.0
+    arrays["param.pose.f_dec.w1"][:] = 1e307
+    arrays["param.pose.f_dec.b1"][:] = 1.7e308
+    checkpoint = tmp_path / "overflow.npz"
+    np.savez(checkpoint, **arrays)
+    code = main(["generate", "--checkpoint", str(checkpoint), "--audio", str(workspace["audio"]),
+                 "--out", str(tmp_path / "x.npz")])
+    assert code == 3
+    assert "non-finite motion at step 0" in capsys.readouterr().err
 
 
 def test_module_entry_point(tmp_path):

@@ -9,6 +9,7 @@ from speechmotion import (
     JointSpec,
     ModeSchedule,
     MotionClip,
+    NumericError,
     Transcript,
     diversity,
     generate_sequence,
@@ -125,14 +126,14 @@ def test_output_shape_and_per_step(gen_setup):
     result = _run(gen_setup, (0, 1, 0), seed=3)
     assert result.motion.shape == (3 * 4, 6)
     assert result.n_steps == 3
-    assert [r.c for r in result.per_step] == [0, 1, 0]
+    assert list(result.labels) == [0, 1, 0]
     # composed rows = pose + rhythm per step
-    for i, rec in enumerate(result.per_step):
+    for i in range(result.n_steps):
         np.testing.assert_array_equal(
             result.motion[i * 4 : (i + 1) * 4],
-            rec.pose_clip.frames + rec.rhythm_offset.offsets,
+            result.pose[i] + result.offsets[i],
         )
-    assert np.array_equal(result.per_step[0].z, np.zeros(3))
+    assert np.array_equal(result.z[0], np.zeros(3))
 
 
 def test_single_step_equals_component_calls(gen_setup):
@@ -154,8 +155,8 @@ def test_single_step_equals_component_calls(gen_setup):
 def test_each_step_offsets_come_from_its_own_audio(gen_setup):
     pose, pp, rhythm, rp, initial, clips = gen_setup
     result = _run(gen_setup, (0, 1, 0), seed=2)
-    for audio, rec in zip(clips, result.per_step):
-        np.testing.assert_array_equal(rec.rhythm_offset.offsets, rhythm_generate(rhythm, rp, audio).offsets)
+    for audio, offsets in zip(clips, result.offsets):
+        np.testing.assert_array_equal(offsets, rhythm_generate(rhythm, rp, audio).offsets)
 
 
 def test_prefix_stability(gen_setup):
@@ -171,9 +172,9 @@ def test_zeroed_rhythm_keeps_pose_clips(gen_setup):
     (with_rhythm,) = generate_sequence(initial, clips, sched, pose, rhythm, {**pp, **rp}, seeds=[4])
     (without,) = generate_sequence(initial, clips, sched, pose, rhythm, {**pp, **zeroed}, seeds=[4])
     assert np.abs(with_rhythm.motion - without.motion).max() > 0
-    for a, b in zip(with_rhythm.per_step, without.per_step):
-        np.testing.assert_array_equal(a.pose_clip.frames, b.pose_clip.frames)
-        np.testing.assert_array_equal(b.rhythm_offset.offsets, 0.0)
+    for a_pose, b_pose, b_offsets in zip(with_rhythm.pose, without.pose, without.offsets):
+        np.testing.assert_array_equal(a_pose, b_pose)
+        np.testing.assert_array_equal(b_offsets, 0.0)
 
 
 def test_condition_on_composed_changes_later_steps(gen_setup):
@@ -185,8 +186,26 @@ def test_condition_on_composed_changes_later_steps(gen_setup):
 
 def test_recenter_offsets_flag(gen_setup):
     result = _run(gen_setup, (0, 0), seed=0, recenter_offsets=True)
-    for rec in result.per_step:
-        assert np.abs(rec.rhythm_offset.offsets.mean(axis=0)).max() < 1e-12
+    for offsets in result.offsets:
+        assert np.abs(offsets.mean(axis=0)).max() < 1e-12
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow is the point
+def test_non_finite_step_is_numeric_error_naming_it(tiny_pose, tiny_rhythm, small_spec):
+    pose, pp = tiny_pose
+    rhythm, rp = tiny_rhythm
+    # offsets are 1e308 * (1 + tanh(10 tanh(10 a))) for audio channel a: finite
+    # where a is negative, overflowing where it is positive (step 2 only)
+    rp = {k: np.zeros_like(v) for k, v in rp.items()}
+    rp["rhythm.conv0.w"][1, 0, 0] = 10.0
+    rp["rhythm.conv1.w"][1, 0, 0] = 10.0
+    rp["rhythm.head.w"][0] = 1e308
+    rp["rhythm.head.b"][:] = 1e308
+    clips = [AudioClip(np.full((4, 3), a)) for a in (-1.0, -1.0, 1.0, -1.0)]
+    initial = MotionClip(np.zeros((4, small_spec.d_m)), joint_spec=small_spec)
+    sched = ModeSchedule((0, 1, 0, 1), "explicit")
+    with pytest.raises(NumericError, match="non-finite motion at step 2 of 4"):
+        generate_sequence(initial, clips, sched, pose, rhythm, {**pp, **rp}, seeds=[0, 1])
 
 
 def test_empty_audio_is_data_error(gen_setup):
@@ -245,7 +264,7 @@ def batch_setup():
     )
     rhythm = RhythmBranch(RhythmConfig(t_frames=16, d_s=5, d_m=6, hidden=16, n_layers=2))
     rng = np.random.default_rng(21)
-    pp, rp = pose.init_params(rng), rhythm.init_params(rng)
+    pp, rp = nn.init_params(pose.param_shapes(), rng), nn.init_params(rhythm.param_shapes(), rng)
     initial = MotionClip(rng.normal(size=(16, 6)), joint_spec=spec)
     clips = [AudioClip(rng.normal(size=(16, 5))) for _ in MIXED]
     return pose, pp, rhythm, rp, initial, clips
@@ -264,10 +283,10 @@ def test_batched_seeds_match_single_seed_runs(batch_setup, n_seeds):
         )
         scale = np.abs(alone.motion).max()
         assert np.abs(got.motion - alone.motion).max() <= 1e-12 * scale
-        for a, b in zip(got.per_step, alone.per_step):
-            assert a.c == b.c
-            np.testing.assert_array_equal(a.z, b.z)
-            np.testing.assert_array_equal(a.rhythm_offset.offsets, b.rhythm_offset.offsets)
+        for i in range(got.n_steps):
+            assert got.labels[i] == alone.labels[i]
+            np.testing.assert_array_equal(got.z[i], alone.z[i])
+            np.testing.assert_array_equal(got.offsets[i], alone.offsets[i])
 
 
 @pytest.mark.parametrize("n_seeds", [1, 3, 8, 9])

@@ -20,6 +20,7 @@ from speechmotion import (
     generate_sequence,
     io,
     mode_schedule,
+    nn,
 )
 
 SPEC = JointSpec(names=("nose", "neck", "right_palm"), hand_indices=(2,))
@@ -139,7 +140,7 @@ def _checkpoint():
     pose, rhythm = build_branches(config)
     stats = FeatureStats.fit({"a": rng.normal(size=(30, config.mfcc.d_s))})
     return Checkpoint(
-        params={**pose.init_params(rng), **rhythm.init_params(rng)},
+        params=nn.init_params({**pose.param_shapes(), **rhythm.param_shapes()}, rng),
         config=config,
         feature_stats=stats,
         rest_posture=rng.normal(size=config.d_m),

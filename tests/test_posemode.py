@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from speechmotion import AudioClip, JointSpec, MotionClip
+from speechmotion import AudioClip, JointSpec, MotionClip, nn
 from speechmotion.model import one_step
 from speechmotion.posemode import PoseModeBranch, PoseModeConfig
 
@@ -201,7 +201,7 @@ def test_loss_reg_zero_for_identity_autoencoder():
     spec = JointSpec(names=("nose", "neck"), hand_indices=(0,))
     config = PoseModeConfig(t_frames=2, d_m=4, d_e=8, d_z=2, enc_hidden=(), latent_hidden=())
     branch = PoseModeBranch(config, joint_spec=spec)
-    params = branch.init_params(np.random.default_rng(0))
+    params = nn.init_params(branch.param_shapes(), np.random.default_rng(0))
     params["pose.f_enc.w0"] = np.eye(8)
     params["pose.f_enc.b0"] = np.zeros(8)
     params["pose.f_dec.w0"] = np.eye(8)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from speechmotion import AudioClip, MotionClip
+from speechmotion import AudioClip, MotionClip, nn
 from speechmotion.motion import RhythmOffset, decompose
 from speechmotion.rhythm import RhythmBranch, RhythmConfig
 
@@ -41,7 +41,7 @@ def test_circular_shift_equivariance_interior():
     # long clip so interior rows sit outside every layer's padded border
     config = RhythmConfig(t_frames=64, d_s=3, d_m=4, hidden=6, n_layers=2, kernel=5)
     branch = RhythmBranch(config)
-    params = branch.init_params(np.random.default_rng(2))
+    params = nn.init_params(branch.param_shapes(), np.random.default_rng(2))
     x = np.random.default_rng(3).normal(size=(64, 3))
     k = 7
     out = rhythm_generate(branch, params, AudioClip(x)).offsets
@@ -100,13 +100,12 @@ def test_loss_gradient_matches_finite_differences():
     # <= 200 parameter net: conv (3*3*4 + 4) + head (4*4 + 4) = 60
     config = RhythmConfig(t_frames=6, d_s=3, d_m=4, hidden=4, n_layers=1, kernel=3)
     branch = RhythmBranch(config)
-    params = branch.init_params(np.random.default_rng(6))
+    params = nn.init_params(branch.param_shapes(), np.random.default_rng(6))
     rng = np.random.default_rng(7)
     audio = rng.normal(size=(1, 6, 3))
     target = rng.normal(size=(1, 6, 4))
 
     from speechmotion import autodiff as ad
-    from speechmotion import nn
 
     def loss_value(p):
         out = branch.forward_v(nn.param_vars(p), ad.Var(audio))

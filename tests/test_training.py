@@ -1,5 +1,6 @@
 """Objective assembly, dataset splitting, and the optimization loop."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -21,6 +22,7 @@ from speechmotion import (
     train,
     validation_lvd,
 )
+from speechmotion import build_branches, nn
 from speechmotion.config import ModelSettings, ToySettings, TrainSettings
 from speechmotion.posemode import PoseModeBranch, PoseModeConfig
 from speechmotion.rhythm import RhythmBranch, RhythmConfig
@@ -36,7 +38,8 @@ def _tiny_branches(seed=0):
     rcfg = RhythmConfig(t_frames=4, d_s=3, d_m=6, hidden=4, n_layers=2, kernel=3)
     rhythm = RhythmBranch(rcfg)
     rng = np.random.default_rng(seed)
-    return pose, pose.init_params(rng), rhythm, rhythm.init_params(rng)
+    pose_params = nn.init_params(pose.param_shapes(), rng)
+    return pose, pose_params, rhythm, nn.init_params(rhythm.param_shapes(), rng)
 
 
 def _sample(seed=0, c=0):
@@ -311,6 +314,38 @@ def test_dataset_split_rejects_leaky_segments():
 # -- training loop -------------------------------------------------------------------------
 
 
+def _digest(params) -> str:
+    h = hashlib.sha256()
+    for key, value in params.items():
+        h.update(key.encode())
+        h.update(str(value.shape).encode())
+        h.update(value.tobytes())
+    return h.hexdigest()
+
+
+def test_init_values_pinned():
+    """Initial weights of the small CLI-test model and of the quality classifier.
+
+    The digests were recorded from the per-layer draws that `nn.init_params`
+    replaced; a change here changes every trained checkpoint.
+    """
+    base = RunConfig()
+    config = base.replace(
+        t_frames=16,
+        model=ModelSettings(d_e=8, d_z=4, enc_hidden=(16,), latent_hidden=(8,),
+                            rhythm_hidden=8, rhythm_layers=2),
+    )
+    pose, rhythm = build_branches(config)
+    shapes = {**pose.param_shapes(), **rhythm.param_shapes()}
+    params = nn.init_params(shapes, np.random.default_rng(0))
+    assert len(params) == 22
+    assert _digest(params) == "537e42c867bfa170f6df5338e98fcf5ab0fe7a4ae0301504b29e8b52dc8aa5a1"
+    quality = nn.TemporalConv(c_in=24, c_out=1, hidden=8, n_layers=2, kernel=5)
+    params = nn.init_params(quality.param_shapes(), np.random.default_rng(1))
+    assert _digest(params) == "ada5cce229443b80704439e0c65e6c15a9a0c5f8464dfec16b3ec8357e703913"
+
+
+
 def test_train_reproducible_and_logs(toy_corpus, tmp_path):
     _, config, landmarks, audio = toy_corpus
     split, _ = build_dataset(landmarks, audio, config)
@@ -363,7 +398,8 @@ def test_validation_lvd_positive(toy_corpus):
     rhythm = RhythmBranch(rcfg)
     rng = np.random.default_rng(0)
     value = validation_lvd(
-        split.val, pose, rhythm, {**pose.init_params(rng), **rhythm.init_params(rng)},
+        split.val, pose, rhythm,
+        nn.init_params({**pose.param_shapes(), **rhythm.param_shapes()}, rng),
         split.feature_stats, seed=0,
     )
     assert value > 0
