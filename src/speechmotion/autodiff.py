@@ -8,6 +8,11 @@ float64 so gradient checks against central finite differences are tight.
 
 Graphs are throwaway: build, backward, read `.grad`, drop. Vars are never
 mutated in place.
+
+A constant (`constant(array)`) is a leaf Var that never takes a gradient:
+model inputs, targets and noise draws that nothing reads a gradient of.
+backward() never accumulates into a constant's `.grad`, which stays None,
+and `matmul` and `conv1d_same` skip the product that would feed it.
 """
 
 from __future__ import annotations
@@ -56,7 +61,7 @@ class Var:
             if node._vjp is None or node.grad is None:
                 continue
             for parent, g in zip(node._parents, node._vjp(node.grad)):
-                if g is None:
+                if g is None or type(parent) is _Constant:
                     continue
                 parent.grad = g if parent.grad is None else parent.grad + g
 
@@ -83,6 +88,15 @@ class Var:
 
     def __matmul__(self, other):
         return matmul(self, other)
+
+
+class _Constant(Var):
+    __slots__ = ()
+
+
+def constant(data) -> Var:
+    """A leaf that backward() never gives a gradient."""
+    return _Constant(data)
 
 
 def as_var(value) -> Var:
@@ -125,9 +139,12 @@ def matmul(a, b) -> Var:
     a, b = as_var(a), as_var(b)
 
     def vjp(g):
-        ga = g @ np.swapaxes(b.data, -1, -2)
-        gb = np.swapaxes(a.data, -1, -2) @ g
-        return _unbroadcast(ga, a.data.shape), _unbroadcast(gb, b.data.shape)
+        ga = gb = None
+        if type(a) is not _Constant:
+            ga = _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.data.shape)
+        if type(b) is not _Constant:
+            gb = _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.data.shape)
+        return ga, gb
 
     return Var(a.data @ b.data, (a, b), vjp)
 
@@ -233,25 +250,40 @@ def conv1d_same(x: Var, w: Var, b: Var) -> Var:
 
     x: (B, T, C_in), w: (K, C_in, C_out) with K odd, b: (C_out,).
     Returns (B, T, C_out).
+
+    Per tap, the forward is one 2-D GEMM over the whole zero-padded batch
+    and the weight gradient one GEMM over all B*T rows. The input gradient
+    stays one GEMM per sample: collapsed over the batch, OpenBLAS rounds some
+    short-clip shapes (T 16, C_out >= 64) unlike the per-sample form.
     """
     k = w.data.shape[0]
     if k % 2 == 0:
         raise ValueError("kernel size must be odd for same padding")
     pad = (k - 1) // 2
-    t = x.data.shape[1]
-    xp = np.pad(x.data, ((0, 0), (pad, pad), (0, 0)))
-    y = np.broadcast_to(b.data, x.data.shape[:2] + (w.data.shape[2],)).copy()
+    n, t, c_in = x.data.shape
+    c_out = w.data.shape[2]
+    xp = np.zeros((n, t + 2 * pad, c_in))
+    xp[:, pad : pad + t] = x.data
+    rows = xp.reshape(-1, c_in)
+    y = np.empty((n, t, c_out))
+    y[...] = b.data
     for i in range(k):
-        y += xp[:, i : i + t, :] @ w.data[i]
+        y += (rows @ w.data[i]).reshape(n, t + 2 * pad, c_out)[:, i : i + t]
 
     def vjp(g):
-        gb = g.sum(axis=(0, 1))
-        gw = np.empty_like(w.data)
-        gxp = np.zeros_like(xp)
-        for i in range(k):
-            seg = xp[:, i : i + t, :]
-            gw[i] = np.tensordot(seg, g, axes=([0, 1], [0, 1]))
-            gxp[:, i : i + t, :] += g @ w.data[i].T
-        return gxp[:, pad : pad + t, :], gw, gb
+        gx = gw = gb = None
+        if type(b) is not _Constant:
+            gb = g.sum(axis=(0, 1))
+        if type(w) is not _Constant:
+            g_rows = g.reshape(-1, c_out)
+            gw = np.empty_like(w.data)
+            for i in range(k):
+                gw[i] = np.dot(xp[:, i : i + t].transpose(2, 0, 1).reshape(c_in, -1), g_rows)
+        if type(x) is not _Constant:
+            gxp = np.zeros_like(xp)
+            for i in range(k):
+                gxp[:, i : i + t] += g @ w.data[i].T
+            gx = gxp[:, pad : pad + t]
+        return gx, gw, gb
 
     return Var(y, (x, w, b), vjp)

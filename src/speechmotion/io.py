@@ -26,7 +26,7 @@ from scipy.io import wavfile
 from .audio import AudioClip, FeatureStats, Transcript
 from .config import RunConfig
 from .data import Checkpoint, TrainingSample
-from .errors import DataError
+from .errors import DataError, NumericError
 from .model import build_branches
 from .motion import JointSpec, MotionClip
 
@@ -60,9 +60,17 @@ def save_landmarks(
     joint_spec: JointSpec,
     meta: dict | None = None,
 ) -> None:
+    """Write a landmarks/1 file.
+
+    Raises:
+        NumericError naming the file, before anything is written: frames
+        with non-finite values, which `load_landmarks` would reject.
+    """
     frames = np.asarray(frames, dtype=np.float64)
     if frames.ndim != 2 or frames.shape[1] != joint_spec.d_m:
         raise ValueError(f"frames shape {frames.shape} does not fit the joint spec")
+    if not np.all(np.isfinite(frames)):
+        raise NumericError(f"{path}: refusing to write non-finite frames")
     np.savez(
         path,
         format="landmarks/1",

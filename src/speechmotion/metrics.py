@@ -148,23 +148,23 @@ def quality_score(
     )
     params = nn.init_params(net.param_shapes(), rng)
     optimizer = nn.Adam(params, lr=lr)
-    y = train_y[:, None]
+    x_const = ad.constant(train_x)
+    y = ad.constant(train_y[:, None])
 
     t_pool = 1.0 / train_x.shape[1]
 
     for _ in range(epochs):
         pv = nn.param_vars(params)
-        logits = t_pool * ad.sum(net.apply(pv, ad.Var(train_x)), axis=1)
+        logits = t_pool * ad.sum(net.apply(pv, x_const), axis=1)
         # logistic loss via softplus: mean(softplus(logit) - y * logit)
-        loss = ad.mean(ad.softplus(logits) - ad.Var(y) * logits)
+        ad.mean(ad.softplus(logits) - y * logits).backward()
+        grads = nn.gradients(pv)
         if weight_decay:
-            penalty = None
-            for v in pv.values():
-                term = ad.sum(v * v)
-                penalty = term if penalty is None else penalty + term
-            loss = loss + weight_decay * penalty
-        loss.backward()
-        optimizer.step(params, nn.gradients(pv))
+            # gradient of wd * sum(w * w), summed in the tape's order: the data
+            # gradient, then wd * w once per factor (2 * wd * w rounds differently)
+            for key, w in params.items():
+                grads[key] = grads[key] + weight_decay * w + weight_decay * w
+        optimizer.step(params, grads)
 
     pv = nn.param_vars(params)
     held_logits = (1.0 / held_gen.shape[1]) * np.sum(

@@ -96,9 +96,16 @@ class PoseModeBranch:
         stats = out.data.shape[-1]
         if stats != 2 * d_z:
             raise ValueError(f"posterior head emitted width {stats}, expected {2 * d_z}")
-        mu = ad.Var(out.data[:, :d_z], (out,), lambda g: (np.pad(g, ((0, 0), (0, d_z))),))
-        logvar = ad.Var(out.data[:, d_z:], (out,), lambda g: (np.pad(g, ((0, 0), (d_z, 0))),))
-        return mu, logvar
+
+        def half(lo: int) -> ad.Var:
+            def vjp(g):
+                g_out = np.zeros(out.data.shape)
+                g_out[:, lo : lo + d_z] = g
+                return (g_out,)
+
+            return ad.Var(out.data[:, lo : lo + d_z], (out,), vjp)
+
+        return half(0), half(d_z)
 
     def decode_transition_v(self, pv: Mapping[str, ad.Var], z: ad.Var, e_prev: ad.Var) -> ad.Var:
         return self.h_dec.apply(pv, ad.concat([z, e_prev], axis=1), "pose.h_dec.")

@@ -248,15 +248,15 @@ def _batch_loss(
 
     terms: dict[str, ad.Var] = {}
     if need_embeddings:
-        x_prev = ad.Var(batch.x_prev)
-        x_cur = ad.Var(batch.x_cur)
+        x_prev = ad.constant(batch.x_prev)
+        x_cur = ad.constant(batch.x_cur)
         e_prev = pose.encode_v(pv, x_prev)
         e_cur = pose.encode_v(pv, x_cur)
     if need_posterior:
         mu, logvar = pose.posterior_v(pv, e_cur - e_prev)
 
     if need_rhythm:
-        rhythm_out = rhythm.forward_v(pv, ad.Var(batch.audio))
+        rhythm_out = rhythm.forward_v(pv, ad.constant(batch.audio))
         rhythm_flat = ad.reshape(rhythm_out, (b, -1))
 
     if weights.vae > 0:
@@ -282,16 +282,16 @@ def _batch_loss(
             eps = rng.standard_normal((len(c1), d_z))
             mu1r = ad.take_rows(mu, c1)
             lv1r = ad.take_rows(logvar, c1)
-            z1 = mu1r + ad.exp(0.5 * lv1r) * ad.Var(eps)
+            z1 = mu1r + ad.exp(0.5 * lv1r) * ad.constant(eps)
             z_full = ad.scatter_rows(z1, c1, b)
         else:
-            z_full = ad.Var(np.zeros((b, d_z)))
+            z_full = ad.constant(np.zeros((b, d_z)))
         e_star = pose.decode_transition_v(pv, z_full, e_prev)
         pose_flat = pose.decode_v(pv, e_star)
         terms["rec"] = ad.mean(ad.absolute(pose_flat + rhythm_flat - x_cur))
 
     if weights.rhythm > 0:
-        terms["rhythm"] = ad.mean(ad.absolute(rhythm_flat - ad.Var(batch.offsets)))
+        terms["rhythm"] = ad.mean(ad.absolute(rhythm_flat - ad.constant(batch.offsets)))
 
     if weights.reg > 0:
         rec_cur = pose.decode_v(pv, e_cur)

@@ -4,7 +4,8 @@ The package runs both branches only through their batched tape methods
 (`encode_v`, `posterior_v`, `forward_v`, ...) via `model.one_step` and
 `training._batch_loss`. The helpers here re-derive the same quantities one
 clip or one vector at a time, in plain numpy or through a batch of one, so
-the tests can check the batched core against them.
+the tests can check the batched core against them. `conv1d_same` is the
+plain per-sample form of the tape's convolution.
 """
 
 from __future__ import annotations
@@ -195,3 +196,33 @@ def total_loss(
     batch = _make_batch([sample], feature_stats)
     total, breakdown = _batch_loss(pose, rhythm, nn.param_vars(params), batch, weights, rng)
     return float(total.data), breakdown
+
+
+# -- tape ops --------------------------------------------------------------------------
+
+
+def conv1d_same(x: ad.Var, w: ad.Var, b: ad.Var) -> ad.Var:
+    """Same-padded temporal convolution the plain way: `np.pad`, one GEMM per
+    sample and tap, and `np.tensordot` for the weight gradient.
+
+    `ad.conv1d_same` must match it bit for bit, forward and gradients.
+    """
+    k = w.data.shape[0]
+    pad = (k - 1) // 2
+    t = x.data.shape[1]
+    xp = np.pad(x.data, ((0, 0), (pad, pad), (0, 0)))
+    y = np.broadcast_to(b.data, x.data.shape[:2] + (w.data.shape[2],)).copy()
+    for i in range(k):
+        y += xp[:, i : i + t, :] @ w.data[i]
+
+    def vjp(g):
+        gb = g.sum(axis=(0, 1))
+        gw = np.empty_like(w.data)
+        gxp = np.zeros_like(xp)
+        for i in range(k):
+            seg = xp[:, i : i + t, :]
+            gw[i] = np.tensordot(seg, g, axes=([0, 1], [0, 1]))
+            gxp[:, i : i + t, :] += g @ w.data[i].T
+        return gxp[:, pad : pad + t, :], gw, gb
+
+    return ad.Var(y, (x, w, b), vjp)

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from oracles import conv1d_same as conv1d_same_oracle
 from speechmotion import autodiff as ad
 from speechmotion import nn
 
@@ -116,6 +117,67 @@ def test_conv1d_same():
     x = ad.Var(RNG.normal(size=(2, 5, 2)))
     _check(lambda w2: ad.sum(ad.tanh(ad.conv1d_same(x, w2, b))), RNG.normal(size=(3, 2, 4)))
     _check(lambda b2: ad.sum(ad.tanh(ad.conv1d_same(x, w, b2))), RNG.normal(size=(4,)))
+
+
+# (batch, t_frames, c_in, c_out): the quality classifier's two layers, the rhythm
+# TCN at the paper, benchmark-small and t_frames-16 sizes, batch 1, and the two
+# shapes where collapsing the input-gradient GEMM over the batch rounds differently
+CONV_SHAPES = [
+    (12, 64, 24, 8), (12, 64, 8, 8), (2, 64, 24, 8), (1, 64, 24, 8),
+    (32, 64, 26, 128), (8, 64, 128, 128), (1, 64, 128, 128),
+    (16, 64, 26, 64), (16, 64, 64, 64), (1, 16, 26, 8), (7, 16, 8, 8), (16, 16, 26, 16),
+    (3, 16, 26, 64), (3, 30, 26, 64), (4, 4, 3, 4),
+]
+
+
+@pytest.mark.parametrize("shape", CONV_SHAPES, ids=lambda s: "{}x{}x{}-{}".format(*s))
+def test_conv1d_same_matches_per_sample_oracle_bit_for_bit(shape):
+    n, t, c_in, c_out = shape
+    rng = np.random.default_rng(sum(shape))
+    x0, w0, b0 = rng.normal(size=(n, t, c_in)), rng.normal(size=(5, c_in, c_out)), rng.normal(size=c_out)
+    g0 = rng.normal(size=(n, t, c_out))
+    results = []
+    for conv in (ad.conv1d_same, conv1d_same_oracle):
+        x, w, b = ad.Var(x0), ad.Var(w0), ad.Var(b0)
+        out = conv(x, w, b)
+        ad.sum(ad.mul(out, ad.Var(g0))).backward()  # upstream gradient is exactly g0
+        results.append((out.data, x.grad, w.grad, b.grad))
+    for got, want in zip(*results):
+        assert np.array_equal(got, want)
+
+
+def _grads_with(make_operand, build, operands):
+    """build(*vars) on the tape; the operand at index 0 is made by make_operand."""
+    vars_ = [make_operand(operands[0])] + [ad.Var(a) for a in operands[1:]]
+    ad.sum(ad.tanh(build(*vars_))).backward()
+    return [v.grad for v in vars_]
+
+
+@pytest.mark.parametrize(
+    "build, operands",
+    [
+        (lambda x, w, b: ad.conv1d_same(x, w, b), [RNG.normal(size=s) for s in ((2, 6, 3), (3, 3, 4), (4,))]),
+        (lambda w, x, b: ad.conv1d_same(x, w, b), [RNG.normal(size=s) for s in ((3, 3, 4), (2, 6, 3), (4,))]),
+        (lambda a, b: ad.matmul(a, b), [RNG.normal(size=s) for s in ((2, 5, 3), (3, 4))]),
+        (lambda b, a: ad.matmul(a, b), [RNG.normal(size=s) for s in ((3, 4), (2, 5, 3))]),
+    ],
+    ids=["conv-x", "conv-w", "matmul-a", "matmul-b"],
+)
+def test_constant_operand_takes_no_gradient(build, operands):
+    const_grads = _grads_with(ad.constant, build, operands)
+    var_grads = _grads_with(ad.Var, build, operands)
+    assert const_grads[0] is None
+    assert var_grads[0] is not None
+    for got, want in zip(const_grads[1:], var_grads[1:]):
+        assert np.array_equal(got, want)
+
+
+def test_backward_never_accumulates_into_a_constant():
+    y = ad.constant(np.array([1.0, 2.0]))
+    x = ad.Var(np.array([0.5, -0.5]))
+    ad.sum(ad.mul(y, x) + y).backward()
+    assert y.grad is None
+    np.testing.assert_array_equal(x.grad, y.data)
 
 
 def test_reuse_accumulates_gradient():

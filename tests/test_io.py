@@ -13,6 +13,7 @@ from speechmotion import (
     FeatureStats,
     JointSpec,
     MotionClip,
+    NumericError,
     RunConfig,
     Transcript,
     TrainingSample,
@@ -35,6 +36,16 @@ def test_landmarks_round_trip(tmp_path):
     assert fps == 15.0
     assert spec == SPEC
     assert meta == {"speaker": "a", "segment": "seg"}
+
+
+def test_save_landmarks_refuses_non_finite_frames(tmp_path):
+    frames = np.random.default_rng(0).normal(size=(10, 6))
+    frames[4, 2] = np.inf
+    path = tmp_path / "bad.npz"
+    with pytest.raises(NumericError) as exc:
+        io.save_landmarks(path, frames, 15.0, SPEC)
+    assert str(path) in str(exc.value)
+    assert not path.exists()
 
 
 def test_landmarks_reject_foreign_file(tmp_path):

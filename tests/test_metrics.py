@@ -179,6 +179,20 @@ def test_quality_deterministic():
     assert 0.0 <= a <= 1.0
 
 
+@pytest.mark.parametrize(
+    "weight_decay, expected_hex",
+    [(None, "0x1.13396c7070633p-5"), (0.0, "0x1.14b50a75a135dp-10")],
+)
+def test_quality_score_is_pinned(weight_decay, expected_hex):
+    # 8 + 8 clips of 64 x 24: the evaluate classifier's shapes; values recorded
+    # from the tape that carried the weight-decay penalty as graph nodes
+    rng = np.random.default_rng(8)
+    real = _rhythmic_set(rng, 8, t=64, d=24)
+    fake = _rhythmic_set(rng, 8, t=64, d=24, freq=1.1)
+    kwargs = {} if weight_decay is None else {"weight_decay": weight_decay}
+    assert quality_score(real, fake, seed=5, **kwargs).hex() == expected_hex
+
+
 def test_quality_too_small_sets():
     seqs = [np.zeros((4, 2))] * 3
     with pytest.raises(DataError):
