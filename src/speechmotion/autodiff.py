@@ -6,8 +6,12 @@ accumulates gradients into every reachable node. Only the operations the
 networks in this package need are implemented, and everything stays in
 float64 so gradient checks against central finite differences are tight.
 
-Graphs are throwaway: build, backward, read `.grad`, drop. Vars are never
-mutated in place.
+backward() consumes the graph it walks: once a node's VJP has run, the node
+drops its gradient, its VJP closure (and the activations that closure holds)
+and its parent links, so memory frees as the walk moves toward the inputs.
+Leaves (Vars made directly, such as parameters) keep `.grad`; the root and
+every intermediate keep only `.data`. A second backward() through a
+consumed node raises ValueError. Vars are otherwise never mutated in place.
 
 A constant (`constant(array)`) is a leaf Var that never takes a gradient:
 model inputs, targets and noise draws that nothing reads a gradient of.
@@ -38,7 +42,7 @@ class Var:
     # -- graph walk ----------------------------------------------------
 
     def backward(self) -> None:
-        """Accumulate d(self)/d(node) into node.grad for the whole graph."""
+        """Accumulate d(self)/d(leaf) into leaf.grad, consuming the graph."""
         if self.data.shape != ():
             raise ValueError("backward() starts from a scalar Var")
         order: list[Var] = []
@@ -51,19 +55,26 @@ class Var:
                 continue
             if id(node) in seen:
                 continue
+            if node._parents is None:
+                raise ValueError("graph already consumed by an earlier backward()")
             seen.add(id(node))
             stack.append((node, True))
             for parent in node._parents:
                 if id(parent) not in seen:
                     stack.append((parent, False))
         self.grad = np.ones(())
-        for node in reversed(order):
-            if node._vjp is None or node.grad is None:
+        # Pop in reverse topological order, so that `order` holds no node past
+        # its turn: a consumed node frees once its last reader is consumed too.
+        while order:
+            node = order.pop()
+            if node._vjp is None:  # a leaf keeps its gradient
                 continue
-            for parent, g in zip(node._parents, node._vjp(node.grad)):
-                if g is None or type(parent) is _Constant:
-                    continue
-                parent.grad = g if parent.grad is None else parent.grad + g
+            if node.grad is not None:
+                for parent, g in zip(node._parents, node._vjp(node.grad)):
+                    if g is None or type(parent) is _Constant:
+                        continue
+                    parent.grad = g if parent.grad is None else parent.grad + g
+            node.grad = node._vjp = node._parents = None
 
     # -- operators -----------------------------------------------------
 
@@ -277,12 +288,16 @@ def conv1d_same(x: Var, w: Var, b: Var) -> Var:
         if type(w) is not _Constant:
             g_rows = g.reshape(-1, c_out)
             gw = np.empty_like(w.data)
+            # one channel-major copy; each tap's (C_in, B*T) slice-reshape is then
+            # the same contiguous array the per-tap transpose-reshape would copy
+            xt = xp.transpose(2, 0, 1).copy()
             for i in range(k):
-                gw[i] = np.dot(xp[:, i : i + t].transpose(2, 0, 1).reshape(c_in, -1), g_rows)
+                gw[i] = np.dot(xt[:, :, i : i + t].reshape(c_in, -1), g_rows)
         if type(x) is not _Constant:
             gxp = np.zeros_like(xp)
+            prod = np.empty_like(x.data)
             for i in range(k):
-                gxp[:, i : i + t] += g @ w.data[i].T
+                gxp[:, i : i + t] += np.matmul(g, w.data[i].T, out=prod)
             gx = gxp[:, pad : pad + t]
         return gx, gw, gb
 

@@ -51,11 +51,15 @@ def diversity(sequences) -> float:
     shape = seqs[0].shape
     if any(s.shape != shape for s in seqs):
         raise ValueError("all sequences must share one shape")
+    n = len(seqs)
     stack = np.stack(seqs)
+    diff = np.empty((n - 1,) + shape)
     total = 0.0
-    for i in range(len(seqs)):
-        total += np.mean(np.abs(stack[i + 1 :] - stack[i]), axis=(1, 2)).sum()
-    count = len(seqs) * (len(seqs) - 1) / 2
+    for i in range(n - 1):
+        d = diff[: n - 1 - i]
+        np.abs(np.subtract(stack[i + 1 :], stack[i], out=d), out=d)
+        total += np.mean(d, axis=(1, 2)).sum()
+    count = n * (n - 1) / 2
     return float(total / count)
 
 

@@ -130,8 +130,25 @@ def gradients(pvars: Mapping[str, ad.Var]) -> dict[str, np.ndarray]:
     }
 
 
+# Elements per Adam pass over a large parameter: 128 KiB of float64, so every
+# intermediate of a pass stays in L2.
+_CHUNK = 16384
+
+
 class Adam:
-    """Adaptive-moment gradient descent with bias correction; updates in place."""
+    """Adaptive-moment gradient descent with bias correction (Kingma & Ba,
+    arXiv 1412.6980); updates parameters and moments in place.
+
+    A parameter longer than one chunk is updated in chunks of its flat view,
+    with every intermediate in two chunk-length scratch buffers. Each element
+    goes through the same ops in the same order as the whole-array update
+
+        m = b1*m + (1-b1)*g;  v = b2*v + ((1-b2)*g)*g
+        p -= (lr * (m/c1)) / (sqrt(v/c2) + eps),  c = 1 - b**t
+
+    so the result is bit-equal to it. A parameter longer than one chunk
+    must be C-contiguous, or its flat view would be a copy.
+    """
 
     def __init__(
         self,
@@ -143,19 +160,51 @@ class Adam:
     ):
         self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
         self.step_count = 0
-        self._m = {k: np.zeros_like(v) for k, v in params.items()}
-        self._v = {k: np.zeros_like(v) for k, v in params.items()}
+        self._m = {k: np.zeros(v.shape) for k, v in params.items()}
+        self._v = {k: np.zeros(v.shape) for k, v in params.items()}
+        scratch = np.empty((2, min(_CHUNK, max((v.size for v in params.values()), default=0))))
+        # a parameter of one chunk or less runs whole, on buffer views of its shape
+        self._scratch = {
+            k: (scratch[0, : v.size].reshape(v.shape), scratch[1, : v.size].reshape(v.shape))
+            if v.size <= _CHUNK
+            else (scratch[0], scratch[1])
+            for k, v in params.items()
+        }
 
     def step(self, params: Mapping[str, np.ndarray], grads: Mapping[str, np.ndarray]) -> None:
         self.step_count += 1
         t = self.step_count
+        b1, b2, lr, eps = self.beta1, self.beta2, self.lr, self.eps
+        d1, d2 = 1.0 - b1, 1.0 - b2
+        c1, c2 = 1.0 - b1**t, 1.0 - b2**t
         for key, g in grads.items():
-            m = self._m[key]
-            v = self._v[key]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            m_hat = m / (1.0 - self.beta1**t)
-            v_hat = v / (1.0 - self.beta2**t)
-            params[key] -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            p, m, v = params[key], self._m[key], self._v[key]
+            a, b = self._scratch[key]
+            if p.size <= _CHUNK:
+                blocks = ((p, g, m, v, a, b),)
+            elif p.flags.c_contiguous:
+                blocks = _chunks(p, g, m, v, a, b)
+            else:
+                raise ValueError(f"Adam updates {key!r} through a flat view; it must be C-contiguous")
+            # out= passed positionally: the keyword costs a parse per call
+            for p, g, m, v, a, b in blocks:
+                m *= b1
+                m += np.multiply(d1, g, a)
+                v *= b2
+                np.multiply(d2, g, a)
+                v += np.multiply(a, g, a)
+                np.divide(m, c1, a)
+                np.multiply(lr, a, a)
+                np.divide(v, c2, b)
+                np.sqrt(b, b)
+                b += eps
+                p -= np.divide(a, b, a)
+
+
+def _chunks(p, g, m, v, a, b):
+    """(p, g, m, v, a, b) blocks of at most _CHUNK elements of the flat views."""
+    p, g, m, v = p.reshape(-1), g.reshape(-1), m.reshape(-1), v.reshape(-1)
+    for start in range(0, p.size, _CHUNK):
+        n = min(_CHUNK, p.size - start)
+        end = start + n
+        yield p[start:end], g[start:end], m[start:end], v[start:end], a[:n], b[:n]

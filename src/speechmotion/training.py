@@ -338,6 +338,15 @@ def validation_lvd(
 # -- training loop ------------------------------------------------------------------
 
 
+def _finite_gradients(pv: dict[str, ad.Var], epoch: int, step: int) -> dict[str, np.ndarray]:
+    """The gradients after backward(), or NumericError naming a non-finite one."""
+    grads = nn.gradients(pv)
+    for key, g in grads.items():
+        if not np.isfinite(g).all():
+            raise NumericError(f"gradient of {key} is not finite at epoch {epoch} step {step}")
+    return grads
+
+
 @dataclass
 class TrainResult:
     final: Checkpoint
@@ -355,7 +364,8 @@ def train(
 
     Deterministic for a fixed config and dataset: parameter init, batch
     order, latent draws, and validation draws all derive from the config
-    seed. Divergence (non-finite loss) raises NumericError with the epoch.
+    seed. Divergence (a non-finite loss, or a non-finite gradient before the
+    update) raises NumericError with the epoch and step.
     """
     if not dataset.train:
         raise DataError("training split is empty")
@@ -409,7 +419,9 @@ def train(
                         f"loss diverged to {value} at epoch {epoch} step {step}"
                     )
                 total.backward()
-                optimizer.step(params, nn.gradients(pv))
+                # not bound to a local: the gradients free right after the
+                # update instead of living through the next step's forward
+                optimizer.step(params, _finite_gradients(pv, epoch, step))
                 step += 1
                 frac = len(idx) / n
                 sums["total"] += value * frac

@@ -5,7 +5,9 @@ The package runs both branches only through their batched tape methods
 `training._batch_loss`. The helpers here re-derive the same quantities one
 clip or one vector at a time, in plain numpy or through a batch of one, so
 the tests can check the batched core against them. `conv1d_same` is the
-plain per-sample form of the tape's convolution.
+plain per-sample form of the tape's convolution, `backward` the tape walk
+that leaves the graph intact, and `WholeArrayAdam` the optimizer update on
+whole arrays with fresh temporaries.
 """
 
 from __future__ import annotations
@@ -226,3 +228,63 @@ def conv1d_same(x: ad.Var, w: ad.Var, b: ad.Var) -> ad.Var:
         return gxp[:, pad : pad + t, :], gw, gb
 
     return ad.Var(y, (x, w, b), vjp)
+
+
+def backward(root: ad.Var) -> None:
+    """The reverse-topological walk of `Var.backward`, leaving the graph intact.
+
+    Every reached node, intermediates included, keeps its `.grad`.
+    """
+    order: list[ad.Var] = []
+    seen: set[int] = set()
+    stack: list[tuple[ad.Var, bool]] = [(root, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            order.append(node)
+            continue
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        stack.append((node, True))
+        for parent in node._parents:
+            if id(parent) not in seen:
+                stack.append((parent, False))
+    root.grad = np.ones(())
+    for node in reversed(order):
+        if node._vjp is None or node.grad is None:
+            continue
+        for parent, g in zip(node._parents, node._vjp(node.grad)):
+            if g is None or type(parent) is ad._Constant:
+                continue
+            parent.grad = g if parent.grad is None else parent.grad + g
+
+
+# -- optimizer -----------------------------------------------------------------------------
+
+
+class WholeArrayAdam:
+    """Adam on whole arrays, allocating each intermediate afresh.
+
+    `nn.Adam` must match it bit for bit: parameters and both moments.
+    """
+
+    def __init__(self, params, lr=1e-4, beta1=0.9, beta2=0.999, eps=1e-8):
+        self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
+        self.step_count = 0
+        self._m = {k: np.zeros_like(v) for k, v in params.items()}
+        self._v = {k: np.zeros_like(v) for k, v in params.items()}
+
+    def step(self, params, grads) -> None:
+        self.step_count += 1
+        t = self.step_count
+        for key, g in grads.items():
+            m = self._m[key]
+            v = self._v[key]
+            m *= self.beta1
+            m += (1.0 - self.beta1) * g
+            v *= self.beta2
+            v += (1.0 - self.beta2) * g * g
+            m_hat = m / (1.0 - self.beta1**t)
+            v_hat = v / (1.0 - self.beta2**t)
+            params[key] -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)

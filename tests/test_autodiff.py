@@ -1,10 +1,13 @@
 """Reverse-mode tape: every op's gradient against central finite differences."""
 
 import math
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 
+from oracles import WholeArrayAdam
 from oracles import conv1d_same as conv1d_same_oracle
 from speechmotion import autodiff as ad
 from speechmotion import nn
@@ -187,6 +190,25 @@ def test_reuse_accumulates_gradient():
     np.testing.assert_allclose(x.grad, 2 * x.data + 1, atol=1e-12)
 
 
+def test_backward_frees_intermediate_activations():
+    x = ad.Var(RNG.normal(size=(64, 32)))
+    h = ad.tanh(x)
+    activation = weakref.ref(h.data)
+    root = ad.sum(h)
+    del h
+    root.backward()
+    assert activation() is None  # nothing left of the graph holds tanh's output
+    np.testing.assert_array_equal(x.grad, 1.0 - np.tanh(x.data) ** 2)
+
+
+def test_second_backward_on_a_consumed_graph_raises():
+    x = ad.Var(RNG.normal(size=(3,)))
+    root = ad.sum(ad.exp(x))
+    root.backward()
+    with pytest.raises(ValueError, match="consumed"):
+        root.backward()
+
+
 def test_backward_requires_scalar():
     x = ad.Var(np.ones((2, 2)))
     with pytest.raises(ValueError):
@@ -270,3 +292,50 @@ def test_adam_single_step_matches_hand_update():
 def test_activation_fn_rejects_unknown():
     with pytest.raises(ValueError):
         nn.activation_fn("swish")
+
+
+# chunk-relative sizes (below, at, one over and a multiple of a chunk), a bias
+# and the paper model's conv weight, all stepped by one optimizer
+ADAM_SHAPES = {
+    "below": (nn._CHUNK - 1,),
+    "at": (nn._CHUNK // 128, 128),
+    "over": (nn._CHUNK + 1,),
+    "multiple": (3, nn._CHUNK),
+    "bias": (128,),
+    "conv": (5, 128, 128),
+}
+
+
+def test_adam_matches_whole_array_oracle_bit_for_bit():
+    rng = np.random.default_rng(9)
+    init = {k: rng.normal(size=s) for k, s in ADAM_SHAPES.items()}
+    got, want = {k: v.copy() for k, v in init.items()}, {k: v.copy() for k, v in init.items()}
+    opt, ref = nn.Adam(got, lr=1e-3), WholeArrayAdam(want, lr=1e-3)
+    for _ in range(30):
+        grads = {k: rng.normal(scale=rng.uniform(1e-4, 10.0), size=s) for k, s in ADAM_SHAPES.items()}
+        opt.step(got, grads)
+        ref.step(want, grads)
+    for key in ADAM_SHAPES:
+        assert np.array_equal(got[key], want[key]), key
+        assert np.array_equal(opt._m[key], ref._m[key]), key
+        assert np.array_equal(opt._v[key], ref._v[key]), key
+
+
+def test_adam_step_allocates_no_parameter_sized_temporaries():
+    params = {"w": np.random.default_rng(10).normal(size=(2048, 1024))}  # 16 MB
+    grads = {"w": np.random.default_rng(11).normal(size=(2048, 1024))}
+    opt = nn.Adam(params)
+    tracemalloc.start()
+    try:
+        opt.step(params, grads)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_adam_rejects_a_non_contiguous_large_parameter():
+    params = {"w": np.zeros((nn._CHUNK + 1, 2)).T}
+    opt = nn.Adam(params)
+    with pytest.raises(ValueError, match="C-contiguous"):
+        opt.step(params, {"w": np.ones((2, nn._CHUNK + 1))})

@@ -85,6 +85,21 @@ def test_diversity_hand_check_three_sequences():
     assert abs(diversity(seqs) - 2.0) < 1e-12
 
 
+@pytest.mark.parametrize(
+    "shape, seed, expected_hex",
+    [
+        ((64, 64, 24), 1, "0x1.1fbd2f45eca98p+0"),
+        ((8, 6912, 24), 2, "0x1.20ce09179a37ap+0"),
+        ((2, 5, 3), 3, "0x1.6e0feeb32f9dfp+0"),
+        ((3, 1, 1), 4, "0x1.8b2e667b41ba8p+0"),
+    ],
+)
+def test_diversity_is_pinned(shape, seed, expected_hex):
+    # values recorded from the loop that built a fresh difference array per i
+    seqs = list(np.random.default_rng(seed).normal(size=shape))
+    assert diversity(seqs).hex() == expected_hex
+
+
 def test_diversity_errors():
     with pytest.raises(ValueError):
         diversity([np.zeros((2, 2))])

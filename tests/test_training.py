@@ -22,11 +22,14 @@ from speechmotion import (
     train,
     validation_lvd,
 )
+from speechmotion import autodiff as ad
 from speechmotion import build_branches, nn
 from speechmotion.config import ModelSettings, ToySettings, TrainSettings
 from speechmotion.posemode import PoseModeBranch, PoseModeConfig
 from speechmotion.rhythm import RhythmBranch, RhythmConfig
+from speechmotion.training import _batch_loss, _make_batch
 
+import oracles
 from oracles import encode_motion, loss_vae, posterior, total_loss
 
 SPEC = JointSpec(names=("nose", "neck", "right_palm"), hand_indices=(2,))
@@ -372,6 +375,39 @@ def test_train_divergence_aborts(toy_corpus):
     bad = config.replace(train=TrainSettings(epochs=3, batch_size=8, lr=1e9))
     with pytest.raises(NumericError):
         train(split, bad)
+
+
+def test_train_non_finite_gradient_aborts_naming_parameter(toy_corpus, monkeypatch):
+    _, config, landmarks, audio = toy_corpus
+    split, _ = build_dataset(landmarks, audio, config)
+    real_gradients = nn.gradients
+
+    def poisoned(pv):
+        grads = real_gradients(pv)
+        grads["rhythm.conv1.w"][0, 0, 0] = np.nan
+        return grads
+
+    monkeypatch.setattr(nn, "gradients", poisoned)
+    with pytest.raises(NumericError, match=r"rhythm\.conv1\.w .*epoch 1 step 0"):
+        train(split, config)
+
+
+def test_batch_loss_leaf_gradients_match_intact_graph_walk(toy_corpus):
+    """The consuming `backward` gives the leaves what the intact walk gives."""
+    _, config, landmarks, audio = toy_corpus
+    split, _ = build_dataset(landmarks, audio, config)
+    pose, rhythm = build_branches(config)
+    params = nn.init_params({**pose.param_shapes(), **rhythm.param_shapes()}, np.random.default_rng(4))
+    batch = _make_batch(split.train[:8], split.feature_stats)
+    assert set(batch.labels) == {0, 1}
+    grads = []
+    for walk in (ad.Var.backward, oracles.backward):
+        pv = nn.param_vars(params)
+        total, _ = _batch_loss(pose, rhythm, pv, batch, LossWeights(), np.random.default_rng(5), 0.5)
+        walk(total)
+        grads.append(nn.gradients(pv))
+    for key in params:
+        assert np.array_equal(grads[0][key], grads[1][key]), key
 
 
 def test_train_loss_decreases(toy_corpus):
