@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 
-from speechmotion import AudioClip, RunConfig, diversity, mode_schedule
+from speechmotion import MotionClip, RunConfig, diversity, mode_schedule
 from speechmotion.evaluation import evaluate_checkpoint
 from speechmotion.generation import generate_sequence
 from speechmotion.model import build_branches
@@ -44,9 +44,8 @@ pose, rhythm = build_branches(config)
 
 # borrow audio and a starting clip from the test split
 steps = split.test[:4]
-audio = [AudioClip(ckpt.feature_stats.transform(s.s_cur.features, s.speaker_id))
-         for s in steps]
-initial = steps[0].m_prev
+audio = steps.standardized(ckpt.feature_stats).audio
+initial = MotionClip(steps.m_prev[0], fps=config.fps, joint_spec=config.joint_spec)
 
 # a zero schedule keeps the base posture; no randomness is consumed
 hold = mode_schedule(None, len(audio), "explicit", explicit=[0] * len(audio))

@@ -8,7 +8,6 @@ two branch outputs reassembles a full clip.
 """
 
 from .audio import (
-    AudioClip,
     FeatureStats,
     MfccSettings,
     Transcript,
@@ -24,7 +23,7 @@ from .config import (
     ToySettings,
     TrainSettings,
 )
-from .data import Checkpoint, DatasetSplit, TrainingSample
+from .data import Checkpoint, DatasetSplit, SampleSet
 from .errors import DataError, NumericError
 from .evaluation import evaluate_checkpoint, sample_diversity
 from .generation import (
@@ -67,7 +66,6 @@ from .training import LossWeights, TrainResult, build_dataset, train, validation
 __version__ = "0.1.0"
 
 __all__ = [
-    "AudioClip",
     "Checkpoint",
     "DataError",
     "DatasetSplit",
@@ -93,11 +91,11 @@ __all__ = [
     "RhythmConfig",
     "RhythmOffset",
     "RunConfig",
+    "SampleSet",
     "SpeakerMetrics",
     "ToySettings",
     "TrainResult",
     "TrainSettings",
-    "TrainingSample",
     "Transcript",
     "align_audio_to_motion",
     "baseline_last_step",

@@ -15,7 +15,7 @@ does not depend on the blocking.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import gcd
 
 import numpy as np
@@ -68,33 +68,6 @@ class MfccSettings:
     @property
     def hop_samples(self) -> int:
         return int(round(self.hop_s * self.sample_rate))
-
-
-@dataclass(frozen=True)
-class AudioClip:
-    """Feature rows aligned to one motion clip: (T, D_S) float64."""
-
-    features: np.ndarray
-    sample_rate: int = 16000
-
-    def __post_init__(self) -> None:
-        features = np.asarray(self.features, dtype=np.float64).copy()
-        if features.ndim != 2:
-            raise ValueError(f"features must be 2-D, got shape {features.shape}")
-        if not np.all(np.isfinite(features)):
-            raise DataError("audio features contain non-finite values")
-        if self.sample_rate <= 0:
-            raise ValueError("sample rate must be positive")
-        features.flags.writeable = False
-        object.__setattr__(self, "features", features)
-
-    @property
-    def t(self) -> int:
-        return self.features.shape[0]
-
-    @property
-    def d_s(self) -> int:
-        return self.features.shape[1]
 
 
 @dataclass(frozen=True)

@@ -175,10 +175,6 @@ def exp(x: Var) -> Var:
     return Var(y, (x,), lambda g: (g * y,))
 
 
-def log(x: Var) -> Var:
-    return Var(np.log(x.data), (x,), lambda g: (g / x.data,))
-
-
 def sqrt(x: Var) -> Var:
     y = np.sqrt(x.data)
     return Var(y, (x,), lambda g: (g / (2.0 * y),))

@@ -17,11 +17,12 @@ import argparse
 import json
 import os
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 
-from .audio import AudioClip, align_audio_to_motion, extract_mfcc
+from .audio import align_audio_to_motion, extract_mfcc
 from .config import RunConfig
 from .data import DatasetSplit
 from .errors import DataError, NumericError
@@ -118,16 +119,13 @@ def cmd_preprocess(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     seed = config.train.seed
     meta = _meta(config, seed)
-    spec = config.joint_spec
     counts = {}
     for name in ("train", "val", "test"):
         samples = getattr(split, name)
         if samples:
-            io.save_split(out / f"{name}.npz", samples, config.fps, spec, meta)
-        by_speaker: dict[str, int] = {}
-        for s in samples:
-            by_speaker[s.speaker_id] = by_speaker.get(s.speaker_id, 0) + 1
-        counts[name] = {"total": len(samples), "per_speaker": by_speaker}
+            io.save_split(out / f"{name}.npz", samples, config, meta)
+        per_speaker = dict(Counter(samples.speaker.tolist()))  # in order of first appearance
+        counts[name] = {"total": len(samples), "per_speaker": per_speaker}
     io.save_stats(out / "stats.npz", split.feature_stats, meta)
     io.save_json(out / "manifest.json", {"format": "manifest/1", **meta, "counts": counts, "errors": errors})
     for line in errors:
@@ -141,23 +139,24 @@ def cmd_preprocess(args) -> int:
 
 
 def _load_split_dir(path: Path, config: RunConfig) -> DatasetSplit:
+    """The splits preprocess wrote under `path`, each checked against `config`."""
     train_path = path / "train.npz"
     if not train_path.exists():
         raise DataError(f"{path}: missing train.npz (run preprocess first)")
-    parts = {}
-    for name in ("train", "val", "test"):
-        p = path / f"{name}.npz"
-        parts[name] = tuple(io.load_split(p)) if p.exists() else ()
+    train = io.load_split(train_path, config)
+    val, test = (
+        io.load_split(p, config) if p.exists() else train[:0]
+        for p in (path / "val.npz", path / "test.npz")
+    )
     stats = io.load_stats(path / "stats.npz")
-    return DatasetSplit(train=parts["train"], val=parts["val"], test=parts["test"], feature_stats=stats)
+    return DatasetSplit(train=train, val=val, test=test, feature_stats=stats)
 
 
 def cmd_train(args) -> int:
     config = _load_config(args)
-    data_dir = _out_path(args.data)
+    dataset = _load_split_dir(_out_path(args.data), config)
     out = _out_path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    dataset = _load_split_dir(data_dir, config)
     result = train(dataset, config, log_path=out / "train_log.jsonl", progress=not args.quiet)
     io.save_checkpoint(out / "checkpoint_final.npz", result.final)
     io.save_checkpoint(out / "checkpoint_best.npz", result.best)
@@ -237,11 +236,6 @@ def cmd_generate(args) -> int:
     n_frames = n_steps * config.t_frames
     aligned = align_audio_to_motion(feats, config.mfcc.hop_s, config.fps, n_frames)
     standardized = ckpt.feature_stats.transform(aligned, args.speaker)
-    clips = [
-        AudioClip(standardized[i * config.t_frames : (i + 1) * config.t_frames],
-                  sample_rate=config.mfcc.sample_rate)
-        for i in range(n_steps)
-    ]
     transcript = io.load_transcript(args.transcript) if args.transcript else None
     schedule = _schedule_for(args, config, n_steps, transcript)
     pose, rhythm = build_branches(config)
@@ -251,7 +245,7 @@ def cmd_generate(args) -> int:
     seeds = [args.seed + i for i in range(args.num_seeds)]
     results = generate_sequence(
         initial,
-        clips,
+        standardized.reshape(n_steps, config.t_frames, -1),
         schedule,
         pose,
         rhythm,
@@ -289,7 +283,7 @@ def cmd_evaluate(args) -> int:
     ckpt = io.load_checkpoint(_out_path(args.checkpoint))
     data_dir = _out_path(args.data)
     path = data_dir / f"{args.split}.npz"
-    samples = io.load_split(path)
+    samples = io.load_split(path, ckpt.config)
     if not samples:
         raise DataError(f"{path}: split is empty")
     report = evaluate_checkpoint(ckpt, samples, seed=args.seed or 0, meta={"split": args.split})

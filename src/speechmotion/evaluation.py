@@ -1,4 +1,4 @@
-"""Checkpoint evaluation: per-speaker metric rows over a sample list.
+"""Checkpoint evaluation: per-speaker metric rows over a sample set.
 
 Each sample is scored by one-step generation: the ground-truth previous clip
 is encoded, the latent code is drawn under the sample's mode label, and the
@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .data import Checkpoint, TrainingSample
+from .data import Checkpoint, SampleSet
 from .errors import DataError
 from .metrics import (
     MetricReport,
@@ -23,72 +23,68 @@ from .metrics import (
     quality_score,
 )
 from .model import build_branches, one_step
+from .motion import MotionClip
+from .posemode import PoseModeBranch
+from .rhythm import RhythmBranch
 from .training import one_step_predictions
 
 
 def sample_diversity(
-    ckpt: Checkpoint,
-    sample: TrainingSample,
+    samples: SampleSet,
+    pose: PoseModeBranch,
+    rhythm: RhythmBranch,
+    params: dict[str, np.ndarray],
+    *,
     n_samples: int = 64,
     seed: int = 0,
 ) -> float:
-    """Diversity over repeated latent draws (c = 1) for one audio/prev pair."""
+    """Mean over a standardized set's rows of the diversity of repeated
+    latent draws (c = 1) for the row's previous clip and audio; row i draws
+    its codes from the generator seeded with seed + i."""
     if n_samples < 2:
         raise ValueError("need at least two draws")
-    pose, rhythm = build_branches(ckpt.config)
-    rng = np.random.default_rng(seed)
-    x_prev = sample.m_prev.frames.reshape(1, -1)
-    z = rng.standard_normal((n_samples, pose.config.d_z))
-    audio = ckpt.feature_stats.transform(sample.s_cur.features, sample.speaker_id)
-    pose_flat, offsets = one_step(pose, rhythm, ckpt.params, x_prev, z, audio[None])
-    return diversity(list(pose_flat.reshape(n_samples, *sample.m_cur.frames.shape) + offsets))
+    values = []
+    for i, (prev, audio) in enumerate(zip(samples.m_prev, samples.audio)):
+        z = np.random.default_rng(seed + i).standard_normal((n_samples, pose.config.d_z))
+        pose_flat, offsets = one_step(pose, rhythm, params, prev.reshape(1, -1), z, audio[None])
+        values.append(diversity(list(pose_flat.reshape(n_samples, *prev.shape) + offsets)))
+    return float(np.mean(values))
 
 
 def evaluate_checkpoint(
     ckpt: Checkpoint,
-    samples,
+    samples: SampleSet,
     *,
     seed: int = 0,
     meta: dict | None = None,
 ) -> MetricReport:
-    """Score a checkpoint on a sample list, one metric row per speaker."""
-    samples = list(samples)
+    """Score a checkpoint on a sample set, one metric row per speaker."""
     if not samples:
         raise DataError("no samples to evaluate")
-    ev = ckpt.config.evaluate
-    pose, rhythm = build_branches(ckpt.config)
-    by_speaker: dict[str, list[TrainingSample]] = {}
-    for s in samples:
-        by_speaker.setdefault(s.speaker_id, []).append(s)
+    config = ckpt.config
+    ev = config.evaluate
+    pose, rhythm = build_branches(config)
+    standardized = samples.standardized(ckpt.feature_stats)
 
     rows = []
-    for speaker in sorted(by_speaker):
-        group = by_speaker[speaker]
+    for speaker in sorted(set(samples.speaker.tolist())):
+        group = standardized[np.flatnonzero(samples.speaker == speaker)]
         rng = np.random.default_rng([seed, len(group)])
-        generated = one_step_predictions(
-            group, pose, rhythm, ckpt.params, ckpt.feature_stats, rng
+        generated = one_step_predictions(group, pose, rhythm, ckpt.params, rng)
+        t = group.m_cur.shape[1]
+        lvd_model = float(np.mean([lvd(gen, cur) for gen, cur in zip(generated, group.m_cur)]))
+        lvd_last = float(np.mean([
+            lvd(baseline_last_step(MotionClip(prev, config.fps, config.joint_spec), t), cur)
+            for prev, cur in zip(group.m_prev, group.m_cur)
+        ]))
+        lvd_mean = float(np.mean([lvd(baseline_mean_velocity(cur), cur) for cur in group.m_cur]))
+        diversity_value = sample_diversity(
+            group[: ev.diversity_audios], pose, rhythm, ckpt.params,
+            n_samples=ev.diversity_samples, seed=seed,
         )
-        t = group[0].m_cur.t
-        lvd_model = float(
-            np.mean([lvd(generated[i], s.m_cur.frames) for i, s in enumerate(group)])
-        )
-        lvd_last = float(
-            np.mean(
-                [lvd(baseline_last_step(s.m_prev, t), s.m_cur.frames) for s in group]
-            )
-        )
-        lvd_mean = float(
-            np.mean(
-                [lvd(baseline_mean_velocity(s.m_cur.frames), s.m_cur.frames) for s in group]
-            )
-        )
-        div_values = [
-            sample_diversity(ckpt, s, n_samples=ev.diversity_samples, seed=seed + i)
-            for i, s in enumerate(group[: ev.diversity_audios])
-        ]
         if len(group) >= 4:
             quality = quality_score(
-                [s.m_cur.frames for s in group],
+                list(group.m_cur),
                 list(generated),
                 seed=seed,
                 hidden=ev.quality_hidden,
@@ -106,11 +102,11 @@ def evaluate_checkpoint(
                 lvd_model=lvd_model,
                 lvd_last_step=lvd_last,
                 lvd_mean_velocity=lvd_mean,
-                diversity=float(np.mean(div_values)),
+                diversity=diversity_value,
                 quality=quality,
             )
         )
-    report_meta = {"seed": seed, "config_hash": ckpt.config.config_hash()}
+    report_meta = {"seed": seed, "config_hash": config.config_hash()}
     if meta:
         report_meta.update(meta)
     return MetricReport(rows=tuple(rows), meta=report_meta)

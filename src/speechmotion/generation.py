@@ -21,7 +21,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .audio import AudioClip, Transcript
+from .audio import Transcript
 from .errors import DataError, NumericError
 from .model import one_step
 from .motion import MotionClip
@@ -123,7 +123,7 @@ class GenerationResult:
 
 def generate_sequence(
     initial_pose: MotionClip,
-    audio_clips,
+    audio: np.ndarray,
     schedule: ModeSchedule,
     pose: PoseModeBranch,
     rhythm: RhythmBranch,
@@ -137,8 +137,8 @@ def generate_sequence(
 
     Args:
         initial_pose: clip standing in for the step-0 "previous motion".
-        audio_clips: one AudioClip of standardized features per step.
-        schedule: mode labels, same length as audio_clips.
+        audio: (n_steps, T, D_S) standardized features, one clip per step.
+        schedule: mode labels, one per step.
         params: both branches' weights.
         seeds: one generator per seed, each drawing that seed's latent codes.
         condition_on_composed: feed composed clips (pose + rhythm) forward
@@ -153,26 +153,28 @@ def generate_sequence(
         bit-identical across seeds.
 
     Raises:
+        DataError when there is no audio clip or a feature is not finite.
         NumericError naming the first step whose pose-mode clips or offsets
         hold a non-finite value.
     """
-    audio_clips = list(audio_clips)
-    if not audio_clips:
+    audio = np.asarray(audio, dtype=np.float64)
+    if not len(audio):
         raise DataError("generation needs at least one audio clip")
-    if len(audio_clips) != len(schedule):
+    if len(audio) != len(schedule):
         raise ValueError(
-            f"schedule length {len(schedule)} does not match {len(audio_clips)} audio clips"
+            f"schedule length {len(schedule)} does not match {len(audio)} audio clips"
         )
     seeds = list(seeds)
     if not seeds:
         raise ValueError("generation needs at least one seed")
-    audio = np.stack([clip.features for clip in audio_clips])
     t, d_z = pose.config.t_frames, pose.config.d_z
     if audio.shape[1:] != (t, rhythm.config.d_s):
         raise ValueError(
             f"audio features shape {audio.shape[1:]} does not match"
             f" configured ({t}, {rhythm.config.d_s})"
         )
+    if not np.isfinite(audio).all():
+        raise DataError("audio features contain non-finite values")
     if initial_pose.frames.shape != (t, pose.config.d_m):
         raise ValueError(
             f"initial pose shape {initial_pose.frames.shape} does not match"

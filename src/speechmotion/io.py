@@ -8,7 +8,9 @@ file. Round-trips are lossless: float64 in, bit-equal float64 out.
 Formats (documented here and in the README):
   landmarks/1   frames (N, D) float64, fps, joint_names, hand_indices, meta
   waveform/1    samples (N,) float64 in [-1, 1], sample_rate, meta
-  split/1       stacked sample arrays of one dataset split + meta
+  split/1       m_prev, m_cur (N, T, D), s_cur (N, T, D_S), c, speaker,
+                segment (N,), sample_rate, fps, joint_names, hand_indices,
+                meta: one dataset split, read back as a SampleSet
   checkpoint/1  param.<branch>.* arrays, stats.*, config, meta
   report/1      JSON metric report with per-speaker rows (not an npz)
 Transcripts are text: one `word start_s end_s` row per line, '#' comments.
@@ -23,12 +25,12 @@ from pathlib import Path
 import numpy as np
 from scipy.io import wavfile
 
-from .audio import AudioClip, FeatureStats, Transcript
+from .audio import FeatureStats, Transcript
 from .config import RunConfig
-from .data import Checkpoint, TrainingSample
+from .data import Checkpoint, SampleSet
 from .errors import DataError, NumericError
 from .model import build_branches
-from .motion import JointSpec, MotionClip
+from .motion import JointSpec
 
 
 def _meta_json(meta: dict | None) -> str:
@@ -190,50 +192,54 @@ def save_transcript(path, transcript: Transcript) -> None:
 # -- dataset splits --------------------------------------------------------
 
 
-def save_split(path, samples, fps: float, joint_spec: JointSpec, meta: dict | None = None) -> None:
+def save_split(path, samples: SampleSet, config: RunConfig, meta: dict | None = None) -> None:
+    """Write a split/1 file: the set's arrays plus the config's fps, skeleton
+    and audio sample rate."""
     if not samples:
         raise ValueError("refusing to write an empty split")
     np.savez(
         path,
         format="split/1",
-        m_prev=np.stack([s.m_prev.frames for s in samples]),
-        m_cur=np.stack([s.m_cur.frames for s in samples]),
-        s_cur=np.stack([s.s_cur.features for s in samples]),
-        c=np.array([s.c for s in samples], dtype=np.int64),
-        speaker=np.array([s.speaker_id for s in samples]),
-        segment=np.array([s.segment_id for s in samples]),
-        sample_rate=np.int64(samples[0].s_cur.sample_rate),
-        fps=np.float64(fps),
-        joint_names=np.array(joint_spec.names),
-        hand_indices=np.array(joint_spec.hand_indices, dtype=np.int64),
+        m_prev=samples.m_prev,
+        m_cur=samples.m_cur,
+        s_cur=samples.audio,
+        c=samples.c,
+        # rebuilt from the strings, so the width is that of this set's longest id
+        speaker=np.array(samples.speaker.tolist()),
+        segment=np.array(samples.segment.tolist()),
+        sample_rate=np.int64(config.mfcc.sample_rate),
+        fps=np.float64(config.fps),
+        joint_names=np.array(config.joint_spec.names),
+        hand_indices=np.array(config.joint_spec.hand_indices, dtype=np.int64),
         meta=_meta_json(meta),
     )
 
 
-def load_split(path) -> list[TrainingSample]:
+def load_split(path, config: RunConfig) -> SampleSet:
+    """Read a split/1 file written under a config that `config` can use.
+
+    Raises:
+        DataError naming the file: arrays whose rows or frames disagree, a
+        mode label other than 0 or 1, non-finite values, or clips, audio,
+        joints or frame rate that do not fit `config`.
+    """
     npz = _load_npz(path)
     _check_format(npz, "split/1", path)
-    spec = JointSpec(
-        names=tuple(str(n) for n in npz["joint_names"]),
-        hand_indices=tuple(int(i) for i in npz["hand_indices"]),
-    )
-    fps = float(npz["fps"])
-    rate = int(npz["sample_rate"])
-    out = []
-    for prev, cur, feats, c, spk, seg in zip(
-        npz["m_prev"], npz["m_cur"], npz["s_cur"], npz["c"], npz["speaker"], npz["segment"]
+    try:
+        samples = SampleSet(*(npz[key] for key in ("m_prev", "m_cur", "s_cur", "c", "speaker", "segment")))
+    except ValueError as exc:
+        raise DataError(f"{path}: {exc}") from None
+    for what, found, needed in (
+        ("clip frames", samples.m_cur.shape[1], config.t_frames),
+        ("joint names", tuple(str(n) for n in npz["joint_names"]), tuple(config.joint_names)),
+        ("motion width", samples.m_cur.shape[2], config.d_m),
+        ("audio width", samples.audio.shape[2], config.mfcc.d_s),
+        ("fps", float(npz["fps"]), config.fps),
+        ("audio sample rate", int(npz["sample_rate"]), config.mfcc.sample_rate),
     ):
-        out.append(
-            TrainingSample(
-                m_prev=MotionClip(prev, fps=fps, joint_spec=spec),
-                m_cur=MotionClip(cur, fps=fps, joint_spec=spec),
-                s_cur=AudioClip(feats, sample_rate=rate),
-                c=int(c),
-                speaker_id=str(spk),
-                segment_id=str(seg),
-            )
-        )
-    return out
+        if found != needed:
+            raise DataError(f"{path}: split has {what} {found}, the config needs {needed}")
+    return samples
 
 
 def _stats_arrays(stats: FeatureStats) -> dict[str, np.ndarray]:

@@ -17,16 +17,16 @@ from __future__ import annotations
 import copy
 import json
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
 from . import autodiff as ad
 from . import nn
-from .audio import AudioClip, FeatureStats, align_audio_to_motion, extract_mfcc
+from .audio import FeatureStats, align_audio_to_motion, extract_mfcc
 from .config import RunConfig
-from .data import Checkpoint, DatasetSplit, TrainingSample
+from .data import Checkpoint, DatasetSplit, SampleSet
 from .errors import DataError, NumericError
 from .io import load_landmarks, load_waveform
 from .metrics import lvd
@@ -76,7 +76,7 @@ def _pair_by_stem(landmark_files, audio_files) -> tuple[list[tuple[Path, Path]],
     return pairs, errors
 
 
-def _segment_samples(lm_path: Path, audio_path: Path, config: RunConfig) -> list[TrainingSample]:
+def _segment_samples(lm_path: Path, audio_path: Path, config: RunConfig) -> SampleSet:
     frames, fps, spec, meta = load_landmarks(lm_path)
     if spec.names != tuple(config.joint_names):
         raise DataError(f"{lm_path}: joint names do not match the configured skeleton")
@@ -91,27 +91,23 @@ def _segment_samples(lm_path: Path, audio_path: Path, config: RunConfig) -> list
     except DataError as exc:
         raise DataError(f"{audio_path}: {exc}") from None
 
-    clips = chunk_sequence(normalized, config.t_frames, fps=config.fps, joint_spec=spec)
-    if len(clips) < 2:
-        raise DataError(f"{lm_path}: segment too short for a clip pair")
-    speaker = str(meta.get("speaker", lm_path.stem.split("_")[0]))
-    segment = str(meta.get("segment", lm_path.stem))
-
-    samples = []
-    t = config.t_frames
-    for i in range(1, len(clips)):
-        feats_i = aligned[i * t : (i + 1) * t]
-        samples.append(
-            TrainingSample(
-                m_prev=clips[i - 1],
-                m_cur=clips[i],
-                s_cur=AudioClip(feats_i, sample_rate=config.mfcc.sample_rate),
-                c=label_mode_change(clips[i - 1], clips[i], config.mode_threshold),
-                speaker_id=speaker,
-                segment_id=segment,
-            )
+    try:
+        clips = chunk_sequence(normalized, config.t_frames, fps=config.fps, joint_spec=spec)
+        if len(clips) < 2:
+            raise DataError("segment too short for a clip pair")
+        n, t = len(clips) - 1, config.t_frames
+        stacked = np.stack([clip.frames for clip in clips])
+        labels = [label_mode_change(a, b, config.mode_threshold) for a, b in zip(clips, clips[1:])]
+        return SampleSet(
+            m_prev=stacked[:-1],
+            m_cur=stacked[1:],
+            audio=aligned[t : (n + 1) * t].reshape(n, t, -1),
+            c=labels,
+            speaker=[str(meta.get("speaker", lm_path.stem.split("_")[0]))] * n,
+            segment=[str(meta.get("segment", lm_path.stem))] * n,
         )
-    return samples
+    except DataError as exc:
+        raise DataError(f"{lm_path}: {exc}") from None
 
 
 def build_dataset(
@@ -125,14 +121,14 @@ def build_dataset(
     were skipped. Raises DataError when nothing usable remains.
     """
     pairs, errors = _pair_by_stem(landmark_files, audio_files)
-    by_segment: dict[str, list[TrainingSample]] = {}
+    by_segment: dict[str, list[SampleSet]] = {}
     for lm_path, audio_path in pairs:
         try:
             samples = _segment_samples(lm_path, audio_path, config)
         except DataError as exc:
             errors.append(str(exc))
             continue
-        by_segment.setdefault(samples[0].segment_id, []).extend(samples)
+        by_segment.setdefault(str(samples.segment[0]), []).append(samples)
     if not by_segment:
         raise DataError(
             "no usable segments; " + (errors[0] if errors else "no input files given")
@@ -145,29 +141,23 @@ def build_dataset(
     n_train = max(1, int(n * config.train.split_train))
     n_val = min(int(n * config.train.split_val), n - n_train)
     shuffled = [segments[i] for i in order]
-    groups = {
-        "train": shuffled[:n_train],
-        "val": shuffled[n_train : n_train + n_val],
-        "test": shuffled[n_train + n_val :],
-    }
 
-    def collect(names):
-        out = []
-        for seg in sorted(names):
-            out.extend(by_segment[seg])
-        return tuple(out)
+    # an empty set in front gives empty splits their shapes
+    empty = next(iter(by_segment.values()))[0][:0]
 
-    train = collect(groups["train"])
-    if not train:
-        raise DataError(f"empty training split from {n} segment(s)")
-    frames_by_speaker: dict[str, list[np.ndarray]] = {}
-    for sample in train:
-        frames_by_speaker.setdefault(sample.speaker_id, []).append(sample.s_cur.features)
+    def collect(names) -> SampleSet:
+        return SampleSet.concatenate([empty] + [p for seg in sorted(names) for p in by_segment[seg]])
+
+    train = collect(shuffled[:n_train])
+    d_s = train.audio.shape[2]
     stats = FeatureStats.fit(
-        {spk: np.concatenate(rows, axis=0) for spk, rows in frames_by_speaker.items()}
+        {str(spk): train.audio[train.speaker == spk].reshape(-1, d_s) for spk in np.unique(train.speaker)}
     )
     split = DatasetSplit(
-        train=train, val=collect(groups["val"]), test=collect(groups["test"]), feature_stats=stats
+        train=train,
+        val=collect(shuffled[n_train : n_train + n_val]),
+        test=collect(shuffled[n_train + n_val :]),
+        feature_stats=stats,
     )
     return split, errors
 
@@ -183,43 +173,41 @@ class _Batch:
     offsets: np.ndarray  # (B, T*D_M) ground-truth rhythm targets
     labels: np.ndarray  # (B,) int
 
+    def rows(self, idx: np.ndarray) -> "_Batch":
+        return _Batch(*(getattr(self, f.name)[idx] for f in fields(self)))
 
-def _make_batch(samples, stats: FeatureStats | None) -> _Batch:
-    b = len(samples)
-    t, d = samples[0].m_cur.frames.shape
-    x_prev = np.stack([s.m_prev.frames.reshape(-1) for s in samples])
-    x_cur = np.stack([s.m_cur.frames.reshape(-1) for s in samples])
-    if stats is None:
-        audio = np.stack([s.s_cur.features for s in samples])
-    else:
-        audio = np.stack([stats.transform(s.s_cur.features, s.speaker_id) for s in samples])
-    offsets = np.stack(
-        [(s.m_cur.frames - s.m_cur.frames.mean(axis=0)).reshape(-1) for s in samples]
+
+def _make_batch(samples: SampleSet) -> _Batch:
+    """The whole set as one batch; the caller standardizes the audio."""
+    n = len(samples)
+    m_cur = samples.m_cur
+    return _Batch(
+        x_prev=samples.m_prev.reshape(n, -1),
+        x_cur=m_cur.reshape(n, -1),
+        audio=samples.audio,
+        offsets=(m_cur - m_cur.mean(axis=1, keepdims=True)).reshape(n, -1),
+        labels=samples.c,
     )
-    labels = np.array([s.c for s in samples], dtype=np.int64)
-    assert x_prev.shape == (b, t * d)
-    return _Batch(x_prev, x_cur, audio, offsets, labels)
 
 
 def one_step_predictions(
-    samples,
+    samples: SampleSet,
     pose: PoseModeBranch,
     rhythm: RhythmBranch,
     params: dict[str, np.ndarray],
-    stats: FeatureStats | None,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """Composed (B, T, D) one-step generations for a sample list.
+    """Composed (N, T, D) one-step generations for a standardized sample set.
 
     Each sample's previous clip is encoded and its latent code is zero,
     except for c = 1 samples, whose codes are drawn from rng in sample order.
     """
-    batch = _make_batch(samples, stats)
     z = np.zeros((len(samples), pose.config.d_z))
-    c1 = np.flatnonzero(batch.labels == 1)
+    c1 = np.flatnonzero(samples.c == 1)
     if len(c1):
         z[c1] = rng.standard_normal((len(c1), pose.config.d_z))
-    pose_flat, offsets = one_step(pose, rhythm, params, batch.x_prev, z, batch.audio)
+    x_prev = samples.m_prev.reshape(len(samples), -1)
+    pose_flat, offsets = one_step(pose, rhythm, params, x_prev, z, samples.audio)
     return pose_flat.reshape(offsets.shape) + offsets
 
 
@@ -318,21 +306,18 @@ def _batch_loss(
 
 
 def validation_lvd(
-    samples,
+    samples: SampleSet,
     pose: PoseModeBranch,
     rhythm: RhythmBranch,
     params: dict[str, np.ndarray],
-    stats: FeatureStats | None,
     seed,
 ) -> float:
-    """Mean velocity-difference between one-step generations and ground truth."""
+    """Mean velocity-difference between one-step generations and ground
+    truth, over a standardized sample set."""
     if not samples:
         return float("nan")
-    composed = one_step_predictions(
-        list(samples), pose, rhythm, params, stats, np.random.default_rng(seed)
-    )
-    values = [lvd(composed[i], s.m_cur.frames) for i, s in enumerate(samples)]
-    return float(np.mean(values))
+    composed = one_step_predictions(samples, pose, rhythm, params, np.random.default_rng(seed))
+    return float(np.mean([lvd(gen, gt) for gen, gt in zip(composed, samples.m_cur)]))
 
 
 # -- training loop ------------------------------------------------------------------
@@ -377,15 +362,15 @@ def train(
 
     weights = LossWeights.from_config(config)
     stats = dataset.feature_stats
+    train_batch = _make_batch(dataset.train.standardized(stats))
+    val_set = dataset.val.standardized(stats)
     n = len(dataset.train)
     batch_size = min(tcfg.batch_size, n)
     steps_per_epoch = (n + batch_size - 1) // batch_size
     total_steps = tcfg.epochs * steps_per_epoch
     warmup = max(1, int(round(tcfg.kl_anneal_frac * total_steps))) if tcfg.kl_anneal else 0
 
-    rest_posture = np.mean(
-        [s.m_cur.frames.mean(axis=0) for s in dataset.train], axis=0
-    )
+    rest_posture = dataset.train.m_cur.mean(axis=1).mean(axis=0)
 
     def checkpoint(epoch: int, val: float | None) -> Checkpoint:
         return Checkpoint(
@@ -409,7 +394,7 @@ def train(
             sums = {"total": 0.0, "rec": 0.0, "vae": 0.0, "rhythm": 0.0, "reg": 0.0}
             for start in range(0, n, batch_size):
                 idx = order[start : start + batch_size]
-                batch = _make_batch([dataset.train[i] for i in idx], stats)
+                batch = train_batch.rows(idx)
                 vae_scale = min(1.0, (step + 1) / warmup) if warmup else 1.0
                 pv = nn.param_vars(params)
                 total, breakdown = _batch_loss(pose, rhythm, pv, batch, weights, rng, vae_scale)
@@ -429,9 +414,8 @@ def train(
                     sums[key] += breakdown[key] * frac
 
             val = validation_lvd(
-                dataset.val, pose, rhythm, params, stats,
-                seed=[tcfg.seed, 7919, epoch],
-            ) if dataset.val else None
+                val_set, pose, rhythm, params, seed=[tcfg.seed, 7919, epoch]
+            ) if val_set else None
             record = {"epoch": epoch, **{k: sums[k] for k in sums}, "val_lvd": val}
             history.append(record)
             if log_fh is not None:

@@ -4,10 +4,11 @@ The package runs both branches only through their batched tape methods
 (`encode_v`, `posterior_v`, `forward_v`, ...) via `model.one_step` and
 `training._batch_loss`. The helpers here re-derive the same quantities one
 clip or one vector at a time, in plain numpy or through a batch of one, so
-the tests can check the batched core against them. `conv1d_same` is the
-plain per-sample form of the tape's convolution, `backward` the tape walk
-that leaves the graph intact, and `WholeArrayAdam` the optimizer update on
-whole arrays with fresh temporaries.
+the tests can check the batched core against them. `make_batch` stacks a
+training batch one sample at a time, `conv1d_same` is the plain per-sample
+form of the tape's convolution, `backward` the tape walk that leaves the
+graph intact, and `WholeArrayAdam` the optimizer update on whole arrays
+with fresh temporaries.
 """
 
 from __future__ import annotations
@@ -18,12 +19,12 @@ import numpy as np
 
 from speechmotion import autodiff as ad
 from speechmotion import nn
-from speechmotion.audio import AudioClip, FeatureStats
-from speechmotion.data import TrainingSample
+from speechmotion.audio import FeatureStats
+from speechmotion.data import SampleSet
 from speechmotion.motion import MotionClip, RhythmOffset
 from speechmotion.posemode import PoseModeBranch
 from speechmotion.rhythm import RhythmBranch
-from speechmotion.training import LossWeights, _batch_loss, _make_batch
+from speechmotion.training import LossWeights, _Batch, _batch_loss
 
 
 # -- pose-mode branch ------------------------------------------------------------
@@ -152,15 +153,15 @@ def loss_reg(
 # -- rhythm branch -------------------------------------------------------------------
 
 
-def rhythm_generate(rhythm: RhythmBranch, params: Mapping[str, np.ndarray], audio: AudioClip) -> RhythmOffset:
-    """Predict offsets for one clip of aligned audio features."""
+def rhythm_generate(rhythm: RhythmBranch, params: Mapping[str, np.ndarray], features: np.ndarray) -> RhythmOffset:
+    """Predict offsets for one clip of aligned (T, D_S) audio features."""
     cfg = rhythm.config
-    if audio.features.shape != (cfg.t_frames, cfg.d_s):
+    if features.shape != (cfg.t_frames, cfg.d_s):
         raise ValueError(
-            f"audio features shape {audio.features.shape} does not match"
+            f"audio features shape {features.shape} does not match"
             f" configured ({cfg.t_frames}, {cfg.d_s})"
         )
-    out = rhythm.forward_v(nn.param_vars(params), ad.Var(audio.features[None]))
+    out = rhythm.forward_v(nn.param_vars(params), ad.Var(features[None]))
     return RhythmOffset(out.data[0])
 
 
@@ -181,8 +182,29 @@ def loss_rhythm(pred: RhythmOffset, gt: MotionClip) -> float:
 # -- combined objective ------------------------------------------------------------------
 
 
+def make_batch(samples: SampleSet, rows, stats: FeatureStats | None) -> _Batch:
+    """The batch of the given rows, stacked one sample at a time.
+
+    Each sample's audio is standardized by its own speaker (left as it is
+    when stats is None) and its rhythm target is the clip minus the clip's
+    own temporal mean.
+    """
+    rows = list(rows)
+    x_prev = np.stack([samples.m_prev[i].reshape(-1) for i in rows])
+    x_cur = np.stack([samples.m_cur[i].reshape(-1) for i in rows])
+    if stats is None:
+        audio = np.stack([samples.audio[i] for i in rows])
+    else:
+        audio = np.stack([stats.transform(samples.audio[i], str(samples.speaker[i])) for i in rows])
+    offsets = np.stack(
+        [(samples.m_cur[i] - samples.m_cur[i].mean(axis=0)).reshape(-1) for i in rows]
+    )
+    labels = np.array([samples.c[i] for i in rows], dtype=np.int64)
+    return _Batch(x_prev, x_cur, audio, offsets, labels)
+
+
 def total_loss(
-    sample: TrainingSample,
+    sample: SampleSet,
     pose: PoseModeBranch,
     rhythm: RhythmBranch,
     params: dict[str, np.ndarray],
@@ -190,12 +212,12 @@ def total_loss(
     rng: np.random.Generator | None = None,
     feature_stats: FeatureStats | None = None,
 ) -> tuple[float, dict[str, float]]:
-    """Combined objective of one sample; returns (total, unweighted breakdown).
+    """Combined objective of a one-row set; returns (total, unweighted breakdown).
 
     The weighted sum of the breakdown equals the total. A generator is only
     consumed when the sample has c = 1 and reconstruction is active.
     """
-    batch = _make_batch([sample], feature_stats)
+    batch = make_batch(sample, [0], feature_stats)
     total, breakdown = _batch_loss(pose, rhythm, nn.param_vars(params), batch, weights, rng)
     return float(total.data), breakdown
 

@@ -14,7 +14,6 @@ import numpy as np
 import pytest
 
 from speechmotion import (
-    AudioClip,
     JointSpec,
     ModeSchedule,
     MotionClip,
@@ -23,7 +22,7 @@ from speechmotion import (
     RhythmBranch,
     RhythmConfig,
     RunConfig,
-    TrainingSample,
+    SampleSet,
     baseline_mean_velocity,
     compose,
     decompose,
@@ -34,7 +33,7 @@ from speechmotion import (
     quality_score,
     swap_dynamics,
 )
-from speechmotion import nn
+from speechmotion import build_branches, nn
 from speechmotion.evaluation import evaluate_checkpoint, sample_diversity
 from speechmotion.motion import chunk_sequence, label_mode_change
 from speechmotion.toydata import make_toy_dataset
@@ -170,16 +169,16 @@ def test_criterion_3_gradient_checks():
     for i, c in enumerate((1, 0)):
         data = np.random.default_rng(20 + i)
         samples.append(
-            TrainingSample(
-                m_prev=MotionClip(data.normal(size=(2, 4)), joint_spec=SPEC2),
-                m_cur=MotionClip(data.normal(size=(2, 4)), joint_spec=SPEC2),
-                s_cur=AudioClip(data.normal(size=(2, 2))),
-                c=c,
-                speaker_id="s",
-                segment_id=f"seg{i}",
+            SampleSet(
+                m_prev=data.normal(size=(1, 2, 4)),
+                m_cur=data.normal(size=(1, 2, 4)),
+                audio=data.normal(size=(1, 2, 2)),
+                c=[c],
+                speaker=["s"],
+                segment=[f"seg{i}"],
             )
         )
-    batch = _make_batch(samples, None)
+    batch = _make_batch(SampleSet.concatenate(samples))
 
     def loss_value(params, weights):
         # identical generator per call so the latent draw replays under FD
@@ -244,7 +243,7 @@ def _tiny_generation_setup():
     pose_params = nn.init_params(pose.param_shapes(), rng)
     rhythm_params = nn.init_params(rhythm.param_shapes(), rng)
     initial = MotionClip(rng.normal(size=(8, 8)), joint_spec=SPEC4)
-    audio = [AudioClip(rng.normal(size=(8, 3))) for _ in range(3)]
+    audio = np.stack([rng.normal(size=(8, 3)) for _ in range(3)])
     return pose, pose_params, rhythm, rhythm_params, initial, audio
 
 
@@ -353,14 +352,10 @@ def test_criterion_7_ablation_directions(toy_corpus):
             result = train(split, cfg, progress=False)
             overall = evaluate_checkpoint(result.best, split.val, seed=0).overall()
             lvds.append(overall["lvd_model"])
+            val = split.val.standardized(result.best.feature_stats)
             divs.append(
-                float(
-                    np.mean(
-                        [
-                            sample_diversity(result.best, s, n_samples=64, seed=i)
-                            for i, s in enumerate(split.val)
-                        ]
-                    )
+                sample_diversity(
+                    val, *build_branches(cfg), result.best.params, n_samples=64, seed=0
                 )
             )
         medians[name] = (float(np.median(lvds)), float(np.median(divs)))

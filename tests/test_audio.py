@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from speechmotion import (
-    AudioClip,
     DataError,
     FeatureStats,
     MfccSettings,
@@ -247,13 +246,6 @@ def test_feature_stats_empty_is_data_error():
 
 
 # -- containers and transcripts ----------------------------------------------------------------
-
-
-def test_audio_clip_validation():
-    with pytest.raises(ValueError):
-        AudioClip(np.zeros(5))
-    with pytest.raises(DataError):
-        AudioClip(np.full((3, 2), np.nan))
 
 
 def test_transcript_words_between_half_open():

@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from speechmotion import JointSpec, RunConfig, io
+from speechmotion import Checkpoint, JointSpec, RunConfig, build_branches, io, nn
 from speechmotion.cli import main
 
 
@@ -422,6 +422,45 @@ def test_bad_checkpoint_names_file(workspace, tmp_path, capsys, case, command):
     err = capsys.readouterr().err
     assert str(checkpoint) in err
     assert key in err
+
+
+def test_train_on_split_of_other_clip_length_names_file(workspace, tmp_path, capsys):
+    # the workspace split holds 16-frame clips; the default config asks for 64
+    code = main(["train", "--data", str(workspace["data"]), "--out", str(tmp_path / "run"), "--quiet"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert str(workspace["data"] / "train.npz") in err
+    assert "clip frames 16, the config needs 64" in err
+
+
+def test_train_at_other_fps_names_file(workspace, tmp_path, capsys):
+    code = main(["train", "--set", "t_frames=16", "--set", "fps=30", "--data", str(workspace["data"]),
+                 "--out", str(tmp_path / "run"), "--quiet"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert str(workspace["data"] / "train.npz") in err
+    assert "fps 15.0, the config needs 30" in err
+    assert not (tmp_path / "run").exists()
+
+
+def test_evaluate_checkpoint_of_other_clip_length_names_file(workspace, tmp_path, capsys):
+    config = _small_config().replace(t_frames=64)
+    pose, rhythm = build_branches(config)
+    checkpoint = tmp_path / "t64.npz"
+    io.save_checkpoint(checkpoint, Checkpoint(
+        params=nn.init_params({**pose.param_shapes(), **rhythm.param_shapes()}, np.random.default_rng(0)),
+        config=config,
+        feature_stats=io.load_checkpoint(workspace["checkpoint"]).feature_stats,
+        rest_posture=np.zeros(config.d_m),
+        seed=0,
+        epoch=1,
+    ))
+    code = main(["evaluate", "--checkpoint", str(checkpoint), "--data", str(workspace["data"]),
+                 "--out", str(tmp_path / "report.json")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert str(workspace["data"] / "test.npz") in err
+    assert "clip frames 16, the config needs 64" in err
 
 
 def _nan_landmarks(workspace, path):

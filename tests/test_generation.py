@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from speechmotion import (
-    AudioClip,
     DataError,
     JointSpec,
     ModeSchedule,
@@ -94,7 +93,7 @@ def gen_setup(tiny_pose, tiny_rhythm, small_spec):
     rhythm, rhythm_params = tiny_rhythm
     rng = np.random.default_rng(100)
     initial = MotionClip(rng.normal(size=(4, small_spec.d_m)), joint_spec=small_spec)
-    clips = [AudioClip(rng.normal(size=(4, 3))) for _ in range(3)]
+    clips = np.stack([rng.normal(size=(4, 3)) for _ in range(3)])
     return pose, pose_params, rhythm, rhythm_params, initial, clips
 
 
@@ -201,7 +200,7 @@ def test_non_finite_step_is_numeric_error_naming_it(tiny_pose, tiny_rhythm, smal
     rp["rhythm.conv1.w"][1, 0, 0] = 10.0
     rp["rhythm.head.w"][0] = 1e308
     rp["rhythm.head.b"][:] = 1e308
-    clips = [AudioClip(np.full((4, 3), a)) for a in (-1.0, -1.0, 1.0, -1.0)]
+    clips = np.stack([np.full((4, 3), a) for a in (-1.0, -1.0, 1.0, -1.0)])
     initial = MotionClip(np.zeros((4, small_spec.d_m)), joint_spec=small_spec)
     sched = ModeSchedule((0, 1, 0, 1), "explicit")
     with pytest.raises(NumericError, match="non-finite motion at step 2 of 4"):
@@ -235,9 +234,20 @@ def test_audio_width_mismatch_rejected(gen_setup):
     pose, pp, rhythm, rp, initial, _ = gen_setup
     with pytest.raises(ValueError, match="audio features shape"):
         generate_sequence(
-            initial, [AudioClip(np.zeros((4, 5)))], ModeSchedule((0,), "explicit"),
+            initial, np.zeros((1, 4, 5)), ModeSchedule((0,), "explicit"),
             pose, rhythm, {**pp, **rp},
         )
+
+
+def test_audio_validation(gen_setup):
+    pose, pp, rhythm, rp, initial, clips = gen_setup
+    sched = ModeSchedule((0, 0, 0), "explicit")
+    with pytest.raises(ValueError, match="audio features shape"):
+        generate_sequence(initial, np.zeros(3), sched, pose, rhythm, {**pp, **rp})
+    clips = clips.copy()
+    clips[1, 2, 0] = np.nan
+    with pytest.raises(DataError, match="audio features contain non-finite values"):
+        generate_sequence(initial, clips, sched, pose, rhythm, {**pp, **rp})
 
 
 def test_initial_pose_shape_mismatch_rejected(gen_setup, small_spec):
@@ -266,7 +276,7 @@ def batch_setup():
     rng = np.random.default_rng(21)
     pp, rp = nn.init_params(pose.param_shapes(), rng), nn.init_params(rhythm.param_shapes(), rng)
     initial = MotionClip(rng.normal(size=(16, 6)), joint_spec=spec)
-    clips = [AudioClip(rng.normal(size=(16, 5))) for _ in MIXED]
+    clips = np.stack([rng.normal(size=(16, 5)) for _ in MIXED])
     return pose, pp, rhythm, rp, initial, clips
 
 

@@ -7,16 +7,16 @@ import numpy as np
 import pytest
 
 from speechmotion import (
-    AudioClip,
     Checkpoint,
     DataError,
     FeatureStats,
     JointSpec,
+    MfccSettings,
     MotionClip,
     NumericError,
     RunConfig,
+    SampleSet,
     Transcript,
-    TrainingSample,
     build_branches,
     generate_sequence,
     io,
@@ -100,29 +100,110 @@ def test_transcript_bad_line_reports_location(tmp_path):
         io.load_transcript(path)
 
 
-def _sample(seed, c=0):
-    rng = np.random.default_rng(seed)
-    return TrainingSample(
-        m_prev=MotionClip(rng.normal(size=(4, 6)), joint_spec=SPEC),
-        m_cur=MotionClip(rng.normal(size=(4, 6)), joint_spec=SPEC),
-        s_cur=AudioClip(rng.normal(size=(4, 3))),
-        c=c,
-        speaker_id=f"spk{seed % 2}",
-        segment_id=f"seg{seed}",
+# the skeleton, clip length and audio width of the split files below
+SPLIT_CONFIG = RunConfig().replace(
+    t_frames=4, joint_names=SPEC.names, hand_joints=("right_palm",),
+    mfcc=MfccSettings(n_mfcc=3, deltas=False),
+)
+
+
+def _samples(n=5):
+    rng = np.random.default_rng(0)
+    return SampleSet(
+        m_prev=rng.normal(size=(n, 4, 6)),
+        m_cur=rng.normal(size=(n, 4, 6)),
+        audio=rng.normal(size=(n, 4, 3)),
+        c=[i % 2 for i in range(n)],
+        speaker=[f"spk{i % 2}" for i in range(n)],
+        segment=[f"seg{i}" for i in range(n)],
     )
 
 
 def test_split_round_trip(tmp_path):
-    samples = [_sample(i, c=i % 2) for i in range(5)]
+    samples = _samples()
     path = tmp_path / "train.npz"
-    io.save_split(path, samples, 15.0, SPEC, {"note": "test"})
-    loaded = io.load_split(path)
+    io.save_split(path, samples, SPLIT_CONFIG, {"note": "test"})
+    loaded = io.load_split(path, SPLIT_CONFIG)
     assert len(loaded) == 5
-    for a, b in zip(samples, loaded):
-        np.testing.assert_array_equal(a.m_prev.frames, b.m_prev.frames)
-        np.testing.assert_array_equal(a.m_cur.frames, b.m_cur.frames)
-        np.testing.assert_array_equal(a.s_cur.features, b.s_cur.features)
-        assert (a.c, a.speaker_id, a.segment_id) == (b.c, b.speaker_id, b.segment_id)
+    for name in ("m_prev", "m_cur", "audio", "c", "speaker", "segment"):
+        np.testing.assert_array_equal(getattr(loaded, name), getattr(samples, name))
+
+
+def _rewrite_split(tmp_path, **changes):
+    """A split/1 file with some of its arrays replaced."""
+    good = tmp_path / "good.npz"
+    io.save_split(good, _samples(), SPLIT_CONFIG)
+    with np.load(good) as npz:
+        arrays = {key: npz[key] for key in npz.files}
+    arrays.update(changes)
+    path = tmp_path / "bad.npz"
+    np.savez(path, **arrays)
+    return path
+
+
+def test_split_with_non_finite_values_names_file(tmp_path):
+    m_cur = _samples().m_cur.copy()
+    m_cur[2, 1, 3] = np.nan
+    path = _rewrite_split(tmp_path, m_cur=m_cur)
+    with pytest.raises(DataError, match=r"bad\.npz: m_cur contains non-finite values"):
+        io.load_split(path, SPLIT_CONFIG)
+
+
+def test_split_with_label_other_than_0_or_1_names_file(tmp_path):
+    path = _rewrite_split(tmp_path, c=np.array([0, 1, 2, 0, 1]))
+    with pytest.raises(DataError, match=r"bad\.npz: mode label must be 0 or 1, got 2"):
+        io.load_split(path, SPLIT_CONFIG)
+
+
+def test_split_with_disagreeing_rows_names_file(tmp_path):
+    path = _rewrite_split(tmp_path, c=np.array([0, 1, 0, 1]))
+    with pytest.raises(DataError, match=r"bad\.npz: m_prev has shape \(5, 4, 6\), expected 3-D with 4 rows"):
+        io.load_split(path, SPLIT_CONFIG)
+
+
+def test_split_with_disagreeing_frames_names_file(tmp_path):
+    path = _rewrite_split(tmp_path, s_cur=np.zeros((5, 3, 3)))
+    with pytest.raises(DataError, match=r"bad\.npz: clip shapes disagree: .* audio \(5, 3, 3\)"):
+        io.load_split(path, SPLIT_CONFIG)
+
+
+@pytest.mark.parametrize(
+    "changes, what",
+    [
+        ({"t_frames": 8}, "clip frames 4"),
+        ({"joint_names": ("nose", "neck", "left_palm"), "hand_joints": ("left_palm",)}, "joint names"),
+        ({"mfcc": MfccSettings(n_mfcc=3)}, "audio width 3"),
+        ({"fps": 30.0}, "fps 15.0"),
+        ({"mfcc": MfccSettings(sample_rate=8000, n_mfcc=3, deltas=False)}, "audio sample rate 16000"),
+    ],
+)
+def test_split_that_does_not_fit_the_config_names_file(tmp_path, changes, what):
+    path = tmp_path / "train.npz"
+    io.save_split(path, _samples(), SPLIT_CONFIG)
+    with pytest.raises(DataError, match=rf"train\.npz: split has {what}"):
+        io.load_split(path, SPLIT_CONFIG.replace(**changes))
+
+
+def test_preprocess_split_round_trips_byte_identically(tmp_path):
+    from speechmotion.cli import main
+
+    config = RunConfig().replace(
+        t_frames=16,
+        toy=dataclasses.replace(RunConfig().toy, speakers=2, segments_per_speaker=3, clips_per_segment=4),
+    )
+    config.save(tmp_path / "config.json")
+    common = ["--config", str(tmp_path / "config.json")]
+    assert main(["make-toy", *common, "--out", str(tmp_path / "toy"), "--seed", "5"]) == 0
+    assert main(["preprocess", *common, "--landmarks", str(tmp_path / "toy" / "landmarks"),
+                 "--audio", str(tmp_path / "toy" / "audio"), "--out", str(tmp_path / "data")]) == 0
+    with np.load(tmp_path / "data" / "train.npz") as npz:
+        meta = json.loads(str(npz["meta"]))
+    for path in sorted((tmp_path / "data").glob("*.npz")):
+        if path.name == "stats.npz":
+            continue
+        again = tmp_path / f"again_{path.name}"
+        io.save_split(again, io.load_split(path, config), config, meta)
+        assert again.read_bytes() == path.read_bytes(), path.name
 
 
 def test_stats_round_trip(tmp_path):
@@ -220,7 +301,7 @@ def test_checkpoint_1_file_generates_same_motion(tmp_path):
     rng = np.random.default_rng(8)
     initial = MotionClip(rng.normal(size=(config.t_frames, config.d_m)),
                          joint_spec=config.joint_spec)
-    audio = [AudioClip(rng.normal(size=(config.t_frames, config.mfcc.d_s))) for _ in range(3)]
+    audio = np.stack([rng.normal(size=(config.t_frames, config.mfcc.d_s)) for _ in range(3)])
     schedule = mode_schedule(None, 3, "explicit", explicit=[0, 1, 1])
     expected = generate_sequence(initial, audio, schedule, pose, rhythm, ckpt.params, seeds=[1, 2])
     got = generate_sequence(initial, audio, schedule, pose, rhythm, loaded.params, seeds=[1, 2])

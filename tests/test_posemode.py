@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from speechmotion import AudioClip, JointSpec, MotionClip, nn
+from speechmotion import JointSpec, MotionClip, nn
 from speechmotion.model import one_step
 from speechmotion.posemode import PoseModeBranch, PoseModeConfig
 
@@ -249,12 +249,12 @@ def test_generate_pose_mode_matches_component_chain(tiny_pose, tiny_rhythm, clip
     branch, params = tiny_pose
     rhythm, rhythm_params = tiny_rhythm
     prev = clip_factory(seed=7)
-    audio = AudioClip(np.random.default_rng(14).normal(size=(4, 3)))
+    audio = np.random.default_rng(14).normal(size=(4, 3))
     seed = 13
     z_rows = np.random.default_rng(seed).standard_normal((1, branch.config.d_z))
     got_pose, got_offsets = one_step(
         branch, rhythm, {**params, **rhythm_params}, prev.frames.reshape(1, -1), z_rows,
-        audio.features[None],
+        audio[None],
     )
 
     from speechmotion import autodiff as ad

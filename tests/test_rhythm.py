@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from speechmotion import AudioClip, MotionClip, nn
+from speechmotion import MotionClip, nn
 from speechmotion.motion import RhythmOffset, decompose
 from speechmotion.rhythm import RhythmBranch, RhythmConfig
 
@@ -14,7 +14,7 @@ from oracles import loss_rhythm, rhythm_generate
 
 def test_generate_shape_and_determinism(tiny_rhythm):
     branch, params = tiny_rhythm
-    audio = AudioClip(np.random.default_rng(0).normal(size=(4, 3)))
+    audio = np.random.default_rng(0).normal(size=(4, 3))
     a = rhythm_generate(branch, params, audio)
     b = rhythm_generate(branch, params, audio)
     assert a.offsets.shape == (4, branch.config.d_m)
@@ -24,16 +24,16 @@ def test_generate_shape_and_determinism(tiny_rhythm):
 def test_generate_rejects_wrong_shape(tiny_rhythm):
     branch, params = tiny_rhythm
     with pytest.raises(ValueError):
-        rhythm_generate(branch, params, AudioClip(np.zeros((4, 5))))
+        rhythm_generate(branch, params, np.zeros((4, 5)))
     with pytest.raises(ValueError):
-        rhythm_generate(branch, params, AudioClip(np.zeros((6, 3))))
+        rhythm_generate(branch, params, np.zeros((6, 3)))
 
 
 def test_finite_output_for_random_inputs(tiny_rhythm):
     branch, params = tiny_rhythm
     rng = np.random.default_rng(1)
     for _ in range(10):
-        out = rhythm_generate(branch, params, AudioClip(rng.normal(scale=10.0, size=(4, 3))))
+        out = rhythm_generate(branch, params, rng.normal(scale=10.0, size=(4, 3)))
         assert np.all(np.isfinite(out.offsets))
 
 
@@ -44,8 +44,8 @@ def test_circular_shift_equivariance_interior():
     params = nn.init_params(branch.param_shapes(), np.random.default_rng(2))
     x = np.random.default_rng(3).normal(size=(64, 3))
     k = 7
-    out = rhythm_generate(branch, params, AudioClip(x)).offsets
-    out_shifted = rhythm_generate(branch, params, AudioClip(np.roll(x, k, axis=0))).offsets
+    out = rhythm_generate(branch, params, x).offsets
+    out_shifted = rhythm_generate(branch, params, np.roll(x, k, axis=0)).offsets
     # receptive field reaches (kernel//2)*n_layers = 4 rows past each border
     margin = (config.kernel // 2) * config.n_layers + k
     interior = slice(margin, 64 - margin)

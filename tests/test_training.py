@@ -7,15 +7,15 @@ import numpy as np
 import pytest
 
 from speechmotion import (
-    AudioClip,
     DataError,
     DatasetSplit,
+    FeatureStats,
     JointSpec,
     LossWeights,
     MotionClip,
     NumericError,
     RunConfig,
-    TrainingSample,
+    SampleSet,
     build_dataset,
     label_mode_change,
     make_toy_dataset,
@@ -47,13 +47,13 @@ def _tiny_branches(seed=0):
 
 def _sample(seed=0, c=0):
     rng = np.random.default_rng(seed)
-    return TrainingSample(
-        m_prev=MotionClip(rng.normal(size=(4, 6)), joint_spec=SPEC),
-        m_cur=MotionClip(rng.normal(size=(4, 6)), joint_spec=SPEC),
-        s_cur=AudioClip(rng.normal(size=(4, 3))),
-        c=c,
-        speaker_id="s",
-        segment_id="seg",
+    return SampleSet(
+        m_prev=rng.normal(size=(1, 4, 6)),
+        m_cur=rng.normal(size=(1, 4, 6)),
+        audio=rng.normal(size=(1, 4, 3)),
+        c=[c],
+        speaker=["s"],
+        segment=["seg"],
     )
 
 
@@ -86,13 +86,13 @@ def test_perfect_model_on_zero_clip_reconstructs():
     pose, pp, rhythm, rp = _tiny_branches()
     pp = {k: np.zeros_like(v) for k, v in pp.items()}
     rp = {k: np.zeros_like(v) for k, v in rp.items()}
-    zero = TrainingSample(
-        m_prev=MotionClip(np.zeros((4, 6)), joint_spec=SPEC),
-        m_cur=MotionClip(np.zeros((4, 6)), joint_spec=SPEC),
-        s_cur=AudioClip(np.zeros((4, 3))),
-        c=0,
-        speaker_id="s",
-        segment_id="seg",
+    zero = SampleSet(
+        m_prev=np.zeros((1, 4, 6)),
+        m_cur=np.zeros((1, 4, 6)),
+        audio=np.zeros((1, 4, 3)),
+        c=[0],
+        speaker=["s"],
+        segment=["seg"],
     )
     total, breakdown = total_loss(zero, pose, rhythm, {**pp, **rp}, LossWeights(1.0, 0.0, 0.0, 0.0))
     assert total == 0.0
@@ -136,8 +136,8 @@ def test_indicator_semantics_of_vae_term(tiny_pose=None):
         _, breakdown = total_loss(
             sample, pose, rhythm, {**pp, **rp}, LossWeights(0.0, 1.0, 0.0, 0.0)
         )
-        e_prev = encode_motion(pose, pp, sample.m_prev)
-        e_cur = encode_motion(pose, pp, sample.m_cur)
+        e_prev = encode_motion(pose, pp, MotionClip(sample.m_prev[0], joint_spec=SPEC))
+        e_cur = encode_motion(pose, pp, MotionClip(sample.m_cur[0], joint_spec=SPEC))
         post = posterior(pose, pp, e_cur - e_prev)
         assert abs(breakdown["vae"] - loss_vae(post, c)) < 1e-9
 
@@ -158,8 +158,8 @@ def test_total_loss_matches_hand_traced_forward():
                 x = np.tanh(x)
         return x
 
-    x_prev = sample.m_prev.frames.reshape(1, -1)
-    x_cur = sample.m_cur.frames.reshape(1, -1)
+    x_prev = sample.m_prev.reshape(1, -1)
+    x_cur = sample.m_cur.reshape(1, -1)
     e_prev = mlp("pose.f_enc", x_prev, 2)
     e_cur = mlp("pose.f_enc", x_cur, 2)
     stats = mlp("pose.h_enc", e_cur - e_prev, 2)
@@ -172,7 +172,7 @@ def test_total_loss_matches_hand_traced_forward():
     e_star = mlp("pose.h_dec", np.concatenate([z, e_prev], axis=1), 2)
     pose_flat = mlp("pose.f_dec", e_star, 2)
 
-    audio = sample.s_cur.features[None]
+    audio = sample.audio
     h = audio
     for i in range(2):
         w, b_ = rp[f"rhythm.conv{i}.w"], rp[f"rhythm.conv{i}.b"]
@@ -183,7 +183,7 @@ def test_total_loss_matches_hand_traced_forward():
     rhythm_flat = rhythm_out.reshape(1, -1)
 
     rec = float(np.abs(pose_flat + rhythm_flat - x_cur).mean())
-    gt_off = sample.m_cur.frames - sample.m_cur.frames.mean(axis=0)
+    gt_off = sample.m_cur[0] - sample.m_cur[0].mean(axis=0)
     rhythm_term = float(np.abs(rhythm_out[0] - gt_off).mean())
     reg = float(
         np.abs(mlp("pose.f_dec", e_cur, 2) - x_cur).mean()
@@ -239,27 +239,25 @@ def test_build_dataset_counts_and_determinism(toy_corpus):
     assert len(split_a.train) == 32
     assert len(split_a.val) == 4
     assert len(split_a.test) == 4
-    for a, b in zip(split_a.train, split_b.train):
-        np.testing.assert_array_equal(a.m_cur.frames, b.m_cur.frames)
-        assert a.segment_id == b.segment_id and a.c == b.c
+    np.testing.assert_array_equal(split_a.train.m_cur, split_b.train.m_cur)
+    np.testing.assert_array_equal(split_a.train.segment, split_b.train.segment)
+    np.testing.assert_array_equal(split_a.train.c, split_b.train.c)
 
 
 def test_split_segments_disjoint(toy_corpus):
     _, config, landmarks, audio = toy_corpus
     split, _ = build_dataset(landmarks, audio, config)
-    groups = [
-        {s.segment_id for s in split.train},
-        {s.segment_id for s in split.val},
-        {s.segment_id for s in split.test},
-    ]
+    groups = [set(split.train.segment), set(split.val.segment), set(split.test.segment)]
     assert not (groups[0] & groups[1] or groups[0] & groups[2] or groups[1] & groups[2])
 
 
 def test_labels_match_pseudo_rule(toy_corpus):
     _, config, landmarks, audio = toy_corpus
     split, _ = build_dataset(landmarks, audio, config)
-    for s in split.train + split.val + split.test:
-        assert s.c == label_mode_change(s.m_prev, s.m_cur, config.mode_threshold)
+    every = SampleSet.concatenate([split.train, split.val, split.test])
+    for prev, cur, c in zip(every.m_prev, every.m_cur, every.c):
+        clips = (MotionClip(prev, joint_spec=config.joint_spec), MotionClip(cur, joint_spec=config.joint_spec))
+        assert c == label_mode_change(*clips, config.mode_threshold)
 
 
 def test_single_pair_segment(tmp_path):
@@ -311,7 +309,84 @@ def test_empty_inputs_is_data_error():
 def test_dataset_split_rejects_leaky_segments():
     a, b = _sample(1), _sample(2)
     with pytest.raises(ValueError):
-        DatasetSplit(train=(a,), val=(b,), test=(), feature_stats=None)
+        DatasetSplit(train=a, val=b, test=a[:0], feature_stats=None)
+
+
+# -- sample sets and batches ---------------------------------------------------------------
+
+
+def _sample_set(n=3, t=4, **changes):
+    rng = np.random.default_rng(n)
+    arrays = dict(
+        m_prev=rng.normal(size=(n, t, 6)),
+        m_cur=rng.normal(size=(n, t, 6)),
+        audio=rng.normal(size=(n, t, 3)),
+        c=[i % 2 for i in range(n)],
+        speaker=[f"spk{i % 2}" for i in range(n)],
+        segment=[f"seg{i}" for i in range(n)],
+    )
+    arrays.update(changes)
+    return SampleSet(**arrays)
+
+
+def test_sample_set_holds_read_only_copies():
+    m_prev = np.zeros((3, 4, 6))
+    samples = _sample_set(m_prev=m_prev)
+    m_prev[0] = 1.0
+    assert not samples.m_prev.any()
+    with pytest.raises(ValueError):
+        samples.m_prev[0, 0, 0] = 1.0
+    rows = samples[[2, 0]]
+    np.testing.assert_array_equal(rows.audio, samples.audio[[2, 0]])
+    assert list(rows.segment) == ["seg2", "seg0"] and len(samples[:0]) == 0
+
+
+@pytest.mark.parametrize("name", ["m_prev", "m_cur", "audio"])
+def test_sample_set_rejects_non_finite_values(name):
+    values = getattr(_sample_set(), name).copy()
+    values[1, 2, 0] = np.inf
+    with pytest.raises(DataError, match=f"{name} contains non-finite values"):
+        _sample_set(**{name: values})
+
+
+def test_sample_set_rejects_labels_other_than_0_or_1():
+    with pytest.raises(ValueError, match="mode label must be 0 or 1, got -1"):
+        _sample_set(c=[0, -1, 1])
+
+
+def test_sample_set_rejects_rows_or_frames_that_disagree():
+    with pytest.raises(ValueError, match=r"speaker has shape \(2,\), expected 1-D with 3 rows"):
+        _sample_set(speaker=["a", "b"])
+    with pytest.raises(ValueError, match=r"clip shapes disagree: .* audio \(3, 5, 3\)"):
+        _sample_set(audio=np.zeros((3, 5, 3)))
+    with pytest.raises(ValueError, match=r"clip shapes disagree: m_prev \(3, 4, 4\)"):
+        _sample_set(m_prev=np.zeros((3, 4, 4)))
+
+
+@pytest.mark.parametrize("t", [4, 16, 64])
+def test_batches_match_per_sample_stacking(t):
+    """Rows of the once-standardized set are the batches stacked sample by sample."""
+    rng = np.random.default_rng(t)
+    n = 40
+    samples = _sample_set(
+        n=n,
+        t=t,
+        m_prev=rng.normal(size=(n, t, 24)) + rng.normal(scale=3.0, size=(n, 1, 24)),
+        m_cur=rng.normal(size=(n, t, 24)) + rng.normal(scale=3.0, size=(n, 1, 24)),
+        audio=rng.normal(-4.0, 5.0, size=(n, t, 26)),
+        speaker=[f"spk{i % 3}" for i in range(n)],
+    )
+    train_rows = samples.speaker != "spk2"  # spk2 is unseen: standardized by the pooled row
+    stats = FeatureStats.fit({
+        str(spk): samples.audio[samples.speaker == spk].reshape(-1, 26)
+        for spk in np.unique(samples.speaker[train_rows])
+    })
+    whole = _make_batch(samples.standardized(stats))
+    for size in (1, 5, 16, 32):
+        idx = rng.permutation(n)[:size]
+        got, expected = whole.rows(idx), oracles.make_batch(samples, idx, stats)
+        for field in ("x_prev", "x_cur", "audio", "offsets", "labels"):
+            assert np.array_equal(getattr(got, field), getattr(expected, field)), field
 
 
 # -- training loop -------------------------------------------------------------------------
@@ -398,7 +473,7 @@ def test_batch_loss_leaf_gradients_match_intact_graph_walk(toy_corpus):
     split, _ = build_dataset(landmarks, audio, config)
     pose, rhythm = build_branches(config)
     params = nn.init_params({**pose.param_shapes(), **rhythm.param_shapes()}, np.random.default_rng(4))
-    batch = _make_batch(split.train[:8], split.feature_stats)
+    batch = _make_batch(split.train[:8].standardized(split.feature_stats))
     assert set(batch.labels) == {0, 1}
     grads = []
     for walk in (ad.Var.backward, oracles.backward):
@@ -419,7 +494,7 @@ def test_train_loss_decreases(toy_corpus):
 
 def test_validation_lvd_empty_is_nan():
     pose, pp, rhythm, rp = _tiny_branches()
-    assert np.isnan(validation_lvd([], pose, rhythm, {**pp, **rp}, None, seed=0))
+    assert np.isnan(validation_lvd([], pose, rhythm, {**pp, **rp}, seed=0))
 
 
 def test_validation_lvd_positive(toy_corpus):
@@ -434,8 +509,8 @@ def test_validation_lvd_positive(toy_corpus):
     rhythm = RhythmBranch(rcfg)
     rng = np.random.default_rng(0)
     value = validation_lvd(
-        split.val, pose, rhythm,
+        split.val.standardized(split.feature_stats), pose, rhythm,
         nn.init_params({**pose.param_shapes(), **rhythm.param_shapes()}, rng),
-        split.feature_stats, seed=0,
+        seed=0,
     )
     assert value > 0
