@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 
-from speechmotion import MotionClip, RunConfig, diversity, mode_schedule
+from speechmotion import RunConfig, diversity, mode_schedule
 from speechmotion.evaluation import evaluate_checkpoint
 from speechmotion.generation import generate_sequence
 from speechmotion.model import build_branches
@@ -45,7 +45,7 @@ pose, rhythm = build_branches(config)
 # borrow audio and a starting clip from the test split
 steps = split.test[:4]
 audio = steps.standardized(ckpt.feature_stats).audio
-initial = MotionClip(steps.m_prev[0], fps=config.fps, joint_spec=config.joint_spec)
+initial = steps.m_prev[0]
 
 # a zero schedule keeps the base posture; no randomness is consumed
 hold = mode_schedule(None, len(audio), "explicit", explicit=[0] * len(audio))
@@ -56,10 +56,10 @@ print("zero schedule, seeds 1 vs 2 identical:", np.array_equal(a.motion, b.motio
 # All 8 seeds run as one batch, each with its own generator.
 lively = mode_schedule(None, len(audio), "fixed-interval", interval=2)
 print("fixed-interval labels:", lively.labels)
-runs = [
+runs = np.stack([
     r.motion
     for r in generate_sequence(initial, audio, lively, pose, rhythm, ckpt.params, seeds=range(8))
-]
+])
 print("8 seeds distinct:", len({m.tobytes() for m in runs}) == 8)
 print("8-seed diversity:", round(diversity(runs), 4))
 

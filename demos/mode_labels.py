@@ -23,7 +23,7 @@ for i in range(3):
 hold = np.tile(base_posture(0, spec), (2 * config.t_frames, 1))
 hold += 0.02 * np.sin(np.arange(2 * config.t_frames) / 3)[:, None]  # wiggle, not a switch
 a, b = chunk_sequence(hold, config.t_frames, joint_spec=spec)
-print("hold -> label", label_mode_change(a, b, config.mode_threshold))
+print("hold -> label", label_mode_change(a, b, spec, config.mode_threshold))
 
 # a switch between postures moves the hand average past the threshold
 switch = np.concatenate(
@@ -33,7 +33,7 @@ switch = np.concatenate(
     ]
 )
 a, b = chunk_sequence(switch, config.t_frames, joint_spec=spec)
-print("switch -> label", label_mode_change(a, b, config.mode_threshold))
+print("switch -> label", label_mode_change(a, b, spec, config.mode_threshold))
 
 # on the synthetic corpus the labels recover the generation script exactly
 small = config.replace(
@@ -43,14 +43,12 @@ with tempfile.TemporaryDirectory() as tmp:
     manifest = make_toy_dataset(tmp, small, seed=0)
     hits = total = 0
     for entry in manifest["segments"]:
-        frames, fps, _, _ = io.load_landmarks(
+        frames, _, _, _ = io.load_landmarks(
             Path(tmp) / "landmarks" / f"{entry['segment_id']}.npz"
         )
-        clips = chunk_sequence(frames, small.t_frames, fps=fps, joint_spec=spec)
-        labels = [
-            label_mode_change(p, c, small.mode_threshold)
-            for p, c in zip(clips, clips[1:])
-        ]
-        hits += sum(int(x == y) for x, y in zip(labels, entry["mode_labels"]))
+        # (n_clips, T, D): every consecutive pair labelled at once
+        clips = chunk_sequence(frames, small.t_frames, joint_spec=spec)
+        labels = label_mode_change(clips[:-1], clips[1:], spec, small.mode_threshold)
+        hits += int(np.sum(labels == entry["mode_labels"]))
         total += len(labels)
 print(f"label agreement with the script: {hits}/{total}")

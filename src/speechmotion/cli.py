@@ -30,7 +30,7 @@ from .evaluation import evaluate_checkpoint
 from .generation import ModeSchedule, generate_sequence, mode_schedule
 from .metrics import diversity
 from .model import build_branches
-from .motion import MotionClip, chunk_sequence, normalize_skeleton, swap_dynamics
+from .motion import MotionClip, normalize_skeleton, swap_dynamics
 from .toydata import make_toy_dataset
 from .training import build_dataset, train
 from . import io
@@ -169,7 +169,7 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
-def _initial_pose(args, ckpt) -> MotionClip:
+def _initial_pose(args, ckpt) -> np.ndarray:
     config = ckpt.config
     if args.initial_pose:
         frames, fps, spec, _ = io.load_landmarks(args.initial_pose)
@@ -180,9 +180,8 @@ def _initial_pose(args, ckpt) -> MotionClip:
         normalized = normalize_skeleton(frames, spec)
         if len(normalized) < config.t_frames:
             raise DataError(f"{args.initial_pose}: too short for one clip")
-        return MotionClip(normalized[: config.t_frames], fps=config.fps, joint_spec=spec)
-    rest = np.tile(ckpt.rest_posture, (config.t_frames, 1))
-    return MotionClip(rest, fps=config.fps, joint_spec=config.joint_spec)
+        return normalized[: config.t_frames]
+    return np.tile(ckpt.rest_posture, (config.t_frames, 1))
 
 
 def _schedule_for(args, config: RunConfig, n_steps: int, transcript) -> ModeSchedule:
@@ -270,7 +269,7 @@ def cmd_generate(args) -> int:
         io.save_json(sidecar, {"format": "generation-meta/1", **meta})
     msg = f"generated {n_steps} step(s) x {len(seeds)} seed(s); schedule {schedule.provenance}"
     if len(seeds) > 1:
-        spread = diversity([r.motion for r in results])
+        spread = diversity(np.stack([r.motion for r in results]))
         io.save_json(out / "batch_summary.json",
                      {"format": "generation-batch/1", "seeds": seeds, "diversity": spread,
                       **_meta(config, args.seed)})

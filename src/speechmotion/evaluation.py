@@ -23,7 +23,6 @@ from .metrics import (
     quality_score,
 )
 from .model import build_branches, one_step
-from .motion import MotionClip
 from .posemode import PoseModeBranch
 from .rhythm import RhythmBranch
 from .training import one_step_predictions
@@ -47,7 +46,7 @@ def sample_diversity(
     for i, (prev, audio) in enumerate(zip(samples.m_prev, samples.audio)):
         z = np.random.default_rng(seed + i).standard_normal((n_samples, pose.config.d_z))
         pose_flat, offsets = one_step(pose, rhythm, params, prev.reshape(1, -1), z, audio[None])
-        values.append(diversity(list(pose_flat.reshape(n_samples, *prev.shape) + offsets)))
+        values.append(diversity(pose_flat.reshape(n_samples, *prev.shape) + offsets))
     return float(np.mean(values))
 
 
@@ -71,21 +70,17 @@ def evaluate_checkpoint(
         group = standardized[np.flatnonzero(samples.speaker == speaker)]
         rng = np.random.default_rng([seed, len(group)])
         generated = one_step_predictions(group, pose, rhythm, ckpt.params, rng)
-        t = group.m_cur.shape[1]
-        lvd_model = float(np.mean([lvd(gen, cur) for gen, cur in zip(generated, group.m_cur)]))
-        lvd_last = float(np.mean([
-            lvd(baseline_last_step(MotionClip(prev, config.fps, config.joint_spec), t), cur)
-            for prev, cur in zip(group.m_prev, group.m_cur)
-        ]))
-        lvd_mean = float(np.mean([lvd(baseline_mean_velocity(cur), cur) for cur in group.m_cur]))
+        lvd_model = lvd(generated, group.m_cur)
+        lvd_last = lvd(baseline_last_step(group.m_prev, group.m_cur.shape[1]), group.m_cur)
+        lvd_mean = lvd(baseline_mean_velocity(group.m_cur), group.m_cur)
         diversity_value = sample_diversity(
             group[: ev.diversity_audios], pose, rhythm, ckpt.params,
             n_samples=ev.diversity_samples, seed=seed,
         )
         if len(group) >= 4:
             quality = quality_score(
-                list(group.m_cur),
-                list(generated),
+                group.m_cur,
+                generated,
                 seed=seed,
                 hidden=ev.quality_hidden,
                 n_layers=ev.quality_layers,

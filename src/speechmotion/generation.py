@@ -24,7 +24,6 @@ import numpy as np
 from .audio import Transcript
 from .errors import DataError, NumericError
 from .model import one_step
-from .motion import MotionClip
 from .posemode import PoseModeBranch
 from .rhythm import RhythmBranch
 
@@ -122,7 +121,7 @@ class GenerationResult:
 
 
 def generate_sequence(
-    initial_pose: MotionClip,
+    initial_pose: np.ndarray,
     audio: np.ndarray,
     schedule: ModeSchedule,
     pose: PoseModeBranch,
@@ -136,7 +135,7 @@ def generate_sequence(
     """Run the autoregressive loop over aligned audio clips, for every seed at once.
 
     Args:
-        initial_pose: clip standing in for the step-0 "previous motion".
+        initial_pose: (T, D) frames standing in for the step-0 "previous motion".
         audio: (n_steps, T, D_S) standardized features, one clip per step.
         schedule: mode labels, one per step.
         params: both branches' weights.
@@ -153,7 +152,8 @@ def generate_sequence(
         bit-identical across seeds.
 
     Raises:
-        DataError when there is no audio clip or a feature is not finite.
+        DataError when there is no audio clip, or a feature or an initial
+        pose value is not finite.
         NumericError naming the first step whose pose-mode clips or offsets
         hold a non-finite value.
     """
@@ -175,13 +175,16 @@ def generate_sequence(
         )
     if not np.isfinite(audio).all():
         raise DataError("audio features contain non-finite values")
-    if initial_pose.frames.shape != (t, pose.config.d_m):
+    initial_pose = np.asarray(initial_pose, dtype=np.float64)
+    if initial_pose.shape != (t, pose.config.d_m):
         raise ValueError(
-            f"initial pose shape {initial_pose.frames.shape} does not match"
+            f"initial pose shape {initial_pose.shape} does not match"
             f" configured ({t}, {pose.config.d_m})"
         )
+    if not np.isfinite(initial_pose).all():
+        raise DataError("initial pose contains non-finite values")
     rngs = [np.random.default_rng(seed) for seed in seeds]
-    x_prev = initial_pose.frames.reshape(1, -1)
+    x_prev = initial_pose.reshape(1, -1)
     z_steps, pose_steps, offset_steps = [], [], []
     for i, c in enumerate(schedule.labels):
         if c:

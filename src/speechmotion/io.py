@@ -108,19 +108,6 @@ def load_landmarks(path) -> tuple[np.ndarray, float, JointSpec, dict]:
 # -- waveforms -----------------------------------------------------------
 
 
-def save_waveform(path, samples: np.ndarray, sample_rate: int, meta: dict | None = None) -> None:
-    samples = np.asarray(samples, dtype=np.float64)
-    if samples.ndim != 1:
-        raise ValueError("waveform must be mono 1-D")
-    np.savez(
-        path,
-        format="waveform/1",
-        samples=samples,
-        sample_rate=np.int64(sample_rate),
-        meta=_meta_json(meta),
-    )
-
-
 def load_waveform(path) -> tuple[np.ndarray, int]:
     """Read audio from a waveform/1 npz or a mono 16-bit PCM WAV file.
 
@@ -323,8 +310,9 @@ def load_checkpoint(path) -> Checkpoint:
     Raises:
         DataError naming the file: a stored config whose hash is not the one
         recorded in meta, a parameter missing from it, one its config does
-        not define, a shape that does not fit the config, or a non-finite
-        value.
+        not define, a shape that does not fit the config, a non-finite
+        value, or a rest posture that is not one finite frame of the
+        config's width.
     """
     npz = _load_npz(path)
     _check_format(npz, "checkpoint/1", path)
@@ -342,12 +330,19 @@ def load_checkpoint(path) -> Checkpoint:
         if key.startswith("param.")
     }
     _check_params(path, params, config)
+    rest_posture = np.asarray(npz["rest_posture"], dtype=np.float64)
+    if rest_posture.shape != (config.d_m,):
+        raise DataError(
+            f"{path}: rest posture has shape {rest_posture.shape}, its config needs ({config.d_m},)"
+        )
+    if not np.all(np.isfinite(rest_posture)):
+        raise DataError(f"{path}: rest posture contains non-finite values")
     known = {"seed", "epoch", "val_lvd", "config_hash"}
     return Checkpoint(
         params=params,
         config=config,
         feature_stats=_stats_from(npz),
-        rest_posture=np.asarray(npz["rest_posture"], dtype=np.float64),
+        rest_posture=rest_posture,
         seed=int(meta["seed"]),
         epoch=int(meta["epoch"]),
         val_lvd=None if meta.get("val_lvd") is None else float(meta["val_lvd"]),
@@ -361,11 +356,3 @@ def load_checkpoint(path) -> Checkpoint:
 def save_json(path, payload: dict) -> None:
     Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
-
-def load_json(path) -> dict:
-    try:
-        return json.loads(Path(path).read_text())
-    except FileNotFoundError:
-        raise DataError(f"{path}: no such file") from None
-    except json.JSONDecodeError as exc:
-        raise DataError(f"{path}: invalid JSON ({exc})") from None

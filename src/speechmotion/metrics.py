@@ -1,11 +1,12 @@
 """Evaluation: velocity difference, sample diversity, adversarial quality,
 and the two trivial prediction baselines.
 
-All metrics are plain functions over (N, D) float64 landmark sequences.
-The quality score trains a small temporal-conv classifier to separate real
-from generated sequences and reports the mean predicted-real probability on
-held-out generated ones, so 0.5 means indistinguishable and 0 means the
-fakes are trivially spotted.
+All metrics are plain functions over float64 clips stacked as (N, T, D)
+arrays. `lvd` and the baselines work along the frame axis, -2, so one
+(T, D) clip goes through the same code. The quality score trains a small
+temporal-conv classifier to separate real from generated clips and reports
+the mean predicted-real probability on held-out generated ones, so 0.5
+means indistinguishable and 0 means the fakes are trivially spotted.
 """
 
 from __future__ import annotations
@@ -17,43 +18,43 @@ import numpy as np
 from . import autodiff as ad
 from . import nn
 from .errors import DataError
-from .motion import MotionClip
 
 
-def _seq(array, name: str, min_rows: int = 1) -> np.ndarray:
-    seq = np.asarray(array, dtype=np.float64)
-    if seq.ndim != 2:
-        raise ValueError(f"{name} must be 2-D (frames, coords), got shape {seq.shape}")
-    if seq.shape[0] < min_rows:
-        raise ValueError(f"{name} needs at least {min_rows} frames, got {seq.shape[0]}")
-    return seq
+def _frames(array, name: str, min_frames: int = 1, ndim: int | None = None) -> np.ndarray:
+    """`array` as float64 (..., T, D) frames: `ndim` axes if given, at least two."""
+    frames = np.asarray(array, dtype=np.float64)
+    if frames.ndim < 2 or ndim not in (None, frames.ndim):
+        raise ValueError(
+            f"{name} must be {ndim or '>= 2'}-D (..., frames, coords), got shape {frames.shape}"
+        )
+    if frames.shape[-2] < min_frames:
+        raise ValueError(f"{name} needs at least {min_frames} frames, got {frames.shape[-2]}")
+    return frames
 
 
 def lvd(generated, ground_truth) -> float:
-    """Landmark velocity difference: mean |v_gen - v_gt| over all entries.
+    """Landmark velocity difference: the mean over clips of each clip's mean
+    |v_gen - v_gt| over all its entries.
 
-    Velocities are first differences along time; both sequences must share
-    the same (N >= 2, D) shape. Adding a constant posture to both inputs
-    changes nothing; scaling both by a factor scales the result by it.
+    Velocities are first differences along the frame axis (-2); both inputs
+    must share one (..., T >= 2, D) shape. Adding a constant posture to both
+    inputs changes nothing; scaling both by a factor scales the result by it.
     """
-    gen = _seq(generated, "generated", 2)
-    gt = _seq(ground_truth, "ground_truth", 2)
+    gen = _frames(generated, "generated", 2)
+    gt = _frames(ground_truth, "ground_truth", 2)
     if gen.shape != gt.shape:
         raise ValueError(f"sequence shapes differ: {gen.shape} vs {gt.shape}")
-    return float(np.mean(np.abs(np.diff(gen, axis=0) - np.diff(gt, axis=0))))
+    per_clip = np.abs(np.diff(gen, axis=-2) - np.diff(gt, axis=-2)).mean(axis=(-2, -1))
+    return float(per_clip.mean())
 
 
-def diversity(sequences) -> float:
-    """Mean pairwise MAE over all unordered pairs of equally-shaped sequences."""
-    seqs = [_seq(s, f"sequences[{i}]") for i, s in enumerate(sequences)]
-    if len(seqs) < 2:
+def diversity(clips) -> float:
+    """Mean pairwise MAE over all unordered pairs of an (N >= 2, T, D) stack."""
+    stack = _frames(clips, "clips", ndim=3)
+    n = len(stack)
+    if n < 2:
         raise ValueError("diversity needs at least two sequences")
-    shape = seqs[0].shape
-    if any(s.shape != shape for s in seqs):
-        raise ValueError("all sequences must share one shape")
-    n = len(seqs)
-    stack = np.stack(seqs)
-    diff = np.empty((n - 1,) + shape)
+    diff = np.empty((n - 1,) + stack.shape[1:])
     total = 0.0
     for i in range(n - 1):
         d = diff[: n - 1 - i]
@@ -63,42 +64,35 @@ def diversity(sequences) -> float:
     return float(total / count)
 
 
-def baseline_last_step(prev_clip: MotionClip, horizon: int) -> np.ndarray:
-    """Extrapolate the last observed velocity for `horizon` frames.
+def baseline_last_step(prev_frames, horizon: int) -> np.ndarray:
+    """Extrapolate the last observed velocity of (..., T >= 2, D) frames for
+    `horizon` frames.
 
     Frame k of the prediction is last_frame + (k + 1) * last_velocity.
-    horizon 0 yields an empty (0, D) array.
+    horizon 0 yields an empty (..., 0, D) array.
     """
     if horizon < 0:
         raise ValueError("horizon must be non-negative")
-    last = prev_clip.frames[-1]
-    velocity = prev_clip.frames[-1] - prev_clip.frames[-2]
+    prev = _frames(prev_frames, "prev_frames", 2)
+    last = prev[..., -1:, :]
+    velocity = last - prev[..., -2:-1, :]
     steps = np.arange(1, horizon + 1)[:, None]
     return last + steps * velocity
 
 
-def baseline_mean_velocity(gt_sequence) -> np.ndarray:
-    """Constant-velocity prediction using the sequence's own mean velocity.
+def baseline_mean_velocity(gt_frames) -> np.ndarray:
+    """Constant-velocity prediction using each clip's own mean velocity.
 
-    Starts at the first ground-truth frame; every frame-to-frame velocity of
-    the prediction equals the mean ground-truth velocity.
+    Starts at the clip's first ground-truth frame; every frame-to-frame
+    velocity of the prediction equals the clip's mean ground-truth velocity.
     """
-    gt = _seq(gt_sequence, "gt_sequence", 2)
-    mean_v = np.diff(gt, axis=0).mean(axis=0)
-    steps = np.arange(gt.shape[0])[:, None]
-    return gt[0] + steps * mean_v
+    gt = _frames(gt_frames, "gt_frames", 2)
+    mean_v = np.diff(gt, axis=-2).mean(axis=-2, keepdims=True)
+    steps = np.arange(gt.shape[-2])[:, None]
+    return gt[..., :1, :] + steps * mean_v
 
 
 # -- adversarial quality --------------------------------------------------------
-
-
-def _stack_truncated(sequences, name: str) -> np.ndarray:
-    seqs = [_seq(s, f"{name}[{i}]", 2) for i, s in enumerate(sequences)]
-    width = seqs[0].shape[1]
-    if any(s.shape[1] != width for s in seqs):
-        raise ValueError(f"{name} sequences must share coordinate width")
-    t_min = min(s.shape[0] for s in seqs)
-    return np.stack([s[:t_min] for s in seqs])
 
 
 def quality_score(
@@ -114,18 +108,19 @@ def quality_score(
     train_frac: float = 0.7,
     weight_decay: float = 1e-2,
 ) -> float:
-    """Mean predicted-real probability of held-out generated sequences.
+    """Mean predicted-real probability of held-out generated clips.
 
-    A small temporal-conv classifier is trained on a 70/30 split of both
-    sets (subsampled to equal class sizes) with logistic loss, then applied
-    to the held-out generated sequences. Deterministic for a fixed seed.
+    Both sets are (N, T, D) stacks of one clip shape. A small temporal-conv
+    classifier is trained on a 70/30 split of both sets (subsampled to equal
+    class sizes) with logistic loss, then applied to the held-out generated
+    clips. Deterministic for a fixed seed.
     """
-    real = _stack_truncated(real_set, "real_set")
-    gen = _stack_truncated(generated_set, "generated_set")
-    if real.shape[2] != gen.shape[2]:
-        raise ValueError("real and generated sequences must share coordinate width")
-    t_min = min(real.shape[1], gen.shape[1])
-    real, gen = real[:, :t_min], gen[:, :t_min]
+    real = _frames(real_set, "real_set", 2, ndim=3)
+    gen = _frames(generated_set, "generated_set", 2, ndim=3)
+    if real.shape[1:] != gen.shape[1:]:
+        raise ValueError(
+            f"real and generated clips differ in shape: {real.shape[1:]} vs {gen.shape[1:]}"
+        )
     if not 0 < train_frac < 1:
         raise ValueError("train_frac must be strictly between 0 and 1")
 

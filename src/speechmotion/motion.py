@@ -183,13 +183,13 @@ def chunk_sequence(
     sequence,
     t_frames: int,
     *,
-    fps: float = DEFAULT_FPS,
     joint_spec: JointSpec = DEFAULT_JOINTS,
-) -> list[MotionClip]:
+) -> np.ndarray:
     """Cut a sequence into consecutive non-overlapping clips of t_frames.
 
-    The trailing remainder of fewer than t_frames frames is dropped. A
-    sequence shorter than one clip is a data error.
+    Returns the (count, t_frames, D) reshape of the sequence's first
+    count * t_frames frames; the trailing remainder of fewer than t_frames
+    frames is dropped. A sequence shorter than one clip is a data error.
     """
     if t_frames < 2:
         raise ValueError("t_frames must be at least 2")
@@ -198,10 +198,7 @@ def chunk_sequence(
     if n < t_frames:
         raise DataError(f"sequence of {n} frames is shorter than one clip ({t_frames})")
     count = n // t_frames
-    return [
-        MotionClip(frames[i * t_frames : (i + 1) * t_frames], fps=fps, joint_spec=joint_spec)
-        for i in range(count)
-    ]
+    return frames[: count * t_frames].reshape(count, t_frames, -1)
 
 
 def normalize_skeleton(sequence, joint_spec: JointSpec = DEFAULT_JOINTS) -> np.ndarray:
@@ -268,29 +265,35 @@ def swap_dynamics(a: MotionClip, b: MotionClip) -> tuple[MotionClip, MotionClip]
 
 
 def label_mode_change(
-    prev: MotionClip,
-    cur: MotionClip,
+    prev,
+    cur,
+    joint_spec: JointSpec,
     threshold: float = DEFAULT_MODE_THRESHOLD,
-) -> int:
-    """Pseudo-label whether the base posture switches between two clips.
+) -> np.ndarray:
+    """Pseudo-label whether the base posture switches between paired clips.
 
-    Returns 1 when the hand joints of the two mean postures are far apart:
-    the Euclidean displacement per hand joint, averaged over hand joints,
-    strictly exceeds `threshold` (in normalized skeleton units). Rhythmic
-    motion averages out of the mean postures, so within-posture pairs stay
-    well below any sensible threshold.
+    prev and cur are (N, T, D) stacks of clip pairs; the result holds one
+    int64 label per pair, (N,). A label is 1 when the hand joints of the two
+    mean postures are far apart: the Euclidean displacement per hand joint,
+    averaged over hand joints, strictly exceeds `threshold` (in normalized
+    skeleton units). Rhythmic motion averages out of the mean postures, so
+    within-posture pairs stay well below any sensible threshold.
     """
     if not threshold > 0:
         raise ValueError("threshold must be positive")
-    if prev.frames.shape != cur.frames.shape:
-        raise ValueError("clips must share frame count and width")
-    spec = prev.joint_spec
-    if not spec.hand_indices:
+    prev = np.asarray(prev, dtype=np.float64)
+    cur = np.asarray(cur, dtype=np.float64)
+    if prev.shape != cur.shape:
+        raise ValueError(f"clip shapes differ: {prev.shape} vs {cur.shape}")
+    if prev.ndim < 2 or prev.shape[-1] != joint_spec.d_m:
+        raise ValueError(
+            f"clips of shape {prev.shape} do not fit the joint spec ({joint_spec.d_m} wide)"
+        )
+    if not (np.isfinite(prev).all() and np.isfinite(cur).all()):
+        raise DataError("clip frames contain non-finite values")
+    if not joint_spec.hand_indices:
         raise DataError("joint spec defines no hand joints to label with")
-    mp = prev.frames.mean(axis=0)
-    mc = cur.frames.mean(axis=0)
-    dists = [
-        float(np.hypot(*(mp[spec.xy(j)] - mc[spec.xy(j)])))
-        for j in spec.hand_indices
-    ]
-    return int(np.mean(dists) > threshold)
+    delta = prev.mean(axis=-2) - cur.mean(axis=-2)
+    x_cols = 2 * np.array(joint_spec.hand_indices)
+    dists = np.hypot(delta[..., x_cols], delta[..., x_cols + 1])
+    return (dists.mean(axis=-1) > threshold).astype(np.int64)

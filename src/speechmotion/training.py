@@ -92,17 +92,15 @@ def _segment_samples(lm_path: Path, audio_path: Path, config: RunConfig) -> Samp
         raise DataError(f"{audio_path}: {exc}") from None
 
     try:
-        clips = chunk_sequence(normalized, config.t_frames, fps=config.fps, joint_spec=spec)
+        clips = chunk_sequence(normalized, config.t_frames, joint_spec=spec)
         if len(clips) < 2:
             raise DataError("segment too short for a clip pair")
         n, t = len(clips) - 1, config.t_frames
-        stacked = np.stack([clip.frames for clip in clips])
-        labels = [label_mode_change(a, b, config.mode_threshold) for a, b in zip(clips, clips[1:])]
         return SampleSet(
-            m_prev=stacked[:-1],
-            m_cur=stacked[1:],
+            m_prev=clips[:-1],
+            m_cur=clips[1:],
             audio=aligned[t : (n + 1) * t].reshape(n, t, -1),
-            c=labels,
+            c=label_mode_change(clips[:-1], clips[1:], spec, config.mode_threshold),
             speaker=[str(meta.get("speaker", lm_path.stem.split("_")[0]))] * n,
             segment=[str(meta.get("segment", lm_path.stem))] * n,
         )
@@ -317,7 +315,7 @@ def validation_lvd(
     if not samples:
         return float("nan")
     composed = one_step_predictions(samples, pose, rhythm, params, np.random.default_rng(seed))
-    return float(np.mean([lvd(gen, gt) for gen, gt in zip(composed, samples.m_cur)]))
+    return lvd(composed, samples.m_cur)
 
 
 # -- training loop ------------------------------------------------------------------

@@ -4,11 +4,13 @@ The package runs both branches only through their batched tape methods
 (`encode_v`, `posterior_v`, `forward_v`, ...) via `model.one_step` and
 `training._batch_loss`. The helpers here re-derive the same quantities one
 clip or one vector at a time, in plain numpy or through a batch of one, so
-the tests can check the batched core against them. `make_batch` stacks a
-training batch one sample at a time, `conv1d_same` is the plain per-sample
-form of the tape's convolution, `backward` the tape walk that leaves the
-graph intact, and `WholeArrayAdam` the optimizer update on whole arrays
-with fresh temporaries.
+the tests can check the batched core against them. The metric and label
+references walk a clip stack one row or pair at a time, as the package did
+before its metrics took stacked arrays. `make_batch` stacks a training batch
+one sample at a time, `conv1d_same` is the plain per-sample form of the
+tape's convolution, `backward` the tape walk that leaves the graph intact,
+and `WholeArrayAdam` the optimizer update on whole arrays with fresh
+temporaries.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from speechmotion import autodiff as ad
 from speechmotion import nn
 from speechmotion.audio import FeatureStats
 from speechmotion.data import SampleSet
-from speechmotion.motion import MotionClip, RhythmOffset
+from speechmotion.motion import JointSpec, MotionClip, RhythmOffset
 from speechmotion.posemode import PoseModeBranch
 from speechmotion.rhythm import RhythmBranch
 from speechmotion.training import LossWeights, _Batch, _batch_loss
@@ -220,6 +222,46 @@ def total_loss(
     batch = make_batch(sample, [0], feature_stats)
     total, breakdown = _batch_loss(pose, rhythm, nn.param_vars(params), batch, weights, rng)
     return float(total.data), breakdown
+
+
+# -- metrics and mode labels, one clip or pair at a time ---------------------------------
+
+
+def chunk_clips(frames: np.ndarray, t_frames: int) -> np.ndarray:
+    """Consecutive t_frames clips of a (N, D) sequence, sliced out one by one."""
+    count = len(frames) // t_frames
+    return np.stack([frames[i * t_frames : (i + 1) * t_frames] for i in range(count)])
+
+
+def clip_lvd(generated: np.ndarray, ground_truth: np.ndarray) -> float:
+    """Mean |v_gen - v_gt| of one (T, D) clip pair."""
+    return float(np.mean(np.abs(np.diff(generated, axis=0) - np.diff(ground_truth, axis=0))))
+
+
+def mean_lvd(generated: np.ndarray, ground_truth: np.ndarray) -> float:
+    """Mean over the rows of two (N, T, D) stacks of each row's `clip_lvd`."""
+    return float(np.mean([clip_lvd(gen, gt) for gen, gt in zip(generated, ground_truth)]))
+
+
+def last_step(prev: np.ndarray, horizon: int) -> np.ndarray:
+    """One (T, D) clip's last velocity extrapolated for `horizon` frames."""
+    steps = np.arange(1, horizon + 1)[:, None]
+    return prev[-1] + steps * (prev[-1] - prev[-2])
+
+
+def mean_velocity(gt: np.ndarray) -> np.ndarray:
+    """One (T, D) clip's constant-velocity prediction from its first frame."""
+    mean_v = np.diff(gt, axis=0).mean(axis=0)
+    return gt[0] + np.arange(gt.shape[0])[:, None] * mean_v
+
+
+def pair_label(prev: np.ndarray, cur: np.ndarray, spec: JointSpec, threshold: float) -> int:
+    """Mode-change label of one (T, D) clip pair: the mean over hand joints of
+    each joint's displacement between the two mean postures, above threshold."""
+    mp = prev.mean(axis=0)
+    mc = cur.mean(axis=0)
+    dists = [float(np.hypot(*(mp[spec.xy(j)] - mc[spec.xy(j)]))) for j in spec.hand_indices]
+    return int(np.mean(dists) > threshold)
 
 
 # -- tape ops --------------------------------------------------------------------------

@@ -242,7 +242,7 @@ def _tiny_generation_setup():
     rng = np.random.default_rng(17)
     pose_params = nn.init_params(pose.param_shapes(), rng)
     rhythm_params = nn.init_params(rhythm.param_shapes(), rng)
-    initial = MotionClip(rng.normal(size=(8, 8)), joint_spec=SPEC4)
+    initial = rng.normal(size=(8, 8))
     audio = np.stack([rng.normal(size=(8, 3)) for _ in range(3)])
     return pose, pose_params, rhythm, rhythm_params, initial, audio
 
@@ -405,12 +405,9 @@ def test_criterion_9_pseudo_label_recovery(toy_corpus):
     agree = 0
     total = 0
     for entry in manifest["segments"]:
-        frames, fps, _, _ = io.load_landmarks(root / "landmarks" / f"{entry['segment_id']}.npz")
-        clips = chunk_sequence(frames, config.t_frames, fps=fps, joint_spec=spec)
-        labels = [
-            label_mode_change(prev, cur, config.mode_threshold)
-            for prev, cur in zip(clips, clips[1:])
-        ]
+        frames, _, _, _ = io.load_landmarks(root / "landmarks" / f"{entry['segment_id']}.npz")
+        clips = chunk_sequence(frames, config.t_frames, joint_spec=spec)
+        labels = label_mode_change(clips[:-1], clips[1:], spec, config.mode_threshold)
         agree += sum(int(a == b) for a, b in zip(labels, entry["mode_labels"]))
         total += len(labels)
     rate = agree / total

@@ -69,7 +69,7 @@ def test_workspace_artifacts(workspace):
     assert workspace["checkpoint"].exists()
     assert (workspace["run"] / "checkpoint_best.npz").exists()
     assert (workspace["run"] / "train_log.jsonl").exists()
-    manifest = io.load_json(workspace["data"] / "manifest.json")
+    manifest = json.loads((workspace["data"] / "manifest.json").read_text())
     counts = manifest["counts"]
     # 10 segments x 4 transition pairs, split 0.8/0.1/0.1 by segment
     assert counts["train"]["total"] == 32
@@ -150,7 +150,7 @@ def test_generate_num_seeds_batch(workspace, tmp_path):
     )
     for seed in range(3):
         assert (out / f"motion_seed{seed}.npz").exists()
-    summary = io.load_json(out / "batch_summary.json")
+    summary = json.loads((out / "batch_summary.json").read_text())
     assert summary["seeds"] == [0, 1, 2]
     assert summary["diversity"] > 0.0
 
@@ -194,7 +194,7 @@ def test_generate_keyword_policy(workspace, tmp_path):
         )
         == 0
     )
-    meta = io.load_json(tmp_path / "kw.meta.json")
+    meta = json.loads((tmp_path / "kw.meta.json").read_text())
     assert meta["schedule_provenance"] == "keyword"
     # the toy transcript plants a keyword at every posture switch
     assert sum(meta["schedule"]) >= 1
@@ -217,7 +217,7 @@ def test_evaluate_writes_report(workspace, tmp_path, capsys):
         ]
     )
     assert code == 0
-    report = io.load_json(out)
+    report = json.loads(out.read_text())
     assert {"per_speaker", "overall"} <= set(report)
     assert report["overall"]["lvd_model"] > 0.0
     assert "overall:" in capsys.readouterr().out
@@ -251,7 +251,7 @@ def test_set_override_changes_output(tmp_path):
         ]
     )
     assert code == 0
-    manifest = io.load_json(out / "toy_script.json")
+    manifest = json.loads((out / "toy_script.json").read_text())
     assert len(manifest["segments"]) == 2
     assert all(s["speaker"] == "spk0" for s in manifest["segments"])
 
@@ -346,7 +346,6 @@ def test_data_errors_exit_2(tmp_path):
 
 
 def _write_waveform_npz(path, samples, sample_rate):
-    # written directly: io.save_waveform refuses some of these shapes itself
     np.savez(path, format="waveform/1", samples=samples, sample_rate=np.int64(sample_rate), meta="{}")
 
 
@@ -422,6 +421,24 @@ def test_bad_checkpoint_names_file(workspace, tmp_path, capsys, case, command):
     err = capsys.readouterr().err
     assert str(checkpoint) in err
     assert key in err
+
+
+@pytest.mark.parametrize("case", ["nan", "wide"])
+def test_bad_rest_posture_names_file(workspace, tmp_path, capsys, case):
+    arrays = dict(np.load(workspace["checkpoint"], allow_pickle=False))
+    rest = arrays["rest_posture"]
+    if case == "nan":
+        rest[3] = np.nan
+    else:
+        arrays["rest_posture"] = np.concatenate([rest, [0.0, 0.0]])
+    checkpoint = tmp_path / "bad.npz"
+    np.savez(checkpoint, **arrays)
+    code = main(["generate", "--checkpoint", str(checkpoint), "--audio", str(workspace["audio"]),
+                 "--out", str(tmp_path / "x.npz")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert str(checkpoint) in err
+    assert "rest posture" in err
 
 
 def test_train_on_split_of_other_clip_length_names_file(workspace, tmp_path, capsys):

@@ -92,7 +92,7 @@ def gen_setup(tiny_pose, tiny_rhythm, small_spec):
     pose, pose_params = tiny_pose
     rhythm, rhythm_params = tiny_rhythm
     rng = np.random.default_rng(100)
-    initial = MotionClip(rng.normal(size=(4, small_spec.d_m)), joint_spec=small_spec)
+    initial = rng.normal(size=(4, small_spec.d_m))
     clips = np.stack([rng.normal(size=(4, 3)) for _ in range(3)])
     return pose, pose_params, rhythm, rhythm_params, initial, clips
 
@@ -139,7 +139,7 @@ def test_single_step_equals_component_calls(gen_setup):
     pose, pp, rhythm, rp, initial, clips = gen_setup
     seed = 5
     result = _run(gen_setup, (1,), seed=seed)
-    e_prev = encode_motion(pose, pp, initial)
+    e_prev = encode_motion(pose, pp, MotionClip(initial, joint_spec=pose.joint_spec))
     z = sample_latent(pose, 1, rng=np.random.default_rng(seed), mode="infer")
     e_star = pose.decode_transition_v(
         nn.param_vars(pp), ad.Var(z[None, :]), ad.Var(e_prev[None, :])
@@ -201,7 +201,7 @@ def test_non_finite_step_is_numeric_error_naming_it(tiny_pose, tiny_rhythm, smal
     rp["rhythm.head.w"][0] = 1e308
     rp["rhythm.head.b"][:] = 1e308
     clips = np.stack([np.full((4, 3), a) for a in (-1.0, -1.0, 1.0, -1.0)])
-    initial = MotionClip(np.zeros((4, small_spec.d_m)), joint_spec=small_spec)
+    initial = np.zeros((4, small_spec.d_m))
     sched = ModeSchedule((0, 1, 0, 1), "explicit")
     with pytest.raises(NumericError, match="non-finite motion at step 2 of 4"):
         generate_sequence(initial, clips, sched, pose, rhythm, {**pp, **rp}, seeds=[0, 1])
@@ -252,7 +252,7 @@ def test_audio_validation(gen_setup):
 
 def test_initial_pose_shape_mismatch_rejected(gen_setup, small_spec):
     pose, pp, rhythm, rp, _, clips = gen_setup
-    wrong = MotionClip(np.zeros((6, small_spec.d_m)), joint_spec=small_spec)
+    wrong = np.zeros((6, small_spec.d_m))
     with pytest.raises(ValueError, match=r"initial pose shape \(6, 6\) does not match configured \(4, 6\)"):
         generate_sequence(
             wrong, clips[:1], ModeSchedule((0,), "explicit"), pose, rhythm, {**pp, **rp},
@@ -275,7 +275,7 @@ def batch_setup():
     rhythm = RhythmBranch(RhythmConfig(t_frames=16, d_s=5, d_m=6, hidden=16, n_layers=2))
     rng = np.random.default_rng(21)
     pp, rp = nn.init_params(pose.param_shapes(), rng), nn.init_params(rhythm.param_shapes(), rng)
-    initial = MotionClip(rng.normal(size=(16, 6)), joint_spec=spec)
+    initial = rng.normal(size=(16, 6))
     clips = np.stack([rng.normal(size=(16, 5)) for _ in MIXED])
     return pose, pp, rhythm, rp, initial, clips
 
@@ -306,7 +306,7 @@ def test_batched_rows_before_first_draw_identical_across_seeds(batch_setup, n_se
     results = generate_sequence(
         initial, clips, sched, pose, rhythm, {**pp, **rp}, seeds=range(n_seeds)
     )
-    t = initial.t
+    t = len(initial)
     before = MIXED.index(1) * t
     for r in results:
         np.testing.assert_array_equal(r.motion[:before], results[0].motion[:before])

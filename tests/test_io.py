@@ -12,7 +12,6 @@ from speechmotion import (
     FeatureStats,
     JointSpec,
     MfccSettings,
-    MotionClip,
     NumericError,
     RunConfig,
     SampleSet,
@@ -58,7 +57,7 @@ def test_landmarks_reject_foreign_file(tmp_path):
 def test_waveform_npz_round_trip(tmp_path):
     wave = np.random.default_rng(2).normal(size=4000)
     path = tmp_path / "w.npz"
-    io.save_waveform(path, wave, 16000)
+    np.savez(path, format="waveform/1", samples=wave, sample_rate=np.int64(16000), meta="{}")
     loaded, rate = io.load_waveform(path)
     np.testing.assert_array_equal(loaded, wave)
     assert rate == 16000
@@ -299,8 +298,7 @@ def test_checkpoint_1_file_generates_same_motion(tmp_path):
     config = ckpt.config
     pose, rhythm = build_branches(config)
     rng = np.random.default_rng(8)
-    initial = MotionClip(rng.normal(size=(config.t_frames, config.d_m)),
-                         joint_spec=config.joint_spec)
+    initial = rng.normal(size=(config.t_frames, config.d_m))
     audio = np.stack([rng.normal(size=(config.t_frames, config.mfcc.d_s)) for _ in range(3)])
     schedule = mode_schedule(None, 3, "explicit", explicit=[0, 1, 1])
     expected = generate_sequence(initial, audio, schedule, pose, rhythm, ckpt.params, seeds=[1, 2])
@@ -312,7 +310,7 @@ def test_checkpoint_1_file_generates_same_motion(tmp_path):
 def test_json_round_trip(tmp_path):
     path = tmp_path / "r.json"
     io.save_json(path, {"a": 1, "b": [1, 2]})
-    assert io.load_json(path) == {"a": 1, "b": [1, 2]}
+    assert json.loads(path.read_text()) == {"a": 1, "b": [1, 2]}
 
 
 # -- run config --------------------------------------------------------------------------

@@ -5,19 +5,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from speechmotion import (
     DataError,
-    JointSpec,
-    MotionClip,
+    RunConfig,
     baseline_last_step,
     baseline_mean_velocity,
     diversity,
+    io,
+    label_mode_change,
     lvd,
+    make_toy_dataset,
+    normalize_skeleton,
     quality_score,
 )
 from speechmotion.metrics import MetricReport, SpeakerMetrics
-
-SPEC = JointSpec(names=("nose", "neck"), hand_indices=(0,))
+from speechmotion.motion import chunk_sequence
 
 
 def _col(values):
@@ -111,7 +114,7 @@ def test_diversity_errors():
 
 
 def test_last_step_constant_clip_stays_constant():
-    clip = MotionClip(np.tile([1.0, 2.0, 0.5, 0.0], (4, 1)), joint_spec=SPEC)
+    clip = np.tile([1.0, 2.0, 0.5, 0.0], (4, 1))
     out = baseline_last_step(clip, 3)
     np.testing.assert_allclose(out, np.tile([1.0, 2.0, 0.5, 0.0], (3, 1)))
 
@@ -120,15 +123,13 @@ def test_last_step_advances_by_final_velocity():
     frames = np.zeros((3, 4))
     frames[1, 0] = 0.5
     frames[2, 0] = 1.5  # final velocity (1.0, 0, 0, 0)
-    clip = MotionClip(frames, joint_spec=SPEC)
-    out = baseline_last_step(clip, 2)
+    out = baseline_last_step(frames, 2)
     np.testing.assert_allclose(out[:, 0], [2.5, 3.5])
     np.testing.assert_allclose(out[:, 1:], 0.0)
 
 
 def test_last_step_zero_horizon_is_empty():
-    clip = MotionClip(np.zeros((3, 4)), joint_spec=SPEC)
-    assert baseline_last_step(clip, 0).shape == (0, 4)
+    assert baseline_last_step(np.zeros((3, 4)), 0).shape == (0, 4)
 
 
 def test_mean_velocity_constant_velocity_is_exact():
@@ -154,7 +155,7 @@ def test_baseline_errors():
     with pytest.raises(ValueError):
         baseline_mean_velocity(np.zeros((1, 2)))
     with pytest.raises(ValueError):
-        baseline_last_step(MotionClip(np.zeros((2, 4)), joint_spec=SPEC), -1)
+        baseline_last_step(np.zeros((2, 4)), -1)
 
 
 # -- quality ----------------------------------------------------------------------------------
@@ -214,12 +215,56 @@ def test_quality_too_small_sets():
         quality_score(seqs, seqs)
 
 
-def test_quality_truncates_to_common_length():
+@pytest.mark.parametrize("t, d", [(10, 4), (12, 3)])
+def test_quality_rejects_sets_of_different_shape(t, d):
     rng = np.random.default_rng(7)
     real = _rhythmic_set(rng, 8, t=12)
-    fake = [s[:10] for s in _rhythmic_set(rng, 8, t=12)]
-    score = quality_score(real, fake, seed=0, epochs=30)
-    assert 0.0 <= score <= 1.0
+    fake = [s[:t, :d] for s in _rhythmic_set(rng, 8, t=12)]
+    with pytest.raises(ValueError, match="differ in shape"):
+        quality_score(real, fake, seed=0, epochs=30)
+
+
+# -- stacked forms against the per-row references ----------------------------------------
+
+
+@pytest.fixture(scope="module")
+def toy_sequences(tmp_path_factory):
+    """Every normalized landmark sequence of the default toy corpus (seed 0)."""
+    root = tmp_path_factory.mktemp("toy")
+    config = RunConfig()
+    manifest = make_toy_dataset(root, config, seed=0)
+    sequences = []
+    for entry in manifest["segments"]:
+        frames, _, spec, _ = io.load_landmarks(root / "landmarks" / f"{entry['segment_id']}.npz")
+        sequences.append(normalize_skeleton(frames, spec))
+    return config, sequences
+
+
+@pytest.mark.parametrize("t_frames", [16, 30, 64])
+def test_stacked_forms_match_per_row_oracles(toy_sequences, t_frames):
+    config, sequences = toy_sequences
+    spec = config.joint_spec
+    prevs, curs = [], []
+    for frames in sequences:
+        clips = chunk_sequence(frames, t_frames, joint_spec=spec)
+        assert np.array_equal(clips, oracles.chunk_clips(frames, t_frames))
+        labels = label_mode_change(clips[:-1], clips[1:], spec, config.mode_threshold)
+        assert labels.dtype == np.int64
+        expected = [
+            oracles.pair_label(p, c, spec, config.mode_threshold) for p, c in zip(clips, clips[1:])
+        ]
+        assert np.array_equal(labels, expected)
+        prevs.append(clips[:-1])
+        curs.append(clips[1:])
+    prev, cur = np.concatenate(prevs), np.concatenate(curs)
+
+    last = baseline_last_step(prev, t_frames)
+    assert np.array_equal(last, np.stack([oracles.last_step(p, t_frames) for p in prev]))
+    mean_v = baseline_mean_velocity(cur)
+    assert np.array_equal(mean_v, np.stack([oracles.mean_velocity(c) for c in cur]))
+    for generated in (prev, last, mean_v):
+        assert lvd(generated, cur) == oracles.mean_lvd(generated, cur)
+    assert lvd(prev[0], cur[0]) == oracles.clip_lvd(prev[0], cur[0])
 
 
 # -- report containers -------------------------------------------------------------------------

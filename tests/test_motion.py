@@ -73,22 +73,22 @@ def test_constant_clip_has_zero_offsets():
 def test_chunk_128_frames_into_two_clips():
     seq = np.arange(128 * 24, dtype=float).reshape(128, 24)
     clips = chunk_sequence(seq, 64)
-    assert len(clips) == 2
-    np.testing.assert_array_equal(clips[0].frames, seq[:64])
-    np.testing.assert_array_equal(clips[1].frames, seq[64:])
+    assert clips.shape == (2, 64, 24)
+    np.testing.assert_array_equal(clips[0], seq[:64])
+    np.testing.assert_array_equal(clips[1], seq[64:])
 
 
 def test_chunk_exact_fit_is_identity():
     seq = np.random.default_rng(0).normal(size=(64, 24))
     (clip,) = chunk_sequence(seq, 64)
-    np.testing.assert_array_equal(clip.frames, seq)
+    np.testing.assert_array_equal(clip, seq)
 
 
 def test_chunk_drops_remainder():
     seq = np.random.default_rng(1).normal(size=(100, 24))
     clips = chunk_sequence(seq, 64)
     assert len(clips) == 1
-    np.testing.assert_array_equal(clips[0].frames, seq[:64])
+    np.testing.assert_array_equal(clips[0], seq[:64])
 
 
 def test_chunk_too_short_is_data_error():
@@ -203,34 +203,31 @@ def test_swap_shape_mismatch(clip_factory):
 def _hand_shifted(spec, shift):
     base = np.zeros((4, spec.d_m))
     base[:, 0:2] = [0.0, 1.0]  # nose above neck
-    prev = MotionClip(base, joint_spec=spec)
     moved = base.copy()
     moved[:, spec.xy("right_palm")] += shift
-    return prev, MotionClip(moved, joint_spec=spec)
+    return base, moved
 
 
 def test_label_identical_clips_is_zero(small_spec):
     prev, _ = _hand_shifted(small_spec, [0.0, 0.0])
-    assert label_mode_change(prev, prev, 0.25) == 0
+    assert label_mode_change(prev, prev, small_spec, 0.25) == 0
 
 
 def test_label_double_threshold_is_one(small_spec):
     prev, cur = _hand_shifted(small_spec, [0.5, 0.0])
-    assert label_mode_change(prev, cur, 0.25) == 1
+    assert label_mode_change(prev, cur, small_spec, 0.25) == 1
 
 
 def test_label_exact_threshold_is_zero(small_spec):
     prev, cur = _hand_shifted(small_spec, [0.25, 0.0])
-    assert label_mode_change(prev, cur, 0.25) == 0
+    assert label_mode_change(prev, cur, small_spec, 0.25) == 0
 
 
 def test_label_scale_invariance(small_spec):
     prev, cur = _hand_shifted(small_spec, [0.4, 0.3])
     for factor in (0.5, 2.0, 10.0):
-        scaled_prev = MotionClip(prev.frames * factor, joint_spec=small_spec)
-        scaled_cur = MotionClip(cur.frames * factor, joint_spec=small_spec)
-        assert label_mode_change(prev, cur, 0.25) == label_mode_change(
-            scaled_prev, scaled_cur, 0.25 * factor
+        assert label_mode_change(prev, cur, small_spec, 0.25) == label_mode_change(
+            prev * factor, cur * factor, small_spec, 0.25 * factor
         )
 
 
@@ -239,21 +236,20 @@ def test_label_mean_posture_ignores_rhythm(small_spec):
     prev, cur = _hand_shifted(small_spec, [0.1, 0.0])
     wobble = np.zeros((4, small_spec.d_m))
     wobble[:, small_spec.xy("right_palm")] = np.array([[1.0, -1.0], [-1.0, 1.0], [1.0, -1.0], [-1.0, 1.0]])
-    wobbly_cur = MotionClip(cur.frames + wobble, joint_spec=small_spec)
-    assert label_mode_change(prev, wobbly_cur, 0.25) == 0
+    assert label_mode_change(prev, cur + wobble, small_spec, 0.25) == 0
 
 
 def test_label_requires_hand_joints():
     spec = JointSpec(names=("nose", "neck"), hand_indices=())
-    clip = MotionClip(np.zeros((4, 4)), joint_spec=spec)
+    clip = np.zeros((4, 4))
     with pytest.raises(DataError):
-        label_mode_change(clip, clip, 0.25)
+        label_mode_change(clip, clip, spec, 0.25)
 
 
-def test_label_requires_positive_threshold(clip_factory):
-    clip = clip_factory()
+def test_label_requires_positive_threshold(clip_factory, small_spec):
+    clip = clip_factory().frames
     with pytest.raises(ValueError):
-        label_mode_change(clip, clip, 0.0)
+        label_mode_change(clip, clip, small_spec, 0.0)
 
 
 # -- container validation --------------------------------------------------------------

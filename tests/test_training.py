@@ -17,7 +17,6 @@ from speechmotion import (
     RunConfig,
     SampleSet,
     build_dataset,
-    label_mode_change,
     make_toy_dataset,
     train,
     validation_lvd,
@@ -256,8 +255,7 @@ def test_labels_match_pseudo_rule(toy_corpus):
     split, _ = build_dataset(landmarks, audio, config)
     every = SampleSet.concatenate([split.train, split.val, split.test])
     for prev, cur, c in zip(every.m_prev, every.m_cur, every.c):
-        clips = (MotionClip(prev, joint_spec=config.joint_spec), MotionClip(cur, joint_spec=config.joint_spec))
-        assert c == label_mode_change(*clips, config.mode_threshold)
+        assert c == oracles.pair_label(prev, cur, config.joint_spec, config.mode_threshold)
 
 
 def test_single_pair_segment(tmp_path):
