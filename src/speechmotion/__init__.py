@@ -58,8 +58,8 @@ from .motion import (
     swap_dynamics,
     temporal_mean,
 )
-from .posemode import PoseModeBranch, PoseModeConfig
-from .rhythm import RhythmBranch, RhythmConfig
+from .posemode import PoseModeBranch
+from .rhythm import RhythmBranch
 from .toydata import make_toy_dataset
 from .training import LossWeights, TrainResult, build_dataset, train, validation_lvd
 
@@ -86,9 +86,7 @@ __all__ = [
     "MotionClip",
     "NumericError",
     "PoseModeBranch",
-    "PoseModeConfig",
     "RhythmBranch",
-    "RhythmConfig",
     "RhythmOffset",
     "RunConfig",
     "SampleSet",

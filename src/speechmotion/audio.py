@@ -54,6 +54,8 @@ class MfccSettings:
     def __post_init__(self) -> None:
         if self.sample_rate <= 0 or self.window_s <= 0 or self.hop_s <= 0:
             raise ValueError("sample rate, window, and hop must be positive")
+        if self.n_mfcc < 1:
+            raise ValueError("need at least one DCT coefficient")
         if self.n_mfcc > self.n_mels:
             raise ValueError("cannot keep more DCT coefficients than mel bands")
 

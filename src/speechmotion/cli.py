@@ -316,7 +316,9 @@ def cmd_swap_demo(args) -> int:
     swapped_a, swapped_b = swap_dynamics(clip_a, clip_b)
     out = _out_path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    meta = _meta(config, config.train.seed, source_a=str(args.a), source_b=str(args.b))
+    # file names only, so the bytes do not depend on the working directory
+    meta = _meta(config, config.train.seed, source_a=Path(args.a).name,
+                 source_b=Path(args.b).name)
     io.save_landmarks(out / "a_with_b_rhythm.npz", swapped_a.frames, fps_a, spec_a, meta)
     io.save_landmarks(out / "b_with_a_rhythm.npz", swapped_b.frames, fps_b, spec_b, meta)
     drift = max(

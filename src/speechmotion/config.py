@@ -32,6 +32,11 @@ class ModelSettings:
     rhythm_kernel: int = 5
     activation: str = "tanh"
 
+    def __post_init__(self) -> None:
+        sizes = (self.d_e, self.d_z, self.rhythm_hidden, self.rhythm_layers, self.rhythm_kernel)
+        if min(*sizes, *self.enc_hidden, *self.latent_hidden) < 1:
+            raise ValueError("all model sizes must be positive")
+
 
 @dataclass(frozen=True)
 class TrainSettings:
@@ -129,8 +134,7 @@ class RunConfig:
         return _to_plain(self)
 
     def config_hash(self) -> str:
-        canon = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(canon.encode()).hexdigest()[:16]
+        return plain_hash(self.to_dict())
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
@@ -152,6 +156,12 @@ class RunConfig:
 
     def replace(self, **changes) -> "RunConfig":
         return dataclasses.replace(self, **changes)
+
+
+def plain_hash(data: dict) -> str:
+    """Short hex digest of a config dict's canonical JSON, exactly as typed."""
+    canon = json.dumps(data, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canon.encode()).hexdigest()[:16]
 
 
 def _to_plain(obj):
@@ -182,6 +192,9 @@ def _from_plain(cls, data: dict, path: str):
             if not isinstance(value, (list, tuple)):
                 raise ValueError(f"config key {path}{name} must be a list")
             kwargs[name] = tuple(tuple(v) if isinstance(v, list) else v for v in value)
+        elif isinstance(default, float) and type(value) is int:
+            # one hash per value: `fps=15` and `fps=15.0` are the same config
+            kwargs[name] = float(value)
         else:
             kwargs[name] = value
     return cls(**kwargs)

@@ -44,7 +44,7 @@ def sample_diversity(
         raise ValueError("need at least two draws")
     values = []
     for i, (prev, audio) in enumerate(zip(samples.m_prev, samples.audio)):
-        z = np.random.default_rng(seed + i).standard_normal((n_samples, pose.config.d_z))
+        z = np.random.default_rng(seed + i).standard_normal((n_samples, pose.config.model.d_z))
         pose_flat, offsets = one_step(pose, rhythm, params, prev.reshape(1, -1), z, audio[None])
         values.append(diversity(pose_flat.reshape(n_samples, *prev.shape) + offsets))
     return float(np.mean(values))

@@ -167,11 +167,11 @@ def generate_sequence(
     seeds = list(seeds)
     if not seeds:
         raise ValueError("generation needs at least one seed")
-    t, d_z = pose.config.t_frames, pose.config.d_z
-    if audio.shape[1:] != (t, rhythm.config.d_s):
+    t, d_z = pose.config.t_frames, pose.config.model.d_z
+    if audio.shape[1:] != (t, rhythm.config.mfcc.d_s):
         raise ValueError(
             f"audio features shape {audio.shape[1:]} does not match"
-            f" configured ({t}, {rhythm.config.d_s})"
+            f" configured ({t}, {rhythm.config.mfcc.d_s})"
         )
     if not np.isfinite(audio).all():
         raise DataError("audio features contain non-finite values")

@@ -26,7 +26,7 @@ import numpy as np
 from scipy.io import wavfile
 
 from .audio import FeatureStats, Transcript
-from .config import RunConfig
+from .config import RunConfig, plain_hash
 from .data import Checkpoint, SampleSet
 from .errors import DataError, NumericError
 from .model import build_branches
@@ -43,9 +43,26 @@ def _check_format(npz, expected: str, path) -> None:
         raise DataError(f"{path}: format {found!r}, expected {expected!r}")
 
 
-def _load_npz(path):
+class _Container:
+    """An open npz whose missing fields raise DataError naming the file."""
+
+    def __init__(self, npz, path):
+        self._npz, self._path = npz, path
+        self.files = npz.files
+
+    def __contains__(self, key: str) -> bool:
+        return key in self._npz
+
+    def __getitem__(self, key: str) -> np.ndarray:
+        try:
+            return self._npz[key]
+        except KeyError:
+            raise DataError(f"{self._path}: container has no field {key!r}") from None
+
+
+def _load_npz(path) -> _Container:
     try:
-        return np.load(path, allow_pickle=False)
+        return _Container(np.load(path, allow_pickle=False), path)
     except FileNotFoundError:
         raise DataError(f"{path}: no such file") from None
     except (ValueError, OSError) as exc:
@@ -212,8 +229,9 @@ def load_split(path, config: RunConfig) -> SampleSet:
     """
     npz = _load_npz(path)
     _check_format(npz, "split/1", path)
+    arrays = [npz[key] for key in ("m_prev", "m_cur", "s_cur", "c", "speaker", "segment")]
     try:
-        samples = SampleSet(*(npz[key] for key in ("m_prev", "m_cur", "s_cur", "c", "speaker", "segment")))
+        samples = SampleSet(*arrays)
     except ValueError as exc:
         raise DataError(f"{path}: {exc}") from None
     for what, found, needed in (
@@ -308,17 +326,23 @@ def load_checkpoint(path) -> Checkpoint:
     """Read a checkpoint/1 file.
 
     Raises:
-        DataError naming the file: a stored config whose hash is not the one
-        recorded in meta, a parameter missing from it, one its config does
-        not define, a shape that does not fit the config, a non-finite
+        DataError naming the file: a missing field, a stored config that
+        does not validate or whose hash (of the dict as written) is not the
+        one recorded in meta, a parameter missing from it, one its config
+        does not define, a shape that does not fit the config, a non-finite
         value, or a rest posture that is not one finite frame of the
         config's width.
     """
     npz = _load_npz(path)
     _check_format(npz, "checkpoint/1", path)
-    config = RunConfig.from_dict(json.loads(str(npz["config"])))
+    text = str(npz["config"])
+    try:
+        stored = json.loads(text)
+        config = RunConfig.from_dict(stored)
+    except (TypeError, ValueError) as exc:
+        raise DataError(f"{path}: stored config is invalid: {exc}") from None
     meta = json.loads(str(npz["meta"]))
-    recorded, actual = meta.get("config_hash"), config.config_hash()
+    recorded, actual = meta.get("config_hash"), plain_hash(stored)
     if recorded != actual:
         raise DataError(
             f"{path}: meta.config_hash {recorded} does not match {actual},"

@@ -1,4 +1,4 @@
-"""Glue from RunConfig to concrete branch objects, plus the one-step forward."""
+"""Both branches of one RunConfig, plus the one-step forward that runs them together."""
 
 from __future__ import annotations
 
@@ -9,37 +9,12 @@ import numpy as np
 from . import autodiff as ad
 from . import nn
 from .config import RunConfig
-from .posemode import PoseModeBranch, PoseModeConfig
-from .rhythm import RhythmBranch, RhythmConfig
+from .posemode import PoseModeBranch
+from .rhythm import RhythmBranch
 
 
 def build_branches(config: RunConfig) -> tuple[PoseModeBranch, RhythmBranch]:
-    m = config.model
-    pose = PoseModeBranch(
-        PoseModeConfig(
-            t_frames=config.t_frames,
-            d_m=config.d_m,
-            d_e=m.d_e,
-            d_z=m.d_z,
-            enc_hidden=tuple(m.enc_hidden),
-            latent_hidden=tuple(m.latent_hidden),
-            activation=m.activation,
-        ),
-        fps=config.fps,
-        joint_spec=config.joint_spec,
-    )
-    rhythm = RhythmBranch(
-        RhythmConfig(
-            t_frames=config.t_frames,
-            d_s=config.mfcc.d_s,
-            d_m=config.d_m,
-            hidden=m.rhythm_hidden,
-            n_layers=m.rhythm_layers,
-            kernel=m.rhythm_kernel,
-            activation=m.activation,
-        )
-    )
-    return pose, rhythm
+    return PoseModeBranch(config), RhythmBranch(config)
 
 
 def one_step(

@@ -8,65 +8,34 @@ motion decoder turns into a clip. The binary mode label c gates the latent
 code: c = 0 pins z to the zero vector (deterministic continuation, the
 posture holds), c = 1 samples z (a free posture switch).
 
-Every method runs on the autodiff tape with a batch dimension; training and
-generation reach them through `training._batch_loss` and `model.one_step`.
+The branch is sized by a RunConfig alone: the clip shape (`t_frames`,
+`d_m`) and `config.model`'s widths and activation. Every method runs on the
+autodiff tape with a batch dimension; training and generation reach them
+through `training._batch_loss` and `model.one_step`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
 
 from . import autodiff as ad
 from . import nn
-from .motion import DEFAULT_FPS, DEFAULT_JOINTS, JointSpec
-
-
-@dataclass(frozen=True)
-class PoseModeConfig:
-    """Sizes of the four networks in the branch."""
-
-    t_frames: int
-    d_m: int
-    d_e: int = 128
-    d_z: int = 64
-    enc_hidden: tuple[int, ...] = (512, 256)
-    latent_hidden: tuple[int, ...] = (128,)
-    activation: str = "tanh"
-
-    def __post_init__(self) -> None:
-        if min(self.t_frames, self.d_m, self.d_e, self.d_z) < 1:
-            raise ValueError("all pose-mode sizes must be positive")
-
-    @property
-    def flat_dim(self) -> int:
-        return self.t_frames * self.d_m
+from .config import RunConfig
 
 
 class PoseModeBranch:
     """Encoder/decoder pair plus latent heads; parameters travel separately."""
 
-    def __init__(
-        self,
-        config: PoseModeConfig,
-        fps: float = DEFAULT_FPS,
-        joint_spec: JointSpec = DEFAULT_JOINTS,
-    ):
-        if config.d_m != joint_spec.d_m:
-            raise ValueError(
-                f"config d_m {config.d_m} does not match joint spec width {joint_spec.d_m}"
-            )
+    def __init__(self, config: RunConfig):
         self.config = config
-        self.fps = fps
-        self.joint_spec = joint_spec
-        act = config.activation
-        flat = config.flat_dim
-        self.f_enc = nn.MLP((flat, *config.enc_hidden, config.d_e), act)
-        self.f_dec = nn.MLP((config.d_e, *reversed(config.enc_hidden), flat), act)
-        self.h_enc = nn.MLP((config.d_e, *config.latent_hidden, 2 * config.d_z), act)
-        self.h_dec = nn.MLP((config.d_z + config.d_e, *config.latent_hidden, config.d_e), act)
+        m = config.model
+        flat = config.t_frames * config.d_m
+        self.f_enc = nn.MLP((flat, *m.enc_hidden, m.d_e), m.activation)
+        self.f_dec = nn.MLP((m.d_e, *reversed(m.enc_hidden), flat), m.activation)
+        self.h_enc = nn.MLP((m.d_e, *m.latent_hidden, 2 * m.d_z), m.activation)
+        self.h_dec = nn.MLP((m.d_z + m.d_e, *m.latent_hidden, m.d_e), m.activation)
 
     def param_shapes(self) -> dict[str, tuple[int, ...]]:
         """Layout keyed `pose.<network>.<layer>`, in network order."""
@@ -92,7 +61,7 @@ class PoseModeBranch:
     def posterior_v(self, pv: Mapping[str, ad.Var], tau: ad.Var) -> tuple[ad.Var, ad.Var]:
         """Posterior head on transition features: (mu, logvar), each (B, d_z)."""
         out = self.h_enc.apply(pv, tau, "pose.h_enc.")
-        d_z = self.config.d_z
+        d_z = self.config.model.d_z
         stats = out.data.shape[-1]
         if stats != 2 * d_z:
             raise ValueError(f"posterior head emitted width {stats}, expected {2 * d_z}")

@@ -2,44 +2,32 @@
 
 A stack of same-padded temporal convolutions maps the (T, D_S) feature rows
 of a clip to (T, D_M) offsets around the clip's mean posture. The branch is
+sized by a RunConfig alone: D_S is `config.mfcc.d_s`, D_M is `config.d_m`,
+and the depth, width, kernel and activation come from `config.model`. It is
 deterministic; all the stochasticity of generation lives in the pose-mode
 branch.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Mapping
 
 from . import autodiff as ad
 from . import nn
-
-
-@dataclass(frozen=True)
-class RhythmConfig:
-    t_frames: int
-    d_s: int
-    d_m: int
-    hidden: int = 128
-    n_layers: int = 4
-    kernel: int = 5
-    activation: str = "tanh"
-
-    def __post_init__(self) -> None:
-        if min(self.t_frames, self.d_s, self.d_m, self.hidden, self.n_layers) < 1:
-            raise ValueError("all rhythm sizes must be positive")
+from .config import RunConfig
 
 
 class RhythmBranch:
-    def __init__(self, config: RhythmConfig):
+    def __init__(self, config: RunConfig):
         self.config = config
+        m = config.model
         self.net = nn.TemporalConv(
-            c_in=config.d_s,
+            c_in=config.mfcc.d_s,
             c_out=config.d_m,
-            hidden=config.hidden,
-            n_layers=config.n_layers,
-            kernel=config.kernel,
-            activation=config.activation,
+            hidden=m.rhythm_hidden,
+            n_layers=m.rhythm_layers,
+            kernel=m.rhythm_kernel,
+            activation=m.activation,
         )
 
     def param_shapes(self) -> dict[str, tuple[int, ...]]:

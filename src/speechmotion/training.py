@@ -200,10 +200,10 @@ def one_step_predictions(
     Each sample's previous clip is encoded and its latent code is zero,
     except for c = 1 samples, whose codes are drawn from rng in sample order.
     """
-    z = np.zeros((len(samples), pose.config.d_z))
+    z = np.zeros((len(samples), pose.config.model.d_z))
     c1 = np.flatnonzero(samples.c == 1)
     if len(c1):
-        z[c1] = rng.standard_normal((len(c1), pose.config.d_z))
+        z[c1] = rng.standard_normal((len(c1), pose.config.model.d_z))
     x_prev = samples.m_prev.reshape(len(samples), -1)
     pose_flat, offsets = one_step(pose, rhythm, params, x_prev, z, samples.audio)
     return pose_flat.reshape(offsets.shape) + offsets
@@ -226,7 +226,7 @@ def _batch_loss(
     b = batch.x_prev.shape[0]
     c0 = np.flatnonzero(batch.labels == 0)
     c1 = np.flatnonzero(batch.labels == 1)
-    d_z = pose.config.d_z
+    d_z = pose.config.model.d_z
 
     need_embeddings = weights.rec > 0 or weights.vae > 0 or weights.reg > 0
     need_posterior = weights.vae > 0 or (weights.rec > 0 and len(c1) > 0)

@@ -1,4 +1,4 @@
-"""Shared fixtures: small joint specs and tiny branch configurations.
+"""Shared fixtures: small joint specs and a tiny branch configuration.
 
 Unit tests run on deliberately tiny networks; anything sized for real use
 lives only in the acceptance suite.
@@ -8,8 +8,10 @@ import numpy as np
 import pytest
 
 from speechmotion import JointSpec, MotionClip, nn
-from speechmotion.posemode import PoseModeBranch, PoseModeConfig
-from speechmotion.rhythm import RhythmBranch, RhythmConfig
+from speechmotion.posemode import PoseModeBranch
+from speechmotion.rhythm import RhythmBranch
+
+from sizes import sized_config
 
 
 @pytest.fixture
@@ -19,26 +21,23 @@ def small_spec() -> JointSpec:
 
 
 @pytest.fixture
-def tiny_pose(small_spec):
-    config = PoseModeConfig(
-        t_frames=4,
-        d_m=small_spec.d_m,
-        d_e=5,
-        d_z=3,
-        enc_hidden=(8,),
-        latent_hidden=(6,),
+def tiny_config(small_spec):
+    return sized_config(
+        small_spec, t_frames=4, d_s=3, d_e=5, d_z=3, enc_hidden=(8,), latent_hidden=(6,),
+        rhythm_hidden=4, rhythm_layers=2, rhythm_kernel=3,
     )
-    branch = PoseModeBranch(config, fps=15.0, joint_spec=small_spec)
+
+
+@pytest.fixture
+def tiny_pose(tiny_config):
+    branch = PoseModeBranch(tiny_config)
     params = nn.init_params(branch.param_shapes(), np.random.default_rng(11))
     return branch, params
 
 
 @pytest.fixture
-def tiny_rhythm(small_spec):
-    config = RhythmConfig(
-        t_frames=4, d_s=3, d_m=small_spec.d_m, hidden=4, n_layers=2, kernel=3
-    )
-    branch = RhythmBranch(config)
+def tiny_rhythm(tiny_config):
+    branch = RhythmBranch(tiny_config)
     params = nn.init_params(branch.param_shapes(), np.random.default_rng(12))
     return branch, params
 

@@ -78,7 +78,7 @@ def _flat(pose: PoseModeBranch, clip: MotionClip) -> np.ndarray:
         raise ValueError(
             f"clip shape {clip.frames.shape} does not match configured ({cfg.t_frames}, {cfg.d_m})"
         )
-    return clip.frames.reshape(1, cfg.flat_dim)
+    return clip.frames.reshape(1, cfg.t_frames * cfg.d_m)
 
 
 def encode_motion(pose: PoseModeBranch, params: Mapping[str, np.ndarray], clip: MotionClip) -> np.ndarray:
@@ -92,18 +92,20 @@ def decode_motion(
 ) -> MotionClip:
     """Decode a (d_e,) embedding into a clip."""
     embedding = np.asarray(embedding, dtype=np.float64)
-    if embedding.shape != (pose.config.d_e,):
-        raise ValueError(f"embedding shape {embedding.shape}, expected ({pose.config.d_e},)")
+    if embedding.shape != (pose.config.model.d_e,):
+        raise ValueError(f"embedding shape {embedding.shape}, expected ({pose.config.model.d_e},)")
     out = pose.decode_v(nn.param_vars(params), ad.Var(embedding[None, :]))
     frames = out.data[0].reshape(pose.config.t_frames, pose.config.d_m)
-    return MotionClip(frames, fps=pose.fps, joint_spec=pose.joint_spec)
+    return MotionClip(frames, fps=pose.config.fps, joint_spec=pose.config.joint_spec)
 
 
 def posterior(pose: PoseModeBranch, params: Mapping[str, np.ndarray], tau: np.ndarray) -> LatentPosterior:
     """Gaussian posterior for one transition feature."""
     tau = np.asarray(tau, dtype=np.float64)
-    if tau.shape != (pose.config.d_e,):
-        raise ValueError(f"transition feature shape {tau.shape}, expected ({pose.config.d_e},)")
+    if tau.shape != (pose.config.model.d_e,):
+        raise ValueError(
+            f"transition feature shape {tau.shape}, expected ({pose.config.model.d_e},)"
+        )
     if not np.all(np.isfinite(tau)):
         raise ValueError("transition feature contains non-finite values")
     mu, logvar = pose.posterior_v(nn.param_vars(params), ad.Var(tau[None, :]))
@@ -127,15 +129,15 @@ def sample_latent(
     if mode not in ("train", "infer"):
         raise ValueError(f"mode must be 'train' or 'infer', got {mode!r}")
     if c == 0:
-        return np.zeros(pose.config.d_z)
+        return np.zeros(pose.config.model.d_z)
     if rng is None:
         raise ValueError("sampling with c = 1 needs a random generator")
     if mode == "train":
         if posterior is None:
             raise ValueError("training-mode sampling needs the posterior")
-        eps = rng.standard_normal(pose.config.d_z)
+        eps = rng.standard_normal(pose.config.model.d_z)
         return posterior.mu + posterior.sigma * eps
-    return rng.standard_normal(pose.config.d_z)
+    return rng.standard_normal(pose.config.model.d_z)
 
 
 def loss_reg(
@@ -158,10 +160,10 @@ def loss_reg(
 def rhythm_generate(rhythm: RhythmBranch, params: Mapping[str, np.ndarray], features: np.ndarray) -> RhythmOffset:
     """Predict offsets for one clip of aligned (T, D_S) audio features."""
     cfg = rhythm.config
-    if features.shape != (cfg.t_frames, cfg.d_s):
+    if features.shape != (cfg.t_frames, cfg.mfcc.d_s):
         raise ValueError(
             f"audio features shape {features.shape} does not match"
-            f" configured ({cfg.t_frames}, {cfg.d_s})"
+            f" configured ({cfg.t_frames}, {cfg.mfcc.d_s})"
         )
     out = rhythm.forward_v(nn.param_vars(params), ad.Var(features[None]))
     return RhythmOffset(out.data[0])

@@ -17,10 +17,6 @@ from speechmotion import (
     JointSpec,
     ModeSchedule,
     MotionClip,
-    PoseModeBranch,
-    PoseModeConfig,
-    RhythmBranch,
-    RhythmConfig,
     RunConfig,
     SampleSet,
     baseline_mean_velocity,
@@ -40,6 +36,7 @@ from speechmotion.toydata import make_toy_dataset
 from speechmotion.training import LossWeights, _batch_loss, _make_batch, build_dataset, train
 
 from oracles import LatentPosterior, loss_vae
+from sizes import sized_config
 
 pytestmark = pytest.mark.acceptance
 
@@ -155,11 +152,10 @@ def test_criterion_2_kl_oracle():
 
 def test_criterion_3_gradient_checks():
     t0 = time.perf_counter()
-    pose = PoseModeBranch(
-        PoseModeConfig(t_frames=2, d_m=4, d_e=4, d_z=2, enc_hidden=(), latent_hidden=()),
-        joint_spec=SPEC2,
-    )
-    rhythm = RhythmBranch(RhythmConfig(t_frames=2, d_s=2, d_m=4, hidden=2, n_layers=1, kernel=3))
+    pose, rhythm = build_branches(sized_config(
+        SPEC2, t_frames=2, d_s=2, d_e=4, d_z=2, enc_hidden=(), latent_hidden=(),
+        rhythm_hidden=2, rhythm_layers=1, rhythm_kernel=3,
+    ))
     n_params = sum(math.prod(s) for s in {**pose.param_shapes(), **rhythm.param_shapes()}.values())
     assert n_params <= 200
 
@@ -234,11 +230,10 @@ def test_criterion_3_gradient_checks():
 
 
 def _tiny_generation_setup():
-    pose = PoseModeBranch(
-        PoseModeConfig(t_frames=8, d_m=8, d_e=6, d_z=3, enc_hidden=(12,), latent_hidden=(8,)),
-        joint_spec=SPEC4,
-    )
-    rhythm = RhythmBranch(RhythmConfig(t_frames=8, d_s=3, d_m=8, hidden=6, n_layers=2, kernel=3))
+    pose, rhythm = build_branches(sized_config(
+        SPEC4, t_frames=8, d_s=3, d_e=6, d_z=3, enc_hidden=(12,), latent_hidden=(8,),
+        rhythm_hidden=6, rhythm_layers=2, rhythm_kernel=3,
+    ))
     rng = np.random.default_rng(17)
     pose_params = nn.init_params(pose.param_shapes(), rng)
     rhythm_params = nn.init_params(rhythm.param_shapes(), rng)

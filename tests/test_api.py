@@ -7,7 +7,7 @@ PUBLIC = {
     "DEFAULT_MODE_THRESHOLD", "EvalSettings", "FeatureStats", "GenerateSettings",
     "GenerationResult", "JointSpec", "LossWeights", "MeanPosture", "MetricReport",
     "MfccSettings", "ModeSchedule", "ModelSettings", "MotionClip", "NumericError",
-    "PoseModeBranch", "PoseModeConfig", "RhythmBranch", "RhythmConfig", "RhythmOffset",
+    "PoseModeBranch", "RhythmBranch", "RhythmOffset",
     "RunConfig", "SampleSet", "SpeakerMetrics", "ToySettings", "TrainResult", "TrainSettings",
     "Transcript", "align_audio_to_motion", "baseline_last_step",
     "baseline_mean_velocity", "build_branches", "build_dataset", "chunk_sequence", "compose",
@@ -19,7 +19,7 @@ PUBLIC = {
 
 
 def test_public_names_are_pinned():
-    assert len(speechmotion.__all__) == len(set(speechmotion.__all__)) == 55
+    assert len(speechmotion.__all__) == len(set(speechmotion.__all__)) == 53
     assert set(speechmotion.__all__) == PUBLIC
     for name in speechmotion.__all__:
         assert getattr(speechmotion, name) is not None

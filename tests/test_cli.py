@@ -223,7 +223,7 @@ def test_evaluate_writes_report(workspace, tmp_path, capsys):
     assert "overall:" in capsys.readouterr().out
 
 
-def test_swap_demo(workspace, tmp_path, capsys):
+def test_swap_demo(workspace, tmp_path, capsys, monkeypatch):
     a = workspace["toy"] / "landmarks" / "spk0_seg00.npz"
     b = workspace["toy"] / "landmarks" / "spk1_seg01.npz"
     out = tmp_path / "swap"
@@ -233,6 +233,11 @@ def test_swap_demo(workspace, tmp_path, capsys):
     text = capsys.readouterr().out
     drift = float(text.split("drift")[1].split(";")[0])
     assert drift < 1e-9  # swapping offsets must not move mean postures
+    # the same swap named relative to another working directory writes the same bytes
+    monkeypatch.chdir(a.parent)
+    assert main(["swap-demo", "--a", a.name, "--b", b.name, "--out", str(tmp_path / "rel")]) == 0
+    for name in ("a_with_b_rhythm.npz", "b_with_a_rhythm.npz"):
+        assert (tmp_path / "rel" / name).read_bytes() == (out / name).read_bytes()
 
 
 def test_set_override_changes_output(tmp_path):
@@ -254,6 +259,17 @@ def test_set_override_changes_output(tmp_path):
     manifest = json.loads((out / "toy_script.json").read_text())
     assert len(manifest["segments"]) == 2
     assert all(s["speaker"] == "spk0" for s in manifest["segments"])
+
+
+def test_set_number_hashes_alike_typed_as_int_or_float(tmp_path, capsys):
+    hashes = []
+    for fps in ("15", "15.0"):
+        code = main(["make-toy", "--set", "t_frames=16", "--set", "toy.speakers=1",
+                     "--set", "toy.segments_per_speaker=1", "--set", f"fps={fps}",
+                     "--out", str(tmp_path / fps)])
+        assert code == 0
+        hashes.append(json.loads((tmp_path / fps / "toy_script.json").read_text())["config_hash"])
+    assert hashes[0] == hashes[1]
 
 
 def test_output_root_env(tmp_path, monkeypatch):
@@ -282,6 +298,8 @@ def test_usage_errors_exit_1(tmp_path):
     assert main(["make-toy", "--out", str(tmp_path), "--bogus-flag"]) == 1
     assert main(["make-toy", "--out", str(tmp_path), "--set", "no_such.key=1"]) == 1
     assert main(["make-toy", "--out", str(tmp_path), "--set", "t_frames"]) == 1
+    assert main(["make-toy", "--out", str(tmp_path), "--set", "model.d_z=0"]) == 1
+    assert main(["make-toy", "--out", str(tmp_path), "--set", "mfcc.n_mfcc=0"]) == 1
     assert main(["no-such-command"]) == 1
     generate = ["generate", "--checkpoint", "x.npz", "--audio", "x.wav",
                 "--out", str(tmp_path / "g.npz")]
@@ -385,9 +403,20 @@ def test_bad_waveform_preprocess_names_file(workspace, tmp_path, capsys, case):
 def _write_bad_checkpoint(source, path, case) -> str:
     """Copy a checkpoint with one part broken; returns what the error must name."""
     arrays = dict(np.load(source, allow_pickle=False))
-    if case == "config_hash":
+    tree = json.loads(str(arrays["config"]))
+    if case == "t_frames":
+        tree["t_frames"] = 1
+        arrays["config"], key = json.dumps(tree), "t_frames must be at least 2"
+    elif case == "d_z":
+        tree["model"]["d_z"] = 0
+        arrays["config"], key = json.dumps(tree), "all model sizes must be positive"
+    elif case == "config_json":
+        arrays["config"], key = "{not json", "stored config is invalid"
+    elif case == "no_config":
+        key = "no field 'config'"
+        del arrays["config"]
+    elif case == "config_hash":
         stored = json.loads(str(arrays["meta"]))["config_hash"]
-        tree = json.loads(str(arrays["config"]))
         tree["train"]["seed"] += 1  # same parameter shapes, different config
         arrays["config"] = json.dumps(tree, sort_keys=True)
         key = f"{stored} does not match {RunConfig.from_dict(tree).config_hash()}"
@@ -408,7 +437,8 @@ def _write_bad_checkpoint(source, path, case) -> str:
 
 
 @pytest.mark.parametrize("command", ["generate", "evaluate"])
-@pytest.mark.parametrize("case", ["config_hash", "missing", "extra", "wrong_shape", "non_finite"])
+@pytest.mark.parametrize("case", ["config_hash", "missing", "extra", "wrong_shape", "non_finite",
+                                  "t_frames", "d_z", "config_json", "no_config"])
 def test_bad_checkpoint_names_file(workspace, tmp_path, capsys, case, command):
     checkpoint = tmp_path / "bad.npz"
     key = _write_bad_checkpoint(workspace["checkpoint"], checkpoint, case)

@@ -15,11 +15,10 @@ from speechmotion import (
     mode_schedule,
 )
 from speechmotion import autodiff as ad
-from speechmotion import nn
-from speechmotion.posemode import PoseModeBranch, PoseModeConfig
-from speechmotion.rhythm import RhythmBranch, RhythmConfig
+from speechmotion import build_branches, nn
 
 from oracles import decode_motion, encode_motion, rhythm_generate, sample_latent
+from sizes import sized_config
 
 CLIP_S = 64 / 15.0  # duration of one default clip
 
@@ -139,7 +138,7 @@ def test_single_step_equals_component_calls(gen_setup):
     pose, pp, rhythm, rp, initial, clips = gen_setup
     seed = 5
     result = _run(gen_setup, (1,), seed=seed)
-    e_prev = encode_motion(pose, pp, MotionClip(initial, joint_spec=pose.joint_spec))
+    e_prev = encode_motion(pose, pp, MotionClip(initial, joint_spec=pose.config.joint_spec))
     z = sample_latent(pose, 1, rng=np.random.default_rng(seed), mode="infer")
     e_star = pose.decode_transition_v(
         nn.param_vars(pp), ad.Var(z[None, :]), ad.Var(e_prev[None, :])
@@ -259,6 +258,16 @@ def test_initial_pose_shape_mismatch_rejected(gen_setup, small_spec):
         )
 
 
+def test_non_finite_initial_pose_rejected(gen_setup):
+    pose, pp, rhythm, rp, initial, clips = gen_setup
+    initial = initial.copy()
+    initial[1, 2] = np.inf
+    with pytest.raises(DataError, match="initial pose contains non-finite values"):
+        generate_sequence(
+            initial, clips[:1], ModeSchedule((0,), "explicit"), pose, rhythm, {**pp, **rp},
+        )
+
+
 # -- seeds in one batch ------------------------------------------------------------------
 
 MIXED = (0, 0, 1, 0, 1, 1, 0)  # first label-1 step is step 2
@@ -268,11 +277,10 @@ MIXED = (0, 0, 1, 0, 1, 1, 0)  # first label-1 step is step 2
 def batch_setup():
     """A branch wide enough that its GEMMs take BLAS's blocked kernels, not toy sizes."""
     spec = JointSpec(names=("nose", "neck", "right_palm"), hand_indices=(2,))
-    pose = PoseModeBranch(
-        PoseModeConfig(t_frames=16, d_m=6, d_e=32, d_z=8, enc_hidden=(64,), latent_hidden=(32,)),
-        joint_spec=spec,
-    )
-    rhythm = RhythmBranch(RhythmConfig(t_frames=16, d_s=5, d_m=6, hidden=16, n_layers=2))
+    pose, rhythm = build_branches(sized_config(
+        spec, t_frames=16, d_s=5, d_e=32, d_z=8, enc_hidden=(64,), latent_hidden=(32,),
+        rhythm_hidden=16, rhythm_layers=2,
+    ))
     rng = np.random.default_rng(21)
     pp, rp = nn.init_params(pose.param_shapes(), rng), nn.init_params(rhythm.param_shapes(), rng)
     initial = rng.normal(size=(16, 6))

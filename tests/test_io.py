@@ -22,6 +22,7 @@ from speechmotion import (
     mode_schedule,
     nn,
 )
+from speechmotion.config import plain_hash
 
 SPEC = JointSpec(names=("nose", "neck", "right_palm"), hand_indices=(2,))
 
@@ -307,6 +308,65 @@ def test_checkpoint_1_file_generates_same_motion(tmp_path):
         np.testing.assert_array_equal(a.motion, b.motion)
 
 
+def test_checkpoint_with_int_typed_config_loads(tmp_path):
+    # written before numbers were coerced: `fps` stored, and hashed, as the int 15
+    path = tmp_path / "ck.npz"
+    io.save_checkpoint(path, _checkpoint())
+    arrays = dict(np.load(path, allow_pickle=False))
+    tree = json.loads(str(arrays["config"]))
+    tree["fps"] = 15
+    meta = json.loads(str(arrays["meta"]))
+    meta["config_hash"] = plain_hash(tree)
+    arrays["config"], arrays["meta"] = json.dumps(tree, sort_keys=True), json.dumps(meta)
+    np.savez(path, **arrays)
+    loaded = io.load_checkpoint(path)
+    assert type(loaded.config.fps) is float
+    assert loaded.config.config_hash() == _checkpoint().config.config_hash()
+
+
+def _write(kind, path):
+    """A valid file of each container kind, and the loader that reads it."""
+    if kind == "landmarks":
+        io.save_landmarks(path, np.zeros((4, 6)), 15.0, SPEC)
+        return io.load_landmarks
+    if kind == "waveform":
+        np.savez(path, format="waveform/1", samples=np.zeros(400), sample_rate=np.int64(16000))
+        return io.load_waveform
+    if kind == "split":
+        io.save_split(path, _samples(), SPLIT_CONFIG)
+        return lambda p: io.load_split(p, SPLIT_CONFIG)
+    if kind == "stats":
+        io.save_stats(path, FeatureStats.fit({"a": np.random.default_rng(0).normal(size=(9, 3))}))
+        return io.load_stats
+    io.save_checkpoint(path, _checkpoint())
+    return io.load_checkpoint
+
+
+STATS_FIELDS = ("stats.speakers", "stats.means", "stats.stds", "stats.pooled_mean", "stats.pooled_std")
+READ_FIELDS = {
+    "landmarks": ("frames", "fps", "joint_names", "hand_indices", "meta"),
+    "waveform": ("samples", "sample_rate"),
+    "split": ("m_prev", "m_cur", "s_cur", "c", "speaker", "segment", "joint_names", "fps",
+              "sample_rate"),
+    "stats": STATS_FIELDS,
+    "checkpoint": ("config", "meta", "rest_posture", *STATS_FIELDS),
+}
+
+
+@pytest.mark.parametrize(
+    "kind, field", [(kind, field) for kind, fields in READ_FIELDS.items() for field in fields]
+)
+def test_container_without_a_field_names_file_and_field(tmp_path, kind, field):
+    good = tmp_path / "good.npz"
+    load = _write(kind, good)
+    arrays = dict(np.load(good, allow_pickle=False))
+    del arrays[field]
+    path = tmp_path / "bad.npz"
+    np.savez(path, **arrays)
+    with pytest.raises(DataError, match=f"{path}: container has no field '{field}'"):
+        load(path)
+
+
 def test_json_round_trip(tmp_path):
     path = tmp_path / "r.json"
     io.save_json(path, {"a": 1, "b": [1, 2]})
@@ -345,6 +405,24 @@ def test_config_hash_changes_with_values():
     b = a.replace(t_frames=32)
     assert a.config_hash() != b.config_hash()
     assert a.config_hash() == RunConfig().config_hash()
+
+
+def test_config_numbers_take_the_type_of_their_field():
+    as_int, as_float = RunConfig.from_dict({"fps": 15}), RunConfig.from_dict({"fps": 15.0})
+    assert type(as_int.fps) is float
+    assert as_int.config_hash() == as_float.config_hash() == RunConfig().config_hash()
+    assert RunConfig.from_dict({"train": {"lambda_rhythm": 0}}).train.lambda_rhythm == 0.0
+    assert RunConfig.from_dict({"mode_threshold": True}).mode_threshold is True
+    assert type(RunConfig.from_dict({"t_frames": 16}).t_frames) is int
+
+
+@pytest.mark.parametrize("section, key", [("model", "d_z"), ("model", "d_e"),
+                                          ("model", "rhythm_layers"), ("mfcc", "n_mfcc")])
+def test_config_rejects_non_positive_sizes(section, key):
+    tree = RunConfig().to_dict()
+    tree[section][key] = 0
+    with pytest.raises(ValueError):
+        RunConfig.from_dict(tree)
 
 
 def test_config_rejects_unknown_keys():

@@ -265,6 +265,8 @@ def test_clip_rejects_nan(small_spec):
     frames[2, 3] = np.nan
     with pytest.raises(DataError):
         MotionClip(frames, joint_spec=small_spec)
+    with pytest.raises(DataError, match="non-finite"):
+        label_mode_change(np.zeros((1, 4, 6)), frames[None], small_spec, 0.25)
 
 
 def test_clip_width_must_match_spec(small_spec):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from speechmotion import JointSpec, MotionClip, nn
 from speechmotion.model import one_step
-from speechmotion.posemode import PoseModeBranch, PoseModeConfig
+from speechmotion.posemode import PoseModeBranch
 
 from oracles import (
     LatentPosterior,
@@ -20,6 +20,7 @@ from oracles import (
     sample_latent,
     transition_feature,
 )
+from sizes import sized_config
 
 
 def _mc_kl(mu, sigma, n=100_000, seed=0):
@@ -106,7 +107,7 @@ def test_encode_decode_deterministic(tiny_pose, clip_factory):
     e1 = encode_motion(branch, params, clip)
     e2 = encode_motion(branch, params, clip)
     np.testing.assert_array_equal(e1, e2)
-    assert e1.shape == (branch.config.d_e,)
+    assert e1.shape == (branch.config.model.d_e,)
     d1 = decode_motion(branch, params, e1)
     d2 = decode_motion(branch, params, e1)
     np.testing.assert_array_equal(d1.frames, d2.frames)
@@ -127,16 +128,16 @@ def test_shape_validation(tiny_pose, small_spec):
     with pytest.raises(ValueError):
         encode_motion(branch, params, wrong)
     with pytest.raises(ValueError):
-        decode_motion(branch, params, np.zeros(branch.config.d_e + 1))
+        decode_motion(branch, params, np.zeros(branch.config.model.d_e + 1))
     with pytest.raises(ValueError):
-        posterior(branch, params, np.zeros(branch.config.d_e + 2))
+        posterior(branch, params, np.zeros(branch.config.model.d_e + 2))
 
 
 def test_posterior_deterministic_and_positive(tiny_pose):
     branch, params = tiny_pose
     rng = np.random.default_rng(9)
     for _ in range(100):
-        tau = rng.normal(size=branch.config.d_e)
+        tau = rng.normal(size=branch.config.model.d_e)
         post = posterior(branch, params, tau)
         again = posterior(branch, params, tau)
         np.testing.assert_array_equal(post.mu, again.mu)
@@ -146,7 +147,7 @@ def test_posterior_deterministic_and_positive(tiny_pose):
 
 def test_posterior_rejects_non_finite(tiny_pose):
     branch, params = tiny_pose
-    tau = np.zeros(branch.config.d_e)
+    tau = np.zeros(branch.config.model.d_e)
     tau[0] = np.inf
     with pytest.raises(ValueError):
         posterior(branch, params, tau)
@@ -160,15 +161,15 @@ def test_sample_latent_c0_is_zero_and_consumes_no_randomness(tiny_pose):
     rng = np.random.default_rng(5)
     before = rng.bit_generator.state
     z = sample_latent(branch, 0, rng=rng, mode="infer")
-    np.testing.assert_array_equal(z, np.zeros(branch.config.d_z))
+    np.testing.assert_array_equal(z, np.zeros(branch.config.model.d_z))
     assert rng.bit_generator.state == before
     np.testing.assert_array_equal(sample_latent(branch, 0, mode="train"), z)
 
 
 def test_sample_latent_degenerate_sigma_returns_mu(tiny_pose):
     branch, _ = tiny_pose
-    mu = np.arange(branch.config.d_z, dtype=float)
-    post = LatentPosterior(mu, np.full(branch.config.d_z, 1e-12))
+    mu = np.arange(branch.config.model.d_z, dtype=float)
+    post = LatentPosterior(mu, np.full(branch.config.model.d_z, 1e-12))
     z = sample_latent(branch, 1, post, np.random.default_rng(0), mode="train")
     assert np.abs(z - mu).max() < 1e-8
 
@@ -199,8 +200,9 @@ def test_sample_latent_error_paths(tiny_pose):
 
 def test_loss_reg_zero_for_identity_autoencoder():
     spec = JointSpec(names=("nose", "neck"), hand_indices=(0,))
-    config = PoseModeConfig(t_frames=2, d_m=4, d_e=8, d_z=2, enc_hidden=(), latent_hidden=())
-    branch = PoseModeBranch(config, joint_spec=spec)
+    branch = PoseModeBranch(
+        sized_config(spec, t_frames=2, d_s=1, d_e=8, d_z=2, enc_hidden=(), latent_hidden=())
+    )
     params = nn.init_params(branch.param_shapes(), np.random.default_rng(0))
     params["pose.f_enc.w0"] = np.eye(8)
     params["pose.f_enc.b0"] = np.zeros(8)
@@ -231,7 +233,7 @@ def _pose_step(branch, params, tiny_rhythm, prev, z):
     """Pose-mode clips of one core step from one previous clip, one row per latent code."""
     rhythm, rhythm_params = tiny_rhythm
     x_prev = prev.frames.reshape(1, -1)
-    audio = np.zeros((1, prev.t, rhythm.config.d_s))
+    audio = np.zeros((1, prev.t, rhythm.config.mfcc.d_s))
     pose_flat, _ = one_step(branch, rhythm, {**params, **rhythm_params}, x_prev, z, audio)
     return pose_flat.reshape(len(z), *prev.frames.shape)
 
@@ -251,7 +253,7 @@ def test_generate_pose_mode_matches_component_chain(tiny_pose, tiny_rhythm, clip
     prev = clip_factory(seed=7)
     audio = np.random.default_rng(14).normal(size=(4, 3))
     seed = 13
-    z_rows = np.random.default_rng(seed).standard_normal((1, branch.config.d_z))
+    z_rows = np.random.default_rng(seed).standard_normal((1, branch.config.model.d_z))
     got_pose, got_offsets = one_step(
         branch, rhythm, {**params, **rhythm_params}, prev.frames.reshape(1, -1), z_rows,
         audio[None],
@@ -273,7 +275,7 @@ def test_generate_pose_mode_matches_component_chain(tiny_pose, tiny_rhythm, clip
 def test_generate_pose_mode_c1_draws_differ(tiny_pose, tiny_rhythm, clip_factory):
     branch, params = tiny_pose
     prev = clip_factory(seed=8)
-    z = np.stack([np.random.default_rng(s).standard_normal(branch.config.d_z) for s in range(12)])
+    z = np.stack([np.random.default_rng(s).standard_normal(branch.config.model.d_z) for s in range(12)])
     outs = _pose_step(branch, params, tiny_rhythm, prev, z)
     for i in range(len(outs)):
         for j in range(i + 1, len(outs)):

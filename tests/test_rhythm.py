@@ -5,11 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from speechmotion import MotionClip, nn
+from speechmotion import JointSpec, MotionClip, nn
 from speechmotion.motion import RhythmOffset, decompose
-from speechmotion.rhythm import RhythmBranch, RhythmConfig
+from speechmotion.rhythm import RhythmBranch
 
 from oracles import loss_rhythm, rhythm_generate
+from sizes import sized_config
+
+TWO_JOINTS = JointSpec(names=("nose", "neck"), hand_indices=())
 
 
 def test_generate_shape_and_determinism(tiny_rhythm):
@@ -39,7 +42,9 @@ def test_finite_output_for_random_inputs(tiny_rhythm):
 
 def test_circular_shift_equivariance_interior():
     # long clip so interior rows sit outside every layer's padded border
-    config = RhythmConfig(t_frames=64, d_s=3, d_m=4, hidden=6, n_layers=2, kernel=5)
+    config = sized_config(
+        TWO_JOINTS, t_frames=64, d_s=3, rhythm_hidden=6, rhythm_layers=2, rhythm_kernel=5
+    )
     branch = RhythmBranch(config)
     params = nn.init_params(branch.param_shapes(), np.random.default_rng(2))
     x = np.random.default_rng(3).normal(size=(64, 3))
@@ -47,7 +52,7 @@ def test_circular_shift_equivariance_interior():
     out = rhythm_generate(branch, params, x).offsets
     out_shifted = rhythm_generate(branch, params, np.roll(x, k, axis=0)).offsets
     # receptive field reaches (kernel//2)*n_layers = 4 rows past each border
-    margin = (config.kernel // 2) * config.n_layers + k
+    margin = (config.model.rhythm_kernel // 2) * config.model.rhythm_layers + k
     interior = slice(margin, 64 - margin)
     assert np.abs(out_shifted[k:][interior] - out[interior]).max() < 1e-6
 
@@ -98,8 +103,9 @@ def test_loss_shape_mismatch(clip_factory):
 
 def test_loss_gradient_matches_finite_differences():
     # <= 200 parameter net: conv (3*3*4 + 4) + head (4*4 + 4) = 60
-    config = RhythmConfig(t_frames=6, d_s=3, d_m=4, hidden=4, n_layers=1, kernel=3)
-    branch = RhythmBranch(config)
+    branch = RhythmBranch(sized_config(
+        TWO_JOINTS, t_frames=6, d_s=3, rhythm_hidden=4, rhythm_layers=1, rhythm_kernel=3
+    ))
     params = nn.init_params(branch.param_shapes(), np.random.default_rng(6))
     rng = np.random.default_rng(7)
     audio = rng.normal(size=(1, 6, 3))

@@ -24,21 +24,20 @@ from speechmotion import (
 from speechmotion import autodiff as ad
 from speechmotion import build_branches, nn
 from speechmotion.config import ModelSettings, ToySettings, TrainSettings
-from speechmotion.posemode import PoseModeBranch, PoseModeConfig
-from speechmotion.rhythm import RhythmBranch, RhythmConfig
 from speechmotion.training import _batch_loss, _make_batch
 
 import oracles
 from oracles import encode_motion, loss_vae, posterior, total_loss
+from sizes import sized_config
 
 SPEC = JointSpec(names=("nose", "neck", "right_palm"), hand_indices=(2,))
 
 
 def _tiny_branches(seed=0):
-    pcfg = PoseModeConfig(t_frames=4, d_m=6, d_e=5, d_z=3, enc_hidden=(8,), latent_hidden=(6,))
-    pose = PoseModeBranch(pcfg, joint_spec=SPEC)
-    rcfg = RhythmConfig(t_frames=4, d_s=3, d_m=6, hidden=4, n_layers=2, kernel=3)
-    rhythm = RhythmBranch(rcfg)
+    pose, rhythm = build_branches(sized_config(
+        SPEC, t_frames=4, d_s=3, d_e=5, d_z=3, enc_hidden=(8,), latent_hidden=(6,),
+        rhythm_hidden=4, rhythm_layers=2, rhythm_kernel=3,
+    ))
     rng = np.random.default_rng(seed)
     pose_params = nn.init_params(pose.param_shapes(), rng)
     return pose, pose_params, rhythm, nn.init_params(rhythm.param_shapes(), rng)
@@ -498,13 +497,10 @@ def test_validation_lvd_empty_is_nan():
 def test_validation_lvd_positive(toy_corpus):
     _, config, landmarks, audio = toy_corpus
     split, _ = build_dataset(landmarks, audio, config)
-    pose, pp, rhythm, rp = _tiny_branches()
-    pcfg = PoseModeConfig(
-        t_frames=16, d_m=24, d_e=8, d_z=4, enc_hidden=(16,), latent_hidden=(8,)
-    )
-    pose = PoseModeBranch(pcfg)
-    rcfg = RhythmConfig(t_frames=16, d_s=26, d_m=24, hidden=8, n_layers=2)
-    rhythm = RhythmBranch(rcfg)
+    pose, rhythm = build_branches(sized_config(
+        config.joint_spec, t_frames=16, d_s=26, d_e=8, d_z=4, enc_hidden=(16,),
+        latent_hidden=(8,), rhythm_hidden=8, rhythm_layers=2,
+    ))
     rng = np.random.default_rng(0)
     value = validation_lvd(
         split.val.standardized(split.feature_stats), pose, rhythm,
