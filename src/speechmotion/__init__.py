@@ -61,7 +61,7 @@ from .motion import (
 from .posemode import PoseModeBranch
 from .rhythm import RhythmBranch
 from .toydata import make_toy_dataset
-from .training import LossWeights, TrainResult, build_dataset, train, validation_lvd
+from .training import TrainResult, build_dataset, train, validation_lvd
 
 __version__ = "0.1.0"
 
@@ -77,7 +77,6 @@ __all__ = [
     "GenerateSettings",
     "GenerationResult",
     "JointSpec",
-    "LossWeights",
     "MeanPosture",
     "MetricReport",
     "MfccSettings",

@@ -165,11 +165,6 @@ def tanh(x: Var) -> Var:
     return Var(y, (x,), lambda g: (g * (1.0 - y * y),))
 
 
-def relu(x: Var) -> Var:
-    mask = x.data > 0
-    return Var(np.where(mask, x.data, 0.0), (x,), lambda g: (g * mask,))
-
-
 def exp(x: Var) -> Var:
     y = np.exp(x.data)
     return Var(y, (x,), lambda g: (g * y,))

@@ -76,14 +76,14 @@ def _set_override(tree: dict, dotted: str, raw: str) -> None:
 
 
 def _load_config(args) -> RunConfig:
-    config = RunConfig.load(args.config) if args.config else RunConfig()
-    tree = config.to_dict()
-    for item in args.set or []:
-        if "=" not in item:
-            raise _UsageError(f"--set expects key=value, got {item!r}")
-        dotted, raw = item.split("=", 1)
-        _set_override(tree, dotted, raw)
     try:
+        config = RunConfig.load(args.config) if args.config else RunConfig()
+        tree = config.to_dict()
+        for item in args.set or []:
+            if "=" not in item:
+                raise _UsageError(f"--set expects key=value, got {item!r}")
+            dotted, raw = item.split("=", 1)
+            _set_override(tree, dotted, raw)
         return RunConfig.from_dict(tree)
     except (TypeError, ValueError) as exc:
         raise _UsageError(str(exc)) from None
@@ -250,8 +250,6 @@ def cmd_generate(args) -> int:
         rhythm,
         ckpt.params,
         seeds=seeds,
-        condition_on_composed=config.generate.condition_on_composed,
-        recenter_offsets=config.generate.recenter_offsets,
     )
     if len(seeds) > 1:
         out.mkdir(parents=True, exist_ok=True)

@@ -2,7 +2,9 @@
 
 Configs load from JSON with strict key checking (a typo is a usage error,
 not a silent default), serialize back to the identical dict, and hash to a
-short hex digest that every output file embeds next to the seed.
+short hex digest that every output file embeds next to the seed. A config
+written before some settings were retired still loads: each retired key is
+accepted at the one value the code now uses, and dropped (`_RETIRED`).
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ class ModelSettings:
     rhythm_hidden: int = 128
     rhythm_layers: int = 4
     rhythm_kernel: int = 5
-    activation: str = "tanh"
 
     def __post_init__(self) -> None:
         sizes = (self.d_e, self.d_z, self.rhythm_hidden, self.rhythm_layers, self.rhythm_kernel)
@@ -40,6 +41,9 @@ class ModelSettings:
 
 @dataclass(frozen=True)
 class TrainSettings:
+    """The KL weight ramps up over the first `kl_anneal_frac` of all steps (0:
+    no anneal); the test split takes what train and val leave."""
+
     lr: float = 1e-4
     batch_size: int = 32
     epochs: int = 100
@@ -47,27 +51,28 @@ class TrainSettings:
     lambda_vae: float = 0.01
     lambda_rhythm: float = 1.0
     lambda_reg: float = 1.0
-    kl_anneal: bool = True
     kl_anneal_frac: float = 0.1
     split_train: float = 0.8
     split_val: float = 0.1
-    split_test: float = 0.1
     seed: int = 0
 
     def __post_init__(self) -> None:
         if self.batch_size < 1 or self.epochs < 1:
             raise ValueError("batch size and epochs must be positive")
-        total = self.split_train + self.split_val + self.split_test
-        if abs(total - 1.0) > 1e-9:
-            raise ValueError(f"split fractions sum to {total}, expected 1")
+        for name in ("lambda_rec", "lambda_vae", "lambda_rhythm", "lambda_reg", "kl_anneal_frac"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"train.{name} must be non-negative, got {getattr(self, name)}")
+        if self.split_train <= 0 or self.split_val < 0 or self.split_train + self.split_val > 1 + 1e-9:
+            raise ValueError(
+                f"train.split_train ({self.split_train}) must be positive, train.split_val"
+                f" ({self.split_val}) non-negative, and their sum at most 1"
+            )
 
 
 @dataclass(frozen=True)
 class GenerateSettings:
     keywords: tuple[str, ...] = DEFAULT_KEYWORDS
     interval: int = 4
-    condition_on_composed: bool = False
-    recenter_offsets: bool = False
 
 
 @dataclass(frozen=True)
@@ -164,9 +169,46 @@ def plain_hash(data: dict) -> str:
     return hashlib.sha256(canon.encode()).hexdigest()[:16]
 
 
+# Retired settings, each accepted only at the one value the code now uses.
+_RETIRED = {
+    "model.activation": "tanh",
+    "train.kl_anneal": True,
+    "generate.condition_on_composed": False,
+    "generate.recenter_offsets": False,
+    "train.split_test": "1 - split_train - split_val",
+}
+
+
+def _drop_retired(data: dict, path: str) -> dict:
+    """`data` without its retired keys, each checked against its one value."""
+    kept = {key: value for key, value in data.items() if path + key not in _RETIRED}
+    for key in data.keys() - kept.keys():
+        name, value, accepted = path + key, data[key], _RETIRED[path + key]
+        if name == "train.split_test":
+            train, val = (kept.get(k, getattr(TrainSettings, k)) for k in ("split_train", "split_val"))
+            ok = type(value) in (int, float) and abs(train + val + value - 1.0) <= 1e-9
+        else:
+            ok, accepted = type(value) is type(accepted) and value == accepted, json.dumps(accepted)
+        if not ok:
+            hint = "; train.kl_anneal_frac=0 turns the KL anneal off" if key == "kl_anneal" else ""
+            raise ValueError(
+                f"config key {name} is retired and accepts only {accepted}, got {json.dumps(value)}{hint}"
+            )
+    return kept
+
+
+def _default(f: dataclasses.Field):
+    return f.default_factory() if f.default_factory is not dataclasses.MISSING else f.default
+
+
+def _typed(default, value):
+    """An int as a float where the default is one: `fps=15` hashes as `fps=15.0`."""
+    return float(value) if isinstance(default, float) and type(value) is int else value
+
+
 def _to_plain(obj):
     if dataclasses.is_dataclass(obj):
-        return {f.name: _to_plain(getattr(obj, f.name)) for f in fields(obj)}
+        return {f.name: _to_plain(_typed(_default(f), getattr(obj, f.name))) for f in fields(obj)}
     if isinstance(obj, tuple):
         return [_to_plain(v) for v in obj]
     return obj
@@ -175,26 +217,22 @@ def _to_plain(obj):
 def _from_plain(cls, data: dict, path: str):
     if not isinstance(data, dict):
         raise ValueError(f"config section {path or '<root>'} must be an object")
+    data = _drop_retired(data, path)
     known = {f.name: f for f in fields(cls)}
     unknown = sorted(set(data) - set(known))
     if unknown:
         raise ValueError(f"unknown config key(s) {unknown} in section {path or '<root>'}")
     kwargs = {}
     for name, value in data.items():
-        f = known[name]
-        sub = f.type if isinstance(f.type, type) else None
         # Field types are strings under `from __future__ import annotations`;
-        # resolve nested dataclasses by the declared default instead.
-        default = f.default_factory() if f.default_factory is not dataclasses.MISSING else f.default
+        # resolve nested dataclasses and tuples by the declared default instead.
+        default = _default(known[name])
         if dataclasses.is_dataclass(default):
             kwargs[name] = _from_plain(type(default), value, f"{path}{name}.")
-        elif isinstance(default, tuple) or (sub is tuple):
+        elif isinstance(default, tuple):
             if not isinstance(value, (list, tuple)):
                 raise ValueError(f"config key {path}{name} must be a list")
             kwargs[name] = tuple(tuple(v) if isinstance(v, list) else v for v in value)
-        elif isinstance(default, float) and type(value) is int:
-            # one hash per value: `fps=15` and `fps=15.0` are the same config
-            kwargs[name] = float(value)
         else:
-            kwargs[name] = value
+            kwargs[name] = _typed(default, value)
     return cls(**kwargs)

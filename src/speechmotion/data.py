@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -120,4 +120,3 @@ class Checkpoint:
     seed: int
     epoch: int
     val_lvd: float | None = None
-    extra: dict = field(default_factory=dict)

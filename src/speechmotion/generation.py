@@ -4,10 +4,9 @@ A run of n steps consumes n aligned audio clips and n mode labels. Each step
 embeds the previous pose-mode clip, draws (or zeroes) a latent code under
 the step's label, decodes the next pose-mode clip and computes the rhythm
 branch's offsets for the step's audio. A run's result is these two outputs
-as arrays, kept apart; the motion is their sum. By default the
-autoregression feeds the pose-mode clip forward, not the composed one, so
-rhythm never leaks into posture; conditioning on the composed clip sits
-behind a flag. Several seeds run as one batch: the pose-mode chain runs
+as arrays, kept apart; the motion is their sum. The autoregression feeds
+the pose-mode clip forward, not the composed one, so rhythm never leaks into
+posture. Several seeds run as one batch: the pose-mode chain runs
 once per step for all of them, and the seed-independent rhythm offsets are
 computed once per step and shared. Each seed has its own generator, seeded
 once and consumed only at steps whose label is 1, so a prefix of the
@@ -129,8 +128,6 @@ def generate_sequence(
     params: Mapping[str, np.ndarray],
     *,
     seeds: Sequence[int] = (0,),
-    condition_on_composed: bool = False,
-    recenter_offsets: bool = False,
 ) -> list[GenerationResult]:
     """Run the autoregressive loop over aligned audio clips, for every seed at once.
 
@@ -140,10 +137,6 @@ def generate_sequence(
         schedule: mode labels, one per step.
         params: both branches' weights.
         seeds: one generator per seed, each drawing that seed's latent codes.
-        condition_on_composed: feed composed clips (pose + rhythm) forward
-            instead of pose-mode clips.
-        recenter_offsets: subtract each predicted offset clip's own temporal
-            mean before composing.
 
     Returns:
         One GenerationResult per seed, in order. Seeds match their own
@@ -191,14 +184,10 @@ def generate_sequence(
             z = np.stack([rng.standard_normal(d_z) for rng in rngs])
         else:
             z = np.zeros((len(seeds), d_z))
-        pose_flat, offsets = one_step(pose, rhythm, params, x_prev, z, audio[i : i + 1])
-        offsets = offsets[0]
-        if recenter_offsets:
-            offsets = offsets - offsets.mean(axis=0)
+        x_prev, offsets = one_step(pose, rhythm, params, x_prev, z, audio[i : i + 1])
         z_steps.append(z)
-        pose_steps.append(pose_flat)
-        offset_steps.append(offsets)
-        x_prev = pose_flat + offsets.reshape(1, -1) if condition_on_composed else pose_flat
+        pose_steps.append(x_prev)
+        offset_steps.append(offsets[0])
     n = len(schedule)
     z = np.stack(z_steps, axis=1)
     pose_clips = np.stack(pose_steps, axis=1).reshape(len(seeds), n, t, -1)

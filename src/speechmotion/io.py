@@ -44,20 +44,42 @@ def _check_format(npz, expected: str, path) -> None:
 
 
 class _Container:
-    """An open npz whose missing fields raise DataError naming the file."""
+    """The fields of a file: an open npz, or the JSON meta object stored in
+    one. A field that is missing, or that does not convert to the type asked
+    for, raises DataError naming the file and the field."""
 
-    def __init__(self, npz, path):
-        self._npz, self._path = npz, path
-        self.files = npz.files
+    def __init__(self, fields, path, prefix: str = ""):
+        self._fields, self._path, self._prefix = fields, path, prefix
+        self.files = list(fields)
 
     def __contains__(self, key: str) -> bool:
-        return key in self._npz
+        return key in self._fields
 
-    def __getitem__(self, key: str) -> np.ndarray:
+    def __getitem__(self, key: str):
         try:
-            return self._npz[key]
+            return self._fields[key]
         except KeyError:
-            raise DataError(f"{self._path}: container has no field {key!r}") from None
+            raise DataError(f"{self._path}: container has no field '{self._prefix}{key}'") from None
+
+    def scalar(self, key: str, kind: type):
+        """Field `key` as one `kind` (float, int, ...)."""
+        value = self[key]
+        try:
+            return kind(value)
+        except (TypeError, ValueError):
+            raise DataError(
+                f"{self._path}: field '{self._prefix}{key}' holds {value!r}, not one {kind.__name__}"
+            ) from None
+
+    def meta(self) -> dict:
+        """The JSON object in field `meta`."""
+        try:
+            meta = json.loads(str(self["meta"]))
+        except json.JSONDecodeError as exc:
+            raise DataError(f"{self._path}: field 'meta' is not valid JSON ({exc})") from None
+        if not isinstance(meta, dict):
+            raise DataError(f"{self._path}: field 'meta' is not a JSON object")
+        return meta
 
 
 def _load_npz(path) -> _Container:
@@ -119,7 +141,7 @@ def load_landmarks(path) -> tuple[np.ndarray, float, JointSpec, dict]:
         raise DataError(f"{path}: frames shape {frames.shape} does not fit its joint spec")
     if not np.all(np.isfinite(frames)):
         raise DataError(f"{path}: frames contain non-finite values")
-    return frames, float(npz["fps"]), spec, json.loads(str(npz["meta"]))
+    return frames, npz.scalar("fps", float), spec, npz.meta()
 
 
 # -- waveforms -----------------------------------------------------------
@@ -148,7 +170,7 @@ def load_waveform(path) -> tuple[np.ndarray, int]:
     else:
         npz = _load_npz(path)
         _check_format(npz, "waveform/1", path)
-        samples, rate = np.asarray(npz["samples"], dtype=np.float64), int(npz["sample_rate"])
+        samples, rate = np.asarray(npz["samples"], dtype=np.float64), npz.scalar("sample_rate", int)
         if samples.ndim != 1:
             raise DataError(f"{path}: expected mono 1-D samples, got shape {samples.shape}")
         if not np.all(np.isfinite(samples)):
@@ -239,8 +261,8 @@ def load_split(path, config: RunConfig) -> SampleSet:
         ("joint names", tuple(str(n) for n in npz["joint_names"]), tuple(config.joint_names)),
         ("motion width", samples.m_cur.shape[2], config.d_m),
         ("audio width", samples.audio.shape[2], config.mfcc.d_s),
-        ("fps", float(npz["fps"]), config.fps),
-        ("audio sample rate", int(npz["sample_rate"]), config.mfcc.sample_rate),
+        ("fps", npz.scalar("fps", float), config.fps),
+        ("audio sample rate", npz.scalar("sample_rate", int), config.mfcc.sample_rate),
     ):
         if found != needed:
             raise DataError(f"{path}: split has {what} {found}, the config needs {needed}")
@@ -310,7 +332,6 @@ def save_checkpoint(path, ckpt: Checkpoint) -> None:
         "epoch": ckpt.epoch,
         "val_lvd": ckpt.val_lvd,
         "config_hash": ckpt.config.config_hash(),
-        **ckpt.extra,
     }
     np.savez(
         path,
@@ -323,15 +344,15 @@ def save_checkpoint(path, ckpt: Checkpoint) -> None:
 
 
 def load_checkpoint(path) -> Checkpoint:
-    """Read a checkpoint/1 file.
+    """Read a checkpoint/1 file; meta keys it does not read are ignored.
 
     Raises:
-        DataError naming the file: a missing field, a stored config that
-        does not validate or whose hash (of the dict as written) is not the
-        one recorded in meta, a parameter missing from it, one its config
-        does not define, a shape that does not fit the config, a non-finite
-        value, or a rest posture that is not one finite frame of the
-        config's width.
+        DataError naming the file: a missing field or meta field, a meta
+        value of the wrong type, a stored config that does not validate or
+        whose hash (of the dict as written) is not the one recorded in meta,
+        a parameter missing from it, one its config does not define, a shape
+        that does not fit the config, a non-finite value, or a rest posture
+        that is not one finite frame of the config's width.
     """
     npz = _load_npz(path)
     _check_format(npz, "checkpoint/1", path)
@@ -341,8 +362,8 @@ def load_checkpoint(path) -> Checkpoint:
         config = RunConfig.from_dict(stored)
     except (TypeError, ValueError) as exc:
         raise DataError(f"{path}: stored config is invalid: {exc}") from None
-    meta = json.loads(str(npz["meta"]))
-    recorded, actual = meta.get("config_hash"), plain_hash(stored)
+    meta = _Container(npz.meta(), path, "meta.")
+    recorded, actual = meta["config_hash"], plain_hash(stored)
     if recorded != actual:
         raise DataError(
             f"{path}: meta.config_hash {recorded} does not match {actual},"
@@ -361,16 +382,14 @@ def load_checkpoint(path) -> Checkpoint:
         )
     if not np.all(np.isfinite(rest_posture)):
         raise DataError(f"{path}: rest posture contains non-finite values")
-    known = {"seed", "epoch", "val_lvd", "config_hash"}
     return Checkpoint(
         params=params,
         config=config,
         feature_stats=_stats_from(npz),
         rest_posture=rest_posture,
-        seed=int(meta["seed"]),
-        epoch=int(meta["epoch"]),
-        val_lvd=None if meta.get("val_lvd") is None else float(meta["val_lvd"]),
-        extra={k: v for k, v in meta.items() if k not in known},
+        seed=meta.scalar("seed", int),
+        epoch=meta.scalar("epoch", int),
+        val_lvd=None if meta["val_lvd"] is None else meta.scalar("val_lvd", float),
     )
 
 

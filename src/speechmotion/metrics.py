@@ -94,6 +94,9 @@ def baseline_mean_velocity(gt_frames) -> np.ndarray:
 
 # -- adversarial quality --------------------------------------------------------
 
+_QUALITY_KERNEL = 5  # frames each classifier convolution spans
+_QUALITY_WEIGHT_DECAY = 1e-2  # L2 penalty on every classifier weight
+
 
 def quality_score(
     real_set,
@@ -102,11 +105,9 @@ def quality_score(
     seed: int = 0,
     hidden: int = 8,
     n_layers: int = 2,
-    kernel: int = 5,
     epochs: int = 200,
     lr: float = 1e-2,
     train_frac: float = 0.7,
-    weight_decay: float = 1e-2,
 ) -> float:
     """Mean predicted-real probability of held-out generated clips.
 
@@ -142,9 +143,7 @@ def quality_score(
     train_x = (train_x - mean) / scale
     held_gen = (held_gen - mean) / scale
 
-    net = nn.TemporalConv(
-        c_in=train_x.shape[2], c_out=1, hidden=hidden, n_layers=n_layers, kernel=kernel
-    )
+    net = nn.TemporalConv(train_x.shape[2], 1, hidden, n_layers, _QUALITY_KERNEL)
     params = nn.init_params(net.param_shapes(), rng)
     optimizer = nn.Adam(params, lr=lr)
     x_const = ad.constant(train_x)
@@ -158,11 +157,10 @@ def quality_score(
         # logistic loss via softplus: mean(softplus(logit) - y * logit)
         ad.mean(ad.softplus(logits) - y * logits).backward()
         grads = nn.gradients(pv)
-        if weight_decay:
-            # gradient of wd * sum(w * w), summed in the tape's order: the data
-            # gradient, then wd * w once per factor (2 * wd * w rounds differently)
-            for key, w in params.items():
-                grads[key] = grads[key] + weight_decay * w + weight_decay * w
+        # gradient of wd * sum(w * w), summed in the tape's order: the data
+        # gradient, then wd * w once per factor (2 * wd * w rounds differently)
+        for key, w in params.items():
+            grads[key] = grads[key] + _QUALITY_WEIGHT_DECAY * w + _QUALITY_WEIGHT_DECAY * w
         optimizer.step(params, grads)
 
     pv = nn.param_vars(params)

@@ -2,10 +2,10 @@
 
 Parameters live in flat dicts mapping dotted names to float64 arrays; the
 layer classes only hold architecture and state their layout once, in
-`param_shapes`. `init_params` draws values for any such layout. Training
-wraps the arrays in tape Vars, runs a graph, and reads gradients back out,
-so the same forward code serves both training and (constant-input)
-inference.
+`param_shapes`. tanh is their one nonlinearity. `init_params` draws values
+for any such layout. Training wraps the arrays in tape Vars, runs a graph,
+and reads gradients back out, so the same forward code serves both training
+and (constant-input) inference.
 """
 
 from __future__ import annotations
@@ -16,15 +16,6 @@ from collections.abc import Mapping, Sequence
 import numpy as np
 
 from . import autodiff as ad
-
-_ACTIVATIONS = {"tanh": ad.tanh, "relu": ad.relu}
-
-
-def activation_fn(name: str):
-    if name not in _ACTIVATIONS:
-        raise ValueError(f"unknown activation {name!r}; expected one of {sorted(_ACTIVATIONS)}")
-    return _ACTIVATIONS[name]
-
 
 def init_params(
     shapes: Mapping[str, tuple[int, ...]], rng: np.random.Generator
@@ -48,18 +39,16 @@ def init_params(
 
 
 class MLP:
-    """Fully connected stack; activation between layers, linear output.
+    """Fully connected stack; tanh between layers, linear output.
 
     sizes = (n_in, h1, ..., n_out). A two-element `sizes` is a single linear
     map with no nonlinearity anywhere.
     """
 
-    def __init__(self, sizes: Sequence[int], activation: str = "tanh"):
+    def __init__(self, sizes: Sequence[int]):
         if len(sizes) < 2 or any(s <= 0 for s in sizes):
             raise ValueError(f"bad layer sizes {sizes!r}")
         self.sizes = tuple(int(s) for s in sizes)
-        self.activation = activation
-        self._act = activation_fn(activation)
 
     def param_shapes(self) -> dict[str, tuple[int, ...]]:
         shapes: dict[str, tuple[int, ...]] = {}
@@ -73,34 +62,25 @@ class MLP:
         for i in range(n_layers):
             x = x @ params[f"{prefix}w{i}"] + params[f"{prefix}b{i}"]
             if i < n_layers - 1:
-                x = self._act(x)
+                x = ad.tanh(x)
         return x
 
 
 class TemporalConv:
-    """Stack of same-padded 1-D convolutions plus a per-frame linear head.
+    """Stack of same-padded 1-D convolutions, each followed by tanh, plus a
+    per-frame linear head.
 
     Maps (B, T, c_in) to (B, T, c_out); the receptive field grows by
     kernel - 1 frames per conv layer.
     """
 
-    def __init__(
-        self,
-        c_in: int,
-        c_out: int,
-        hidden: int,
-        n_layers: int,
-        kernel: int = 5,
-        activation: str = "tanh",
-    ):
+    def __init__(self, c_in: int, c_out: int, hidden: int, n_layers: int, kernel: int = 5):
         if n_layers < 1:
             raise ValueError("need at least one conv layer")
         if kernel < 1 or kernel % 2 == 0:
             raise ValueError("kernel must be a positive odd size")
         self.c_in, self.c_out, self.hidden = c_in, c_out, hidden
         self.n_layers, self.kernel = n_layers, kernel
-        self.activation = activation
-        self._act = activation_fn(activation)
 
     def param_shapes(self) -> dict[str, tuple[int, ...]]:
         shapes: dict[str, tuple[int, ...]] = {}
@@ -115,7 +95,7 @@ class TemporalConv:
     def apply(self, params: Mapping[str, ad.Var], x: ad.Var, prefix: str = "") -> ad.Var:
         for i in range(self.n_layers):
             x = ad.conv1d_same(x, params[f"{prefix}conv{i}.w"], params[f"{prefix}conv{i}.b"])
-            x = self._act(x)
+            x = ad.tanh(x)
         return x @ params[f"{prefix}head.w"] + params[f"{prefix}head.b"]
 
 

@@ -9,7 +9,7 @@ code: c = 0 pins z to the zero vector (deterministic continuation, the
 posture holds), c = 1 samples z (a free posture switch).
 
 The branch is sized by a RunConfig alone: the clip shape (`t_frames`,
-`d_m`) and `config.model`'s widths and activation. Every method runs on the
+`d_m`) and `config.model`'s widths. Every method runs on the
 autodiff tape with a batch dimension; training and generation reach them
 through `training._batch_loss` and `model.one_step`.
 """
@@ -32,10 +32,10 @@ class PoseModeBranch:
         self.config = config
         m = config.model
         flat = config.t_frames * config.d_m
-        self.f_enc = nn.MLP((flat, *m.enc_hidden, m.d_e), m.activation)
-        self.f_dec = nn.MLP((m.d_e, *reversed(m.enc_hidden), flat), m.activation)
-        self.h_enc = nn.MLP((m.d_e, *m.latent_hidden, 2 * m.d_z), m.activation)
-        self.h_dec = nn.MLP((m.d_z + m.d_e, *m.latent_hidden, m.d_e), m.activation)
+        self.f_enc = nn.MLP((flat, *m.enc_hidden, m.d_e))
+        self.f_dec = nn.MLP((m.d_e, *reversed(m.enc_hidden), flat))
+        self.h_enc = nn.MLP((m.d_e, *m.latent_hidden, 2 * m.d_z))
+        self.h_dec = nn.MLP((m.d_z + m.d_e, *m.latent_hidden, m.d_e))
 
     def param_shapes(self) -> dict[str, tuple[int, ...]]:
         """Layout keyed `pose.<network>.<layer>`, in network order."""

@@ -3,7 +3,7 @@
 A stack of same-padded temporal convolutions maps the (T, D_S) feature rows
 of a clip to (T, D_M) offsets around the clip's mean posture. The branch is
 sized by a RunConfig alone: D_S is `config.mfcc.d_s`, D_M is `config.d_m`,
-and the depth, width, kernel and activation come from `config.model`. It is
+and the depth, width and kernel come from `config.model`. It is
 deterministic; all the stochasticity of generation lives in the pose-mode
 branch.
 """
@@ -27,7 +27,6 @@ class RhythmBranch:
             hidden=m.rhythm_hidden,
             n_layers=m.rhythm_layers,
             kernel=m.rhythm_kernel,
-            activation=m.activation,
         )
 
     def param_shapes(self) -> dict[str, tuple[int, ...]]:

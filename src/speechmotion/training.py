@@ -7,9 +7,12 @@ The combined objective per batch is
 where rec is the mean-absolute error of the composed clip (pose-mode output
 plus rhythm offsets) against the current clip, vae is the mode-gated latent
 regularizer, rhythm is the offset regression error, and reg is the
-autoencoding error of both clips. Setting a weight to zero removes the term
-entirely: it is neither computed nor differentiated. Batches are partitioned
-by mode label so each sample contributes exactly one latent term.
+autoencoding error of both clips. The weights are `config.train.lambda_*`.
+Setting a weight to zero removes the term entirely: it is neither computed
+nor differentiated. Batches are partitioned by mode label so each sample
+contributes exactly one latent term. The vae weight is annealed from 0 over
+the first `train.kl_anneal_frac` of all steps (Bowman et al., arXiv
+1511.06349); a fraction of 0 leaves it at full weight from the first step.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ import numpy as np
 from . import autodiff as ad
 from . import nn
 from .audio import FeatureStats, align_audio_to_motion, extract_mfcc
-from .config import RunConfig
+from .config import RunConfig, TrainSettings
 from .data import Checkpoint, DatasetSplit, SampleSet
 from .errors import DataError, NumericError
 from .io import load_landmarks, load_waveform
@@ -34,26 +37,6 @@ from .model import build_branches, one_step
 from .motion import chunk_sequence, label_mode_change, normalize_skeleton
 from .posemode import PoseModeBranch
 from .rhythm import RhythmBranch
-
-
-@dataclass(frozen=True)
-class LossWeights:
-    """Non-negative weights of the four loss terms."""
-
-    rec: float = 1.0
-    vae: float = 0.01
-    rhythm: float = 1.0
-    reg: float = 1.0
-
-    def __post_init__(self) -> None:
-        for name in ("rec", "vae", "rhythm", "reg"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"loss weight {name} must be non-negative")
-
-    @classmethod
-    def from_config(cls, config: RunConfig) -> "LossWeights":
-        t = config.train
-        return cls(rec=t.lambda_rec, vae=t.lambda_vae, rhythm=t.lambda_rhythm, reg=t.lambda_reg)
 
 
 # -- dataset -----------------------------------------------------------------
@@ -214,23 +197,24 @@ def _batch_loss(
     rhythm: RhythmBranch,
     pv: dict[str, ad.Var],
     batch: _Batch,
-    weights: LossWeights,
+    weights: TrainSettings,
     rng: np.random.Generator | None,
     vae_scale: float = 1.0,
 ) -> tuple[ad.Var, dict[str, float]]:
     """Weighted objective over one batch, on the tape.
 
-    Terms with zero weight are skipped outright; the returned breakdown
-    reports unweighted per-term values (0.0 for skipped terms).
+    The weights are `weights.lambda_*`. Terms with zero weight are skipped
+    outright; the returned breakdown reports unweighted per-term values (0.0
+    for skipped terms).
     """
     b = batch.x_prev.shape[0]
     c0 = np.flatnonzero(batch.labels == 0)
     c1 = np.flatnonzero(batch.labels == 1)
     d_z = pose.config.model.d_z
 
-    need_embeddings = weights.rec > 0 or weights.vae > 0 or weights.reg > 0
-    need_posterior = weights.vae > 0 or (weights.rec > 0 and len(c1) > 0)
-    need_rhythm = weights.rec > 0 or weights.rhythm > 0
+    need_embeddings = weights.lambda_rec > 0 or weights.lambda_vae > 0 or weights.lambda_reg > 0
+    need_posterior = weights.lambda_vae > 0 or (weights.lambda_rec > 0 and len(c1) > 0)
+    need_rhythm = weights.lambda_rec > 0 or weights.lambda_rhythm > 0
 
     terms: dict[str, ad.Var] = {}
     if need_embeddings:
@@ -245,7 +229,7 @@ def _batch_loss(
         rhythm_out = rhythm.forward_v(pv, ad.constant(batch.audio))
         rhythm_flat = ad.reshape(rhythm_out, (b, -1))
 
-    if weights.vae > 0:
+    if weights.lambda_vae > 0:
         parts = []
         if len(c1):
             mu1 = ad.take_rows(mu, c1)
@@ -261,7 +245,7 @@ def _batch_loss(
             acc = acc + p
         terms["vae"] = (1.0 / b) * acc
 
-    if weights.rec > 0:
+    if weights.lambda_rec > 0:
         if len(c1):
             if rng is None:
                 raise ValueError("reconstruction with c = 1 samples needs a generator")
@@ -276,17 +260,18 @@ def _batch_loss(
         pose_flat = pose.decode_v(pv, e_star)
         terms["rec"] = ad.mean(ad.absolute(pose_flat + rhythm_flat - x_cur))
 
-    if weights.rhythm > 0:
+    if weights.lambda_rhythm > 0:
         terms["rhythm"] = ad.mean(ad.absolute(rhythm_flat - ad.constant(batch.offsets)))
 
-    if weights.reg > 0:
+    if weights.lambda_reg > 0:
         rec_cur = pose.decode_v(pv, e_cur)
         rec_prev = pose.decode_v(pv, e_prev)
         terms["reg"] = ad.mean(ad.absolute(rec_cur - x_cur)) + ad.mean(
             ad.absolute(rec_prev - x_prev)
         )
 
-    weight_of = {"rec": weights.rec, "vae": weights.vae * vae_scale, "rhythm": weights.rhythm, "reg": weights.reg}
+    weight_of = {name: getattr(weights, f"lambda_{name}") for name in terms}
+    weight_of["vae"] = weights.lambda_vae * vae_scale
     total: ad.Var | None = None
     for name, term in terms.items():
         piece = weight_of[name] * term
@@ -358,7 +343,6 @@ def train(
     params = nn.init_params({**pose.param_shapes(), **rhythm.param_shapes()}, rng)
     optimizer = nn.Adam(params, lr=tcfg.lr)
 
-    weights = LossWeights.from_config(config)
     stats = dataset.feature_stats
     train_batch = _make_batch(dataset.train.standardized(stats))
     val_set = dataset.val.standardized(stats)
@@ -366,7 +350,7 @@ def train(
     batch_size = min(tcfg.batch_size, n)
     steps_per_epoch = (n + batch_size - 1) // batch_size
     total_steps = tcfg.epochs * steps_per_epoch
-    warmup = max(1, int(round(tcfg.kl_anneal_frac * total_steps))) if tcfg.kl_anneal else 0
+    warmup = int(round(tcfg.kl_anneal_frac * total_steps))
 
     rest_posture = dataset.train.m_cur.mean(axis=1).mean(axis=0)
 
@@ -395,7 +379,7 @@ def train(
                 batch = train_batch.rows(idx)
                 vae_scale = min(1.0, (step + 1) / warmup) if warmup else 1.0
                 pv = nn.param_vars(params)
-                total, breakdown = _batch_loss(pose, rhythm, pv, batch, weights, rng, vae_scale)
+                total, breakdown = _batch_loss(pose, rhythm, pv, batch, tcfg, rng, vae_scale)
                 value = float(total.data)
                 if not np.isfinite(value):
                     raise NumericError(

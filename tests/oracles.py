@@ -26,7 +26,8 @@ from speechmotion.data import SampleSet
 from speechmotion.motion import JointSpec, MotionClip, RhythmOffset
 from speechmotion.posemode import PoseModeBranch
 from speechmotion.rhythm import RhythmBranch
-from speechmotion.training import LossWeights, _Batch, _batch_loss
+from speechmotion.config import TrainSettings
+from speechmotion.training import _Batch, _batch_loss
 
 
 # -- pose-mode branch ------------------------------------------------------------
@@ -212,7 +213,7 @@ def total_loss(
     pose: PoseModeBranch,
     rhythm: RhythmBranch,
     params: dict[str, np.ndarray],
-    weights: LossWeights,
+    weights: TrainSettings,
     rng: np.random.Generator | None = None,
     feature_stats: FeatureStats | None = None,
 ) -> tuple[float, dict[str, float]]:

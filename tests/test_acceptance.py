@@ -33,7 +33,8 @@ from speechmotion import build_branches, nn
 from speechmotion.evaluation import evaluate_checkpoint, sample_diversity
 from speechmotion.motion import chunk_sequence, label_mode_change
 from speechmotion.toydata import make_toy_dataset
-from speechmotion.training import LossWeights, _batch_loss, _make_batch, build_dataset, train
+from speechmotion.config import TrainSettings
+from speechmotion.training import _batch_loss, _make_batch, build_dataset, train
 
 from oracles import LatentPosterior, loss_vae
 from sizes import sized_config
@@ -189,10 +190,10 @@ def test_criterion_3_gradient_checks():
         return total
 
     cases = {
-        "vae": LossWeights(rec=0.0, vae=1.0, rhythm=0.0, reg=0.0),
-        "reg": LossWeights(rec=0.0, vae=0.0, rhythm=0.0, reg=1.0),
-        "rhythm": LossWeights(rec=0.0, vae=0.0, rhythm=1.0, reg=0.0),
-        "total": LossWeights(rec=1.0, vae=0.01, rhythm=1.0, reg=1.0),
+        "vae": TrainSettings(lambda_rec=0.0, lambda_vae=1.0, lambda_rhythm=0.0, lambda_reg=0.0),
+        "reg": TrainSettings(lambda_rec=0.0, lambda_vae=0.0, lambda_rhythm=0.0, lambda_reg=1.0),
+        "rhythm": TrainSettings(lambda_rec=0.0, lambda_vae=0.0, lambda_rhythm=1.0, lambda_reg=0.0),
+        "total": TrainSettings(lambda_rec=1.0, lambda_vae=0.01, lambda_rhythm=1.0, lambda_reg=1.0),
     }
     h = 1e-5
     report = {}

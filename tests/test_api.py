@@ -5,7 +5,7 @@ import speechmotion
 PUBLIC = {
     "Checkpoint", "DataError", "DatasetSplit", "DEFAULT_FPS", "DEFAULT_JOINTS",
     "DEFAULT_MODE_THRESHOLD", "EvalSettings", "FeatureStats", "GenerateSettings",
-    "GenerationResult", "JointSpec", "LossWeights", "MeanPosture", "MetricReport",
+    "GenerationResult", "JointSpec", "MeanPosture", "MetricReport",
     "MfccSettings", "ModeSchedule", "ModelSettings", "MotionClip", "NumericError",
     "PoseModeBranch", "RhythmBranch", "RhythmOffset",
     "RunConfig", "SampleSet", "SpeakerMetrics", "ToySettings", "TrainResult", "TrainSettings",
@@ -19,7 +19,7 @@ PUBLIC = {
 
 
 def test_public_names_are_pinned():
-    assert len(speechmotion.__all__) == len(set(speechmotion.__all__)) == 53
+    assert len(speechmotion.__all__) == len(set(speechmotion.__all__)) == 52
     assert set(speechmotion.__all__) == PUBLIC
     for name in speechmotion.__all__:
         assert getattr(speechmotion, name) is not None

@@ -85,11 +85,6 @@ def test_unary_ops():
     _check(lambda x: ad.sum(ad.softplus(x)), RNG.normal(size=(5,)) * 3)
 
 
-def test_relu_away_from_kink():
-    x0 = np.array([-2.0, -0.5, 0.7, 1.5])
-    _check(lambda x: ad.sum(ad.relu(x)), x0)
-
-
 def test_absolute_away_from_kink():
     x0 = np.array([-2.0, -0.5, 0.7, 1.5])
     _check(lambda x: ad.sum(ad.absolute(x)), x0)
@@ -286,11 +281,6 @@ def test_adam_single_step_matches_hand_update():
     v_hat = grads["w"] ** 2  # v / (1 - beta2)
     expected = np.array([1.0, -2.0]) - 0.1 * m_hat / (np.sqrt(v_hat) + 1e-8)
     np.testing.assert_allclose(params["w"], expected, atol=1e-12)
-
-
-def test_activation_fn_rejects_unknown():
-    with pytest.raises(ValueError):
-        nn.activation_fn("swish")
 
 
 # chunk-relative sizes (below, at, one over and a multiple of a chunk), a bias

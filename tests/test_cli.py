@@ -6,8 +6,9 @@ import json
 import numpy as np
 import pytest
 
-from speechmotion import Checkpoint, JointSpec, RunConfig, build_branches, io, nn
+from speechmotion import Checkpoint, FeatureStats, JointSpec, RunConfig, build_branches, io, nn
 from speechmotion.cli import main
+from speechmotion.config import plain_hash
 
 
 def _small_config() -> RunConfig:
@@ -313,6 +314,100 @@ def test_usage_errors_exit_1(tmp_path):
         assert main([*command, "--config", str(tmp_path / "none.json")]) == 1
 
 
+# a bad train setting or a retired key at another value, and what its usage error names
+BAD_SETTINGS = {
+    "train.lambda_reg=-1": "train.lambda_reg",
+    "train.kl_anneal_frac=-0.1": "train.kl_anneal_frac",
+    "train.split_train=0": "train.split_train",
+    "train.split_val=0.3": "train.split_val",
+    "train.split_val=-0.1": "train.split_val",
+    "train.lambda_vae=-0.01": "train.lambda_vae",
+    "train.kl_anneal=false": "train.kl_anneal_frac",
+    "train.kl_anneal=1": "train.kl_anneal",
+    "model.activation=relu": "model.activation",
+    "generate.condition_on_composed=true": "generate.condition_on_composed",
+    "generate.recenter_offsets=true": "generate.recenter_offsets",
+    "train.split_test=0.2": "train.split_test",
+    "train.split_test=0.100000002": "train.split_test",
+}
+
+
+# every retired key at the one value a config may still hold it at
+RETIRED_SETTINGS = [
+    "model.activation=tanh", "train.kl_anneal=true", "train.split_test=0.1",
+    "generate.condition_on_composed=false", "generate.recenter_offsets=false",
+]
+
+
+@pytest.mark.parametrize("source", ["--set", "--config"])
+@pytest.mark.parametrize("setting", sorted(BAD_SETTINGS))
+def test_bad_setting_is_usage_error_naming_it(tmp_path, capsys, setting, source):
+    if source == "--set":
+        flag = setting
+    else:
+        dotted, raw = setting.split("=")
+        section, key = dotted.split(".")
+        tree = RunConfig().to_dict()
+        tree[section][key] = raw if raw == "relu" else json.loads(raw)
+        flag = str(tmp_path / "config.json")
+        (tmp_path / "config.json").write_text(json.dumps(tree))
+    assert main(["make-toy", source, flag, "--out", str(tmp_path / "toy")]) == 1
+    assert BAD_SETTINGS[setting] in capsys.readouterr().err
+
+
+def test_retired_keys_at_their_one_value_leave_the_config_alone(tmp_path):
+    hashes = []
+    for name, retired in (("plain", []), ("retired", RETIRED_SETTINGS)):
+        sets = [arg for item in retired for arg in ("--set", item)]
+        code = main(["make-toy", "--set", "t_frames=16", "--set", "toy.speakers=1",
+                     "--set", "toy.segments_per_speaker=1", *sets, "--out", str(tmp_path / name)])
+        assert code == 0
+        hashes.append(json.loads((tmp_path / name / "toy_script.json").read_text())["config_hash"])
+    assert hashes[0] == hashes[1]
+
+
+def test_checkpoint_with_retired_keys_generates_the_same_motion(tmp_path):
+    # the default config as stored before five settings were retired
+    tree = RunConfig().to_dict()
+    tree["model"]["activation"] = "tanh"
+    tree["train"].update(kl_anneal=True, split_test=0.1)
+    tree["generate"].update(condition_on_composed=False, recenter_offsets=False)
+    assert plain_hash(tree) == "ce1a7f48eccb236f"
+
+    config = RunConfig()
+    pose, rhythm = build_branches(config)
+    rng = np.random.default_rng(2)
+    new = tmp_path / "new.npz"
+    io.save_checkpoint(new, Checkpoint(
+        params=nn.init_params({**pose.param_shapes(), **rhythm.param_shapes()}, rng),
+        config=config,
+        feature_stats=FeatureStats.fit({"a": rng.normal(size=(40, config.mfcc.d_s))}),
+        rest_posture=rng.normal(size=config.d_m),
+        seed=0,
+        epoch=1,
+    ))
+    arrays = dict(np.load(new, allow_pickle=False))
+    meta = json.loads(str(arrays["meta"]))
+    meta["config_hash"] = plain_hash(tree)
+    arrays["config"], arrays["meta"] = json.dumps(tree, sort_keys=True), json.dumps(meta)
+    old = tmp_path / "old.npz"
+    np.savez(old, **arrays)
+    assert io.load_checkpoint(old).config == config
+
+    audio = tmp_path / "a.wav"
+    io.save_wav(audio, 0.3 * np.sin(np.linspace(0, 2000, 16000 * 9)), 16000)
+    for ckpt in (new, old):
+        code = main(["generate", "--checkpoint", str(ckpt), "--audio", str(audio),
+                     "--policy", "fixed-interval", "--interval", "2", "--num-seeds", "2",
+                     "--out", str(tmp_path / ckpt.stem)])
+        assert code == 0
+    for seed in (0, 1):
+        with np.load(tmp_path / "new" / f"motion_seed{seed}.npz") as a, \
+                np.load(tmp_path / "old" / f"motion_seed{seed}.npz") as b:
+            np.testing.assert_array_equal(a["frames"], b["frames"])
+            assert json.loads(str(a["meta"])) == json.loads(str(b["meta"]))
+
+
 def test_bad_labels_exit_1(workspace, tmp_path):
     code = main(
         [
@@ -400,6 +495,16 @@ def test_bad_waveform_preprocess_names_file(workspace, tmp_path, capsys, case):
     assert str(audio) in capsys.readouterr().err
 
 
+# a retired key at a value other than the one it is accepted at
+RETIRED_VALUES = {
+    "kl_anneal": ("train", "kl_anneal", False),
+    "activation": ("model", "activation", "relu"),
+    "condition_on_composed": ("generate", "condition_on_composed", True),
+    "recenter_offsets": ("generate", "recenter_offsets", True),
+    "split_test": ("train", "split_test", 0.1 + 2e-9),
+}
+
+
 def _write_bad_checkpoint(source, path, case) -> str:
     """Copy a checkpoint with one part broken; returns what the error must name."""
     arrays = dict(np.load(source, allow_pickle=False))
@@ -410,6 +515,10 @@ def _write_bad_checkpoint(source, path, case) -> str:
     elif case == "d_z":
         tree["model"]["d_z"] = 0
         arrays["config"], key = json.dumps(tree), "all model sizes must be positive"
+    elif case in RETIRED_VALUES:
+        section, name, value = RETIRED_VALUES[case]
+        tree[section][name] = value
+        arrays["config"], key = json.dumps(tree), f"{section}.{name} is retired"
     elif case == "config_json":
         arrays["config"], key = "{not json", "stored config is invalid"
     elif case == "no_config":
@@ -438,7 +547,7 @@ def _write_bad_checkpoint(source, path, case) -> str:
 
 @pytest.mark.parametrize("command", ["generate", "evaluate"])
 @pytest.mark.parametrize("case", ["config_hash", "missing", "extra", "wrong_shape", "non_finite",
-                                  "t_frames", "d_z", "config_json", "no_config"])
+                                  "t_frames", "d_z", "config_json", "no_config", *RETIRED_VALUES])
 def test_bad_checkpoint_names_file(workspace, tmp_path, capsys, case, command):
     checkpoint = tmp_path / "bad.npz"
     key = _write_bad_checkpoint(workspace["checkpoint"], checkpoint, case)

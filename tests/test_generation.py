@@ -96,11 +96,11 @@ def gen_setup(tiny_pose, tiny_rhythm, small_spec):
     return pose, pose_params, rhythm, rhythm_params, initial, clips
 
 
-def _run(setup, labels, seed=0, **kwargs):
+def _run(setup, labels, seed=0):
     pose, pp, rhythm, rp, initial, clips = setup
     sched = ModeSchedule(tuple(labels), "explicit")
     return generate_sequence(
-        initial, clips[: len(labels)], sched, pose, rhythm, {**pp, **rp}, seeds=[seed], **kwargs
+        initial, clips[: len(labels)], sched, pose, rhythm, {**pp, **rp}, seeds=[seed]
     )[0]
 
 
@@ -173,19 +173,6 @@ def test_zeroed_rhythm_keeps_pose_clips(gen_setup):
     for a_pose, b_pose, b_offsets in zip(with_rhythm.pose, without.pose, without.offsets):
         np.testing.assert_array_equal(a_pose, b_pose)
         np.testing.assert_array_equal(b_offsets, 0.0)
-
-
-def test_condition_on_composed_changes_later_steps(gen_setup):
-    decoupled = _run(gen_setup, (0, 0), seed=0)
-    coupled = _run(gen_setup, (0, 0), seed=0, condition_on_composed=True)
-    np.testing.assert_array_equal(decoupled.motion[:4], coupled.motion[:4])
-    assert np.abs(decoupled.motion[4:] - coupled.motion[4:]).max() > 0
-
-
-def test_recenter_offsets_flag(gen_setup):
-    result = _run(gen_setup, (0, 0), seed=0, recenter_offsets=True)
-    for offsets in result.offsets:
-        assert np.abs(offsets.mean(axis=0)).max() < 1e-12
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow is the point

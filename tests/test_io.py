@@ -22,7 +22,7 @@ from speechmotion import (
     mode_schedule,
     nn,
 )
-from speechmotion.config import plain_hash
+from speechmotion.config import TrainSettings, plain_hash
 
 SPEC = JointSpec(names=("nose", "neck", "right_palm"), hand_indices=(2,))
 
@@ -239,7 +239,6 @@ def _checkpoint():
         seed=7,
         epoch=12,
         val_lvd=0.25,
-        extra={"note": "hello"},
     )
 
 
@@ -253,7 +252,6 @@ def test_checkpoint_round_trip(tmp_path):
         np.testing.assert_array_equal(loaded.params[k], ckpt.params[k])
     assert loaded.config.to_dict() == ckpt.config.to_dict()
     assert loaded.seed == 7 and loaded.epoch == 12 and loaded.val_lvd == 0.25
-    assert loaded.extra["note"] == "hello"
     np.testing.assert_array_equal(loaded.rest_posture, ckpt.rest_posture)
     assert loaded.feature_stats.speakers == ckpt.feature_stats.speakers
 
@@ -367,6 +365,66 @@ def test_container_without_a_field_names_file_and_field(tmp_path, kind, field):
         load(path)
 
 
+# a scalar field holding what does not convert, per container kind
+BAD_SCALARS = [("landmarks", "fps", "fast"), ("waveform", "sample_rate", "x"),
+               ("split", "fps", "fast"), ("split", "sample_rate", "x")]
+
+
+@pytest.mark.parametrize("kind, field, value", BAD_SCALARS)
+def test_container_with_a_mistyped_field_names_file_and_field(tmp_path, kind, field, value):
+    good = tmp_path / "good.npz"
+    load = _write(kind, good)
+    arrays = dict(np.load(good, allow_pickle=False))
+    arrays[field] = value
+    path = tmp_path / "bad.npz"
+    np.savez(path, **arrays)
+    with pytest.raises(DataError, match=f"{path}: field '{field}' holds"):
+        load(path)
+
+
+@pytest.mark.parametrize("kind", ["landmarks", "checkpoint"])
+@pytest.mark.parametrize("meta", ["{not json", "[1, 2]"])
+def test_meta_that_is_not_a_json_object_names_file(tmp_path, kind, meta):
+    good = tmp_path / "good.npz"
+    load = _write(kind, good)
+    arrays = dict(np.load(good, allow_pickle=False))
+    arrays["meta"] = meta
+    path = tmp_path / "bad.npz"
+    np.savez(path, **arrays)
+    with pytest.raises(DataError, match=f"{path}: field 'meta' is not"):
+        load(path)
+
+
+def _checkpoint_with_meta(tmp_path, edit):
+    path = tmp_path / "ck.npz"
+    io.save_checkpoint(path, _checkpoint())
+    arrays = dict(np.load(path, allow_pickle=False))
+    meta = json.loads(str(arrays["meta"]))
+    edit(meta)
+    arrays["meta"] = json.dumps(meta)
+    np.savez(path, **arrays)
+    return path
+
+
+@pytest.mark.parametrize("key", ["seed", "epoch", "val_lvd", "config_hash"])
+def test_checkpoint_meta_without_a_field_names_file_and_field(tmp_path, key):
+    path = _checkpoint_with_meta(tmp_path, lambda meta: meta.pop(key))
+    with pytest.raises(DataError, match=f"{path}: container has no field 'meta.{key}'"):
+        io.load_checkpoint(path)
+
+
+@pytest.mark.parametrize("key, value", [("seed", "x"), ("epoch", None), ("val_lvd", "low")])
+def test_checkpoint_meta_with_a_mistyped_field_names_file_and_field(tmp_path, key, value):
+    path = _checkpoint_with_meta(tmp_path, lambda meta: meta.update({key: value}))
+    with pytest.raises(DataError, match=f"{path}: field 'meta.{key}' holds"):
+        io.load_checkpoint(path)
+
+
+def test_checkpoint_meta_ignores_unknown_keys(tmp_path):
+    path = _checkpoint_with_meta(tmp_path, lambda meta: meta.update(note="hello"))
+    assert io.load_checkpoint(path).seed == 7
+
+
 def test_json_round_trip(tmp_path):
     path = tmp_path / "r.json"
     io.save_json(path, {"a": 1, "b": [1, 2]})
@@ -438,7 +496,33 @@ def test_config_rejects_bad_splits():
     from speechmotion.config import TrainSettings
 
     with pytest.raises(ValueError):
-        TrainSettings(split_train=0.9, split_val=0.2, split_test=0.1)
+        TrainSettings(split_train=0.9, split_val=0.2)
+
+
+def test_config_set_in_python_hashes_like_the_cli():
+    assert RunConfig().replace(fps=30).config_hash() == RunConfig().replace(fps=30.0).config_hash()
+    assert RunConfig().replace(fps=30).config_hash() == RunConfig.from_dict({"fps": 30}).config_hash()
+    as_int = RunConfig(train=TrainSettings(lr=1))
+    assert type(as_int.to_dict()["train"]["lr"]) is float
+    assert as_int.config_hash() == RunConfig(train=TrainSettings(lr=1.0)).config_hash()
+
+
+# the five settings the default config held before they were retired
+RETIRED_DEFAULTS = {
+    "model": {"activation": "tanh"},
+    "train": {"kl_anneal": True, "split_test": 0.1},
+    "generate": {"condition_on_composed": False, "recenter_offsets": False},
+}
+
+
+def test_config_with_retired_keys_at_their_one_value_loads():
+    tree = RunConfig().to_dict()
+    for section, keys in RETIRED_DEFAULTS.items():
+        tree[section].update(keys)
+    assert plain_hash(tree) == "ce1a7f48eccb236f"  # the default config's hash as it was
+    assert RunConfig.from_dict(tree) == RunConfig()
+    tree["train"].update(split_train=0.7, split_val=0.0, split_test=0.3)
+    assert RunConfig.from_dict(tree).train.split_train == 0.7
 
 
 def test_config_load_rejects_bad_json(tmp_path):

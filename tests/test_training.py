@@ -11,7 +11,6 @@ from speechmotion import (
     DatasetSplit,
     FeatureStats,
     JointSpec,
-    LossWeights,
     MotionClip,
     NumericError,
     RunConfig,
@@ -60,12 +59,7 @@ def _sample(seed=0, c=0):
 
 def test_negative_weight_rejected():
     with pytest.raises(ValueError):
-        LossWeights(rec=-0.1)
-
-
-def test_weights_from_config():
-    config = RunConfig().replace(train=TrainSettings(lambda_vae=0.5))
-    assert LossWeights.from_config(config).vae == 0.5
+        TrainSettings(lambda_rec=-0.1)
 
 
 # -- total_loss ----------------------------------------------------------------------
@@ -74,7 +68,7 @@ def test_weights_from_config():
 def test_all_weights_zero_gives_zero():
     pose, pp, rhythm, rp = _tiny_branches()
     total, breakdown = total_loss(
-        _sample(), pose, rhythm, {**pp, **rp}, LossWeights(0.0, 0.0, 0.0, 0.0)
+        _sample(), pose, rhythm, {**pp, **rp}, TrainSettings(lambda_rec=0.0, lambda_vae=0.0, lambda_rhythm=0.0, lambda_reg=0.0)
     )
     assert total == 0.0
     assert breakdown == {"rec": 0.0, "vae": 0.0, "rhythm": 0.0, "reg": 0.0}
@@ -92,23 +86,25 @@ def test_perfect_model_on_zero_clip_reconstructs():
         speaker=["s"],
         segment=["seg"],
     )
-    total, breakdown = total_loss(zero, pose, rhythm, {**pp, **rp}, LossWeights(1.0, 0.0, 0.0, 0.0))
+    total, breakdown = total_loss(
+        zero, pose, rhythm, {**pp, **rp}, TrainSettings(lambda_rec=1.0, lambda_vae=0.0, lambda_rhythm=0.0, lambda_reg=0.0)
+    )
     assert total == 0.0
     assert breakdown["rec"] == 0.0
 
 
 def test_breakdown_additivity():
     pose, pp, rhythm, rp = _tiny_branches()
-    weights = LossWeights(1.0, 0.01, 1.0, 1.0)
+    weights = TrainSettings(lambda_rec=1.0, lambda_vae=0.01, lambda_rhythm=1.0, lambda_reg=1.0)
     for c, seed in ((0, 1), (1, 2)):
         total, breakdown = total_loss(
             _sample(seed, c), pose, rhythm, {**pp, **rp}, weights, rng=np.random.default_rng(0)
         )
         weighted = (
-            weights.rec * breakdown["rec"]
-            + weights.vae * breakdown["vae"]
-            + weights.rhythm * breakdown["rhythm"]
-            + weights.reg * breakdown["reg"]
+            weights.lambda_rec * breakdown["rec"]
+            + weights.lambda_vae * breakdown["vae"]
+            + weights.lambda_rhythm * breakdown["rhythm"]
+            + weights.lambda_reg * breakdown["reg"]
         )
         assert abs(total - weighted) < 1e-9
 
@@ -116,11 +112,13 @@ def test_breakdown_additivity():
 def test_weight_zeroing_identity():
     # weighted total with one lambda zeroed equals the sum of the other terms
     pose, pp, rhythm, rp = _tiny_branches()
-    full = LossWeights(1.0, 1.0, 1.0, 1.0)
+    full = TrainSettings(lambda_rec=1.0, lambda_vae=1.0, lambda_rhythm=1.0, lambda_reg=1.0)
     sample = _sample(3, c=1)
     _, breakdown = total_loss(sample, pose, rhythm, {**pp, **rp}, full, rng=np.random.default_rng(5))
     for dropped in ("rec", "vae", "rhythm", "reg"):
-        weights = LossWeights(**{k: 0.0 if k == dropped else 1.0 for k in ("rec", "vae", "rhythm", "reg")})
+        weights = TrainSettings(
+            **{f"lambda_{k}": 0.0 if k == dropped else 1.0 for k in ("rec", "vae", "rhythm", "reg")}
+        )
         total, sub = total_loss(sample, pose, rhythm, {**pp, **rp}, weights, rng=np.random.default_rng(5))
         assert sub[dropped] == 0.0
         expected = sum(breakdown[k] for k in breakdown if k != dropped)
@@ -132,7 +130,7 @@ def test_indicator_semantics_of_vae_term(tiny_pose=None):
     for c in (0, 1):
         sample = _sample(seed=4, c=c)
         _, breakdown = total_loss(
-            sample, pose, rhythm, {**pp, **rp}, LossWeights(0.0, 1.0, 0.0, 0.0)
+            sample, pose, rhythm, {**pp, **rp}, TrainSettings(lambda_rec=0.0, lambda_vae=1.0, lambda_rhythm=0.0, lambda_reg=0.0)
         )
         e_prev = encode_motion(pose, pp, MotionClip(sample.m_prev[0], joint_spec=SPEC))
         e_cur = encode_motion(pose, pp, MotionClip(sample.m_cur[0], joint_spec=SPEC))
@@ -143,7 +141,7 @@ def test_indicator_semantics_of_vae_term(tiny_pose=None):
 def test_total_loss_matches_hand_traced_forward():
     pose, pp, rhythm, rp = _tiny_branches(seed=9)
     sample = _sample(seed=10, c=1)
-    weights = LossWeights(1.0, 0.01, 1.0, 1.0)
+    weights = TrainSettings(lambda_rec=1.0, lambda_vae=0.01, lambda_rhythm=1.0, lambda_reg=1.0)
     got_total, got_parts = total_loss(
         sample, pose, rhythm, {**pp, **rp}, weights, rng=np.random.default_rng(21)
     )
@@ -199,7 +197,7 @@ def test_total_loss_matches_hand_traced_forward():
 def test_c1_reconstruction_needs_rng():
     pose, pp, rhythm, rp = _tiny_branches()
     with pytest.raises(ValueError):
-        total_loss(_sample(c=1), pose, rhythm, {**pp, **rp}, LossWeights(1.0, 0.0, 0.0, 0.0))
+        total_loss(_sample(c=1), pose, rhythm, {**pp, **rp}, TrainSettings(lambda_rec=1.0, lambda_vae=0.0, lambda_rhythm=0.0, lambda_reg=0.0))
 
 
 # -- dataset assembly ------------------------------------------------------------------
@@ -475,7 +473,7 @@ def test_batch_loss_leaf_gradients_match_intact_graph_walk(toy_corpus):
     grads = []
     for walk in (ad.Var.backward, oracles.backward):
         pv = nn.param_vars(params)
-        total, _ = _batch_loss(pose, rhythm, pv, batch, LossWeights(), np.random.default_rng(5), 0.5)
+        total, _ = _batch_loss(pose, rhythm, pv, batch, TrainSettings(), np.random.default_rng(5), 0.5)
         walk(total)
         grads.append(nn.gradients(pv))
     for key in params:
