@@ -9,7 +9,6 @@ import numpy as np
 from speechmotion import RunConfig, diversity, mode_schedule
 from speechmotion.evaluation import evaluate_checkpoint
 from speechmotion.generation import generate_sequence
-from speechmotion.model import build_branches
 from speechmotion.toydata import make_toy_dataset
 from speechmotion.training import build_dataset, train
 
@@ -40,7 +39,6 @@ with tempfile.TemporaryDirectory() as tmp:
     result = train(split, config, progress=False)
 
 ckpt = result.best
-pose, rhythm = build_branches(config)
 
 # borrow audio and a starting clip from the test split
 steps = split.test[:4]
@@ -49,7 +47,7 @@ initial = steps.m_prev[0]
 
 # a zero schedule keeps the base posture; no randomness is consumed
 hold = mode_schedule(None, len(audio), "explicit", explicit=[0] * len(audio))
-a, b = generate_sequence(initial, audio, hold, pose, rhythm, ckpt.params, seeds=[1, 2])
+a, b = generate_sequence(initial, audio, hold, config, ckpt.params, seeds=[1, 2])
 print("zero schedule, seeds 1 vs 2 identical:", np.array_equal(a.motion, b.motion))
 
 # mode changes draw a fresh latent per step; different seeds diverge.
@@ -58,7 +56,7 @@ lively = mode_schedule(None, len(audio), "fixed-interval", interval=2)
 print("fixed-interval labels:", lively.labels)
 runs = np.stack([
     r.motion
-    for r in generate_sequence(initial, audio, lively, pose, rhythm, ckpt.params, seeds=range(8))
+    for r in generate_sequence(initial, audio, lively, config, ckpt.params, seeds=range(8))
 ])
 print("8 seeds distinct:", len({m.tobytes() for m in runs}) == 8)
 print("8-seed diversity:", round(diversity(runs), 4))

@@ -41,7 +41,6 @@ from .metrics import (
     lvd,
     quality_score,
 )
-from .model import build_branches
 from .motion import (
     DEFAULT_FPS,
     DEFAULT_JOINTS,
@@ -97,7 +96,6 @@ __all__ = [
     "align_audio_to_motion",
     "baseline_last_step",
     "baseline_mean_velocity",
-    "build_branches",
     "build_dataset",
     "chunk_sequence",
     "compose",

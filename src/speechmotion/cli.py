@@ -29,7 +29,6 @@ from .errors import DataError, NumericError
 from .evaluation import evaluate_checkpoint
 from .generation import ModeSchedule, generate_sequence, mode_schedule
 from .metrics import diversity
-from .model import build_branches
 from .motion import MotionClip, normalize_skeleton, swap_dynamics
 from .toydata import make_toy_dataset
 from .training import build_dataset, train
@@ -85,6 +84,8 @@ def _load_config(args) -> RunConfig:
             dotted, raw = item.split("=", 1)
             _set_override(tree, dotted, raw)
         return RunConfig.from_dict(tree)
+    except OSError as exc:
+        raise _UsageError(f"--config {args.config}: {exc.strerror}") from None
     except (TypeError, ValueError) as exc:
         raise _UsageError(str(exc)) from None
 
@@ -172,12 +173,7 @@ def cmd_train(args) -> int:
 def _initial_pose(args, ckpt) -> np.ndarray:
     config = ckpt.config
     if args.initial_pose:
-        frames, fps, spec, _ = io.load_landmarks(args.initial_pose)
-        if spec.names != tuple(config.joint_names):
-            raise DataError(f"{args.initial_pose}: joint names do not match the configured skeleton")
-        if abs(fps - config.fps) > 1e-9:
-            raise DataError(f"{args.initial_pose}: fps {fps} != configured {config.fps}")
-        normalized = normalize_skeleton(frames, spec)
+        normalized, _, _ = io.load_normalized_landmarks(args.initial_pose, config)
         if len(normalized) < config.t_frames:
             raise DataError(f"{args.initial_pose}: too short for one clip")
         return normalized[: config.t_frames]
@@ -237,7 +233,6 @@ def cmd_generate(args) -> int:
     standardized = ckpt.feature_stats.transform(aligned, args.speaker)
     transcript = io.load_transcript(args.transcript) if args.transcript else None
     schedule = _schedule_for(args, config, n_steps, transcript)
-    pose, rhythm = build_branches(config)
     initial = _initial_pose(args, ckpt)
 
     out = _out_path(args.out)
@@ -246,8 +241,7 @@ def cmd_generate(args) -> int:
         initial,
         standardized.reshape(n_steps, config.t_frames, -1),
         schedule,
-        pose,
-        rhythm,
+        config,
         ckpt.params,
         seeds=seeds,
     )
@@ -309,8 +303,14 @@ def cmd_swap_demo(args) -> int:
     n = min(len(frames_a), len(frames_b))
     if n < 2:
         raise DataError("swap-demo needs at least two overlapping frames")
-    clip_a = MotionClip(normalize_skeleton(frames_a[:n], spec_a), fps=fps_a, joint_spec=spec_a)
-    clip_b = MotionClip(normalize_skeleton(frames_b[:n], spec_b), fps=fps_b, joint_spec=spec_b)
+
+    def clip(path, frames, fps, spec) -> MotionClip:
+        try:
+            return MotionClip(normalize_skeleton(frames[:n], spec), fps=fps, joint_spec=spec)
+        except DataError as exc:
+            raise DataError(f"{path}: {exc}") from None
+
+    clip_a, clip_b = clip(args.a, frames_a, fps_a, spec_a), clip(args.b, frames_b, fps_b, spec_b)
     swapped_a, swapped_b = swap_dynamics(clip_a, clip_b)
     out = _out_path(args.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -109,8 +109,8 @@ class DatasetSplit:
 class Checkpoint:
     """Everything needed to run a trained model.
 
-    params holds both branches' weights, keyed as their param_shapes lay
-    them out (`pose.f_enc.w0`, ..., `rhythm.head.b`).
+    params holds both branches' weights, keyed as `model.param_shapes`
+    lays them out (`pose.f_enc.w0`, ..., `rhythm.head.b`).
     """
 
     params: dict[str, np.ndarray]

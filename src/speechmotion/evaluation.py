@@ -22,16 +22,14 @@ from .metrics import (
     lvd,
     quality_score,
 )
-from .model import build_branches, one_step
-from .posemode import PoseModeBranch
-from .rhythm import RhythmBranch
+from .config import RunConfig
+from .model import one_step
 from .training import one_step_predictions
 
 
 def sample_diversity(
     samples: SampleSet,
-    pose: PoseModeBranch,
-    rhythm: RhythmBranch,
+    config: RunConfig,
     params: dict[str, np.ndarray],
     *,
     n_samples: int = 64,
@@ -44,8 +42,8 @@ def sample_diversity(
         raise ValueError("need at least two draws")
     values = []
     for i, (prev, audio) in enumerate(zip(samples.m_prev, samples.audio)):
-        z = np.random.default_rng(seed + i).standard_normal((n_samples, pose.config.model.d_z))
-        pose_flat, offsets = one_step(pose, rhythm, params, prev.reshape(1, -1), z, audio[None])
+        z = np.random.default_rng(seed + i).standard_normal((n_samples, config.model.d_z))
+        pose_flat, offsets = one_step(config, params, prev.reshape(1, -1), z, audio[None])
         values.append(diversity(pose_flat.reshape(n_samples, *prev.shape) + offsets))
     return float(np.mean(values))
 
@@ -62,19 +60,18 @@ def evaluate_checkpoint(
         raise DataError("no samples to evaluate")
     config = ckpt.config
     ev = config.evaluate
-    pose, rhythm = build_branches(config)
     standardized = samples.standardized(ckpt.feature_stats)
 
     rows = []
     for speaker in sorted(set(samples.speaker.tolist())):
         group = standardized[np.flatnonzero(samples.speaker == speaker)]
         rng = np.random.default_rng([seed, len(group)])
-        generated = one_step_predictions(group, pose, rhythm, ckpt.params, rng)
+        generated = one_step_predictions(group, config, ckpt.params, rng)
         lvd_model = lvd(generated, group.m_cur)
         lvd_last = lvd(baseline_last_step(group.m_prev, group.m_cur.shape[1]), group.m_cur)
         lvd_mean = lvd(baseline_mean_velocity(group.m_cur), group.m_cur)
         diversity_value = sample_diversity(
-            group[: ev.diversity_audios], pose, rhythm, ckpt.params,
+            group[: ev.diversity_audios], config, ckpt.params,
             n_samples=ev.diversity_samples, seed=seed,
         )
         if len(group) >= 4:

@@ -21,10 +21,9 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .audio import Transcript
+from .config import RunConfig
 from .errors import DataError, NumericError
 from .model import one_step
-from .posemode import PoseModeBranch
-from .rhythm import RhythmBranch
 
 _POLICIES = ("keyword", "fixed-interval", "explicit")
 
@@ -123,8 +122,7 @@ def generate_sequence(
     initial_pose: np.ndarray,
     audio: np.ndarray,
     schedule: ModeSchedule,
-    pose: PoseModeBranch,
-    rhythm: RhythmBranch,
+    config: RunConfig,
     params: Mapping[str, np.ndarray],
     *,
     seeds: Sequence[int] = (0,),
@@ -135,6 +133,7 @@ def generate_sequence(
         initial_pose: (T, D) frames standing in for the step-0 "previous motion".
         audio: (n_steps, T, D_S) standardized features, one clip per step.
         schedule: mode labels, one per step.
+        config: the run configuration sizing both branches.
         params: both branches' weights.
         seeds: one generator per seed, each drawing that seed's latent codes.
 
@@ -160,19 +159,19 @@ def generate_sequence(
     seeds = list(seeds)
     if not seeds:
         raise ValueError("generation needs at least one seed")
-    t, d_z = pose.config.t_frames, pose.config.model.d_z
-    if audio.shape[1:] != (t, rhythm.config.mfcc.d_s):
+    t, d_z = config.t_frames, config.model.d_z
+    if audio.shape[1:] != (t, config.mfcc.d_s):
         raise ValueError(
             f"audio features shape {audio.shape[1:]} does not match"
-            f" configured ({t}, {rhythm.config.mfcc.d_s})"
+            f" configured ({t}, {config.mfcc.d_s})"
         )
     if not np.isfinite(audio).all():
         raise DataError("audio features contain non-finite values")
     initial_pose = np.asarray(initial_pose, dtype=np.float64)
-    if initial_pose.shape != (t, pose.config.d_m):
+    if initial_pose.shape != (t, config.d_m):
         raise ValueError(
             f"initial pose shape {initial_pose.shape} does not match"
-            f" configured ({t}, {pose.config.d_m})"
+            f" configured ({t}, {config.d_m})"
         )
     if not np.isfinite(initial_pose).all():
         raise DataError("initial pose contains non-finite values")
@@ -184,7 +183,7 @@ def generate_sequence(
             z = np.stack([rng.standard_normal(d_z) for rng in rngs])
         else:
             z = np.zeros((len(seeds), d_z))
-        x_prev, offsets = one_step(pose, rhythm, params, x_prev, z, audio[i : i + 1])
+        x_prev, offsets = one_step(config, params, x_prev, z, audio[i : i + 1])
         z_steps.append(z)
         pose_steps.append(x_prev)
         offset_steps.append(offsets[0])

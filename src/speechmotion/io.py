@@ -29,8 +29,8 @@ from .audio import FeatureStats, Transcript
 from .config import RunConfig, plain_hash
 from .data import Checkpoint, SampleSet
 from .errors import DataError, NumericError
-from .model import build_branches
-from .motion import JointSpec
+from .model import param_shapes
+from .motion import JointSpec, normalize_skeleton
 
 
 def _meta_json(meta: dict | None) -> str:
@@ -127,21 +127,52 @@ def load_landmarks(path) -> tuple[np.ndarray, float, JointSpec, dict]:
     """Read a landmarks/1 file.
 
     Raises:
-        DataError naming the file: frames that do not fit its joint spec, or
-        non-finite frame values.
+        DataError naming the file: joint names or hand indices that make no
+        joint spec, frames that do not fit its joint spec, or non-finite
+        frame values.
     """
     npz = _load_npz(path)
     _check_format(npz, "landmarks/1", path)
-    spec = JointSpec(
-        names=tuple(str(n) for n in npz["joint_names"]),
-        hand_indices=tuple(int(i) for i in npz["hand_indices"]),
-    )
+    names, hands = tuple(str(n) for n in npz["joint_names"]), npz["hand_indices"]
+    try:
+        hand_indices = tuple(int(i) for i in hands)
+        if not all(0 <= i < len(names) for i in hand_indices):
+            raise ValueError
+    except (TypeError, ValueError):
+        raise DataError(
+            f"{path}: field 'hand_indices' holds {hands.tolist()!r},"
+            f" not indices of its {len(names)} joints"
+        ) from None
+    try:
+        spec = JointSpec(names=names, hand_indices=hand_indices)
+    except ValueError as exc:
+        raise DataError(f"{path}: field 'joint_names' holds {list(names)!r}: {exc}") from None
     frames = np.asarray(npz["frames"], dtype=np.float64)
     if frames.ndim != 2 or frames.shape[1] != spec.d_m:
         raise DataError(f"{path}: frames shape {frames.shape} does not fit its joint spec")
     if not np.all(np.isfinite(frames)):
         raise DataError(f"{path}: frames contain non-finite values")
     return frames, npz.scalar("fps", float), spec, npz.meta()
+
+
+def load_normalized_landmarks(path, config: RunConfig) -> tuple[np.ndarray, JointSpec, dict]:
+    """A landmarks/1 file that must fit `config`: its frames through
+    `normalize_skeleton`, its joint spec and its meta.
+
+    Raises:
+        DataError naming the file: whatever `load_landmarks` rejects, joint
+        names or an fps other than the config's, or a reference bone too
+        short to scale by.
+    """
+    frames, fps, spec, meta = load_landmarks(path)
+    if spec.names != tuple(config.joint_names):
+        raise DataError(f"{path}: joint names do not match the configured skeleton")
+    if abs(fps - config.fps) > 1e-9:
+        raise DataError(f"{path}: fps {fps} does not match configured {config.fps}")
+    try:
+        return normalize_skeleton(frames, spec), spec, meta
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from None
 
 
 # -- waveforms -----------------------------------------------------------
@@ -303,9 +334,8 @@ def load_stats(path) -> FeatureStats:
 
 
 def _check_params(path, params: dict[str, np.ndarray], config: RunConfig) -> None:
-    """Keys and shapes must be those of the stored config's branches; values finite."""
-    pose, rhythm = build_branches(config)
-    layout = {**pose.param_shapes(), **rhythm.param_shapes()}
+    """Keys and shapes must be those of the stored config's layout; values finite."""
+    layout = param_shapes(config)
     missing = sorted(layout.keys() - params.keys())
     if missing:
         raise DataError(f"{path}: checkpoint lacks parameter(s) {', '.join(missing)}")

@@ -11,7 +11,7 @@ means indistinguishable and 0 means the fakes are trivially spotted.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -181,15 +181,7 @@ class SpeakerMetrics:
     quality: float
 
     def to_dict(self) -> dict:
-        return {
-            "speaker_id": self.speaker_id,
-            "n_samples": self.n_samples,
-            "lvd_model": self.lvd_model,
-            "lvd_last_step": self.lvd_last_step,
-            "lvd_mean_velocity": self.lvd_mean_velocity,
-            "diversity": self.diversity,
-            "quality": self.quality,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -217,14 +209,9 @@ class MetricReport:
                 return float("nan")
             return sum(v * n for v, n in pairs) / weight
 
-        return {
-            "n_samples": total,
-            "lvd_model": avg("lvd_model"),
-            "lvd_last_step": avg("lvd_last_step"),
-            "lvd_mean_velocity": avg("lvd_mean_velocity"),
-            "diversity": avg("diversity"),
-            "quality": avg("quality"),
-        }
+        # every field after speaker_id and n_samples is a metric
+        metrics = [f.name for f in fields(SpeakerMetrics)][2:]
+        return {"n_samples": total, **{name: avg(name) for name in metrics}}
 
     def to_dict(self) -> dict:
         return {

@@ -1,4 +1,9 @@
-"""Both branches of one RunConfig, plus the one-step forward that runs them together."""
+"""The model of one RunConfig: its parameter layout and the one-step forward.
+
+A model is a `(config, params)` pair. The config sizes both branches, and
+`param_shapes(config)` is the one layout of their joint parameters; each
+forward caller builds the two branch objects from the config it is given.
+"""
 
 from __future__ import annotations
 
@@ -13,13 +18,17 @@ from .posemode import PoseModeBranch
 from .rhythm import RhythmBranch
 
 
-def build_branches(config: RunConfig) -> tuple[PoseModeBranch, RhythmBranch]:
-    return PoseModeBranch(config), RhythmBranch(config)
+def param_shapes(config: RunConfig) -> dict[str, tuple[int, ...]]:
+    """Both branches' layout: the `pose.*` keys, then the `rhythm.*` keys.
+
+    `nn.init_params` draws in this key order, so the order is part of every
+    trained checkpoint's values.
+    """
+    return {**PoseModeBranch(config).param_shapes(), **RhythmBranch(config).param_shapes()}
 
 
 def one_step(
-    pose: PoseModeBranch,
-    rhythm: RhythmBranch,
+    config: RunConfig,
     params: Mapping[str, np.ndarray],
     x_prev: np.ndarray,
     z: np.ndarray,
@@ -36,6 +45,7 @@ def one_step(
     Returns the pose-mode clips (B, T*D_M) and the rhythm offsets
     (B or 1, T, D_M); the composed clip is their sum.
     """
+    pose, rhythm = PoseModeBranch(config), RhythmBranch(config)
     pv = nn.param_vars(params)
     e_prev = pose.encode_v(pv, ad.Var(x_prev)).data
     e_prev = np.broadcast_to(e_prev, (len(z), e_prev.shape[1]))

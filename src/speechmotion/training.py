@@ -9,10 +9,12 @@ plus rhythm offsets) against the current clip, vae is the mode-gated latent
 regularizer, rhythm is the offset regression error, and reg is the
 autoencoding error of both clips. The weights are `config.train.lambda_*`.
 Setting a weight to zero removes the term entirely: it is neither computed
-nor differentiated. Batches are partitioned by mode label so each sample
-contributes exactly one latent term. The vae weight is annealed from 0 over
-the first `train.kl_anneal_frac` of all steps (Bowman et al., arXiv
-1511.06349); a fraction of 0 leaves it at full weight from the first step.
+nor differentiated. The model is `(config, params)`, and a batch is a set
+of rows of the once-standardized training `SampleSet`. Batches are
+partitioned by mode label so each sample contributes exactly one latent
+term. The vae weight is annealed from 0 over the first
+`train.kl_anneal_frac` of all steps (Bowman et al., arXiv 1511.06349); a
+fraction of 0 leaves it at full weight from the first step.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from __future__ import annotations
 import copy
 import json
 import time
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -28,13 +30,13 @@ import numpy as np
 from . import autodiff as ad
 from . import nn
 from .audio import FeatureStats, align_audio_to_motion, extract_mfcc
-from .config import RunConfig, TrainSettings
+from .config import RunConfig
 from .data import Checkpoint, DatasetSplit, SampleSet
 from .errors import DataError, NumericError
-from .io import load_landmarks, load_waveform
+from .io import load_normalized_landmarks, load_waveform
 from .metrics import lvd
-from .model import build_branches, one_step
-from .motion import chunk_sequence, label_mode_change, normalize_skeleton
+from .model import one_step, param_shapes
+from .motion import chunk_sequence, label_mode_change
 from .posemode import PoseModeBranch
 from .rhythm import RhythmBranch
 
@@ -60,12 +62,7 @@ def _pair_by_stem(landmark_files, audio_files) -> tuple[list[tuple[Path, Path]],
 
 
 def _segment_samples(lm_path: Path, audio_path: Path, config: RunConfig) -> SampleSet:
-    frames, fps, spec, meta = load_landmarks(lm_path)
-    if spec.names != tuple(config.joint_names):
-        raise DataError(f"{lm_path}: joint names do not match the configured skeleton")
-    if abs(fps - config.fps) > 1e-9:
-        raise DataError(f"{lm_path}: fps {fps} does not match configured {config.fps}")
-    normalized = normalize_skeleton(frames, spec)
+    normalized, spec, meta = load_normalized_landmarks(lm_path, config)
 
     wave, rate = load_waveform(audio_path)
     try:
@@ -146,35 +143,9 @@ def build_dataset(
 # -- batched objective ---------------------------------------------------------
 
 
-@dataclass
-class _Batch:
-    x_prev: np.ndarray  # (B, T*D_M)
-    x_cur: np.ndarray
-    audio: np.ndarray  # (B, T, D_S), standardized
-    offsets: np.ndarray  # (B, T*D_M) ground-truth rhythm targets
-    labels: np.ndarray  # (B,) int
-
-    def rows(self, idx: np.ndarray) -> "_Batch":
-        return _Batch(*(getattr(self, f.name)[idx] for f in fields(self)))
-
-
-def _make_batch(samples: SampleSet) -> _Batch:
-    """The whole set as one batch; the caller standardizes the audio."""
-    n = len(samples)
-    m_cur = samples.m_cur
-    return _Batch(
-        x_prev=samples.m_prev.reshape(n, -1),
-        x_cur=m_cur.reshape(n, -1),
-        audio=samples.audio,
-        offsets=(m_cur - m_cur.mean(axis=1, keepdims=True)).reshape(n, -1),
-        labels=samples.c,
-    )
-
-
 def one_step_predictions(
     samples: SampleSet,
-    pose: PoseModeBranch,
-    rhythm: RhythmBranch,
+    config: RunConfig,
     params: dict[str, np.ndarray],
     rng: np.random.Generator,
 ) -> np.ndarray:
@@ -183,34 +154,33 @@ def one_step_predictions(
     Each sample's previous clip is encoded and its latent code is zero,
     except for c = 1 samples, whose codes are drawn from rng in sample order.
     """
-    z = np.zeros((len(samples), pose.config.model.d_z))
+    z = np.zeros((len(samples), config.model.d_z))
     c1 = np.flatnonzero(samples.c == 1)
     if len(c1):
-        z[c1] = rng.standard_normal((len(c1), pose.config.model.d_z))
+        z[c1] = rng.standard_normal((len(c1), config.model.d_z))
     x_prev = samples.m_prev.reshape(len(samples), -1)
-    pose_flat, offsets = one_step(pose, rhythm, params, x_prev, z, samples.audio)
+    pose_flat, offsets = one_step(config, params, x_prev, z, samples.audio)
     return pose_flat.reshape(offsets.shape) + offsets
 
 
 def _batch_loss(
-    pose: PoseModeBranch,
-    rhythm: RhythmBranch,
+    config: RunConfig,
     pv: dict[str, ad.Var],
-    batch: _Batch,
-    weights: TrainSettings,
+    batch: SampleSet,
     rng: np.random.Generator | None,
     vae_scale: float = 1.0,
 ) -> tuple[ad.Var, dict[str, float]]:
-    """Weighted objective over one batch, on the tape.
+    """Weighted objective over the rows of a standardized set, on the tape.
 
-    The weights are `weights.lambda_*`. Terms with zero weight are skipped
-    outright; the returned breakdown reports unweighted per-term values (0.0
-    for skipped terms).
+    The weights are `config.train.lambda_*`. Terms with zero weight are
+    skipped outright; the returned breakdown reports unweighted per-term
+    values (0.0 for skipped terms).
     """
-    b = batch.x_prev.shape[0]
-    c0 = np.flatnonzero(batch.labels == 0)
-    c1 = np.flatnonzero(batch.labels == 1)
-    d_z = pose.config.model.d_z
+    pose, rhythm, weights = PoseModeBranch(config), RhythmBranch(config), config.train
+    b = len(batch)
+    c0 = np.flatnonzero(batch.c == 0)
+    c1 = np.flatnonzero(batch.c == 1)
+    d_z = config.model.d_z
 
     need_embeddings = weights.lambda_rec > 0 or weights.lambda_vae > 0 or weights.lambda_reg > 0
     need_posterior = weights.lambda_vae > 0 or (weights.lambda_rec > 0 and len(c1) > 0)
@@ -218,8 +188,8 @@ def _batch_loss(
 
     terms: dict[str, ad.Var] = {}
     if need_embeddings:
-        x_prev = ad.constant(batch.x_prev)
-        x_cur = ad.constant(batch.x_cur)
+        x_prev = ad.constant(batch.m_prev.reshape(b, -1))
+        x_cur = ad.constant(batch.m_cur.reshape(b, -1))
         e_prev = pose.encode_v(pv, x_prev)
         e_cur = pose.encode_v(pv, x_cur)
     if need_posterior:
@@ -261,7 +231,9 @@ def _batch_loss(
         terms["rec"] = ad.mean(ad.absolute(pose_flat + rhythm_flat - x_cur))
 
     if weights.lambda_rhythm > 0:
-        terms["rhythm"] = ad.mean(ad.absolute(rhythm_flat - ad.constant(batch.offsets)))
+        # the target is each clip minus its own temporal mean
+        offsets = (batch.m_cur - batch.m_cur.mean(axis=1, keepdims=True)).reshape(b, -1)
+        terms["rhythm"] = ad.mean(ad.absolute(rhythm_flat - ad.constant(offsets)))
 
     if weights.lambda_reg > 0:
         rec_cur = pose.decode_v(pv, e_cur)
@@ -290,8 +262,7 @@ def _batch_loss(
 
 def validation_lvd(
     samples: SampleSet,
-    pose: PoseModeBranch,
-    rhythm: RhythmBranch,
+    config: RunConfig,
     params: dict[str, np.ndarray],
     seed,
 ) -> float:
@@ -299,7 +270,7 @@ def validation_lvd(
     truth, over a standardized sample set."""
     if not samples:
         return float("nan")
-    composed = one_step_predictions(samples, pose, rhythm, params, np.random.default_rng(seed))
+    composed = one_step_predictions(samples, config, params, np.random.default_rng(seed))
     return lvd(composed, samples.m_cur)
 
 
@@ -337,14 +308,13 @@ def train(
     """
     if not dataset.train:
         raise DataError("training split is empty")
-    pose, rhythm = build_branches(config)
     tcfg = config.train
     rng = np.random.default_rng(tcfg.seed)
-    params = nn.init_params({**pose.param_shapes(), **rhythm.param_shapes()}, rng)
+    params = nn.init_params(param_shapes(config), rng)
     optimizer = nn.Adam(params, lr=tcfg.lr)
 
     stats = dataset.feature_stats
-    train_batch = _make_batch(dataset.train.standardized(stats))
+    train_set = dataset.train.standardized(stats)
     val_set = dataset.val.standardized(stats)
     n = len(dataset.train)
     batch_size = min(tcfg.batch_size, n)
@@ -376,10 +346,9 @@ def train(
             sums = {"total": 0.0, "rec": 0.0, "vae": 0.0, "rhythm": 0.0, "reg": 0.0}
             for start in range(0, n, batch_size):
                 idx = order[start : start + batch_size]
-                batch = train_batch.rows(idx)
                 vae_scale = min(1.0, (step + 1) / warmup) if warmup else 1.0
                 pv = nn.param_vars(params)
-                total, breakdown = _batch_loss(pose, rhythm, pv, batch, tcfg, rng, vae_scale)
+                total, breakdown = _batch_loss(config, pv, train_set[idx], rng, vae_scale)
                 value = float(total.data)
                 if not np.isfinite(value):
                     raise NumericError(
@@ -396,7 +365,7 @@ def train(
                     sums[key] += breakdown[key] * frac
 
             val = validation_lvd(
-                val_set, pose, rhythm, params, seed=[tcfg.seed, 7919, epoch]
+                val_set, config, params, seed=[tcfg.seed, 7919, epoch]
             ) if val_set else None
             record = {"epoch": epoch, **{k: sums[k] for k in sums}, "val_lvd": val}
             history.append(record)

@@ -1,16 +1,17 @@
 """Single-sample references for the batched model code.
 
-The package runs both branches only through their batched tape methods
-(`encode_v`, `posterior_v`, `forward_v`, ...) via `model.one_step` and
-`training._batch_loss`. The helpers here re-derive the same quantities one
-clip or one vector at a time, in plain numpy or through a batch of one, so
-the tests can check the batched core against them. The metric and label
-references walk a clip stack one row or pair at a time, as the package did
-before its metrics took stacked arrays. `make_batch` stacks a training batch
-one sample at a time, `conv1d_same` is the plain per-sample form of the
-tape's convolution, `backward` the tape walk that leaves the graph intact,
-and `WholeArrayAdam` the optimizer update on whole arrays with fresh
-temporaries.
+The package holds its model as `(config, params)` and runs both branches
+only through their batched tape methods (`encode_v`, `posterior_v`,
+`forward_v`, ...) via `model.one_step` and `training._batch_loss`. The
+helpers here take a branch built from that config and re-derive the same
+quantities one clip or one vector at a time, in plain numpy or through a
+batch of one, so the tests can check the batched core against them. The
+metric and label references walk a clip stack one row or pair at a time, as
+the package did before its metrics took stacked arrays. `make_batch` stacks
+a training batch and its rhythm targets one sample at a time, `conv1d_same`
+is the plain per-sample form of the tape's convolution, `backward` the tape
+walk that leaves the graph intact, and `WholeArrayAdam` the optimizer update
+on whole arrays with fresh temporaries.
 """
 
 from __future__ import annotations
@@ -26,8 +27,8 @@ from speechmotion.data import SampleSet
 from speechmotion.motion import JointSpec, MotionClip, RhythmOffset
 from speechmotion.posemode import PoseModeBranch
 from speechmotion.rhythm import RhythmBranch
-from speechmotion.config import TrainSettings
-from speechmotion.training import _Batch, _batch_loss
+from speechmotion.config import RunConfig, TrainSettings
+from speechmotion.training import _batch_loss
 
 
 # -- pose-mode branch ------------------------------------------------------------
@@ -187,43 +188,52 @@ def loss_rhythm(pred: RhythmOffset, gt: MotionClip) -> float:
 # -- combined objective ------------------------------------------------------------------
 
 
-def make_batch(samples: SampleSet, rows, stats: FeatureStats | None) -> _Batch:
-    """The batch of the given rows, stacked one sample at a time.
+def make_batch(
+    samples: SampleSet, rows, stats: FeatureStats | None
+) -> tuple[SampleSet, np.ndarray]:
+    """The set of the given rows and their flattened (B, T*D) rhythm
+    targets, stacked one sample at a time.
 
     Each sample's audio is standardized by its own speaker (left as it is
     when stats is None) and its rhythm target is the clip minus the clip's
     own temporal mean.
     """
     rows = list(rows)
-    x_prev = np.stack([samples.m_prev[i].reshape(-1) for i in rows])
-    x_cur = np.stack([samples.m_cur[i].reshape(-1) for i in rows])
     if stats is None:
-        audio = np.stack([samples.audio[i] for i in rows])
+        audio = [samples.audio[i] for i in rows]
     else:
-        audio = np.stack([stats.transform(samples.audio[i], str(samples.speaker[i])) for i in rows])
+        audio = [stats.transform(samples.audio[i], str(samples.speaker[i])) for i in rows]
+    batch = SampleSet(
+        m_prev=np.stack([samples.m_prev[i] for i in rows]),
+        m_cur=np.stack([samples.m_cur[i] for i in rows]),
+        audio=np.stack(audio),
+        c=[samples.c[i] for i in rows],
+        speaker=[samples.speaker[i] for i in rows],
+        segment=[samples.segment[i] for i in rows],
+    )
     offsets = np.stack(
         [(samples.m_cur[i] - samples.m_cur[i].mean(axis=0)).reshape(-1) for i in rows]
     )
-    labels = np.array([samples.c[i] for i in rows], dtype=np.int64)
-    return _Batch(x_prev, x_cur, audio, offsets, labels)
+    return batch, offsets
 
 
 def total_loss(
     sample: SampleSet,
-    pose: PoseModeBranch,
-    rhythm: RhythmBranch,
+    config: RunConfig,
     params: dict[str, np.ndarray],
     weights: TrainSettings,
     rng: np.random.Generator | None = None,
-    feature_stats: FeatureStats | None = None,
 ) -> tuple[float, dict[str, float]]:
-    """Combined objective of a one-row set; returns (total, unweighted breakdown).
+    """Combined objective of a one-row set under `weights`; returns (total,
+    unweighted breakdown).
 
     The weighted sum of the breakdown equals the total. A generator is only
     consumed when the sample has c = 1 and reconstruction is active.
     """
-    batch = make_batch(sample, [0], feature_stats)
-    total, breakdown = _batch_loss(pose, rhythm, nn.param_vars(params), batch, weights, rng)
+    batch, _ = make_batch(sample, [0], None)
+    total, breakdown = _batch_loss(
+        config.replace(train=weights), nn.param_vars(params), batch, rng
+    )
     return float(total.data), breakdown
 
 

@@ -29,12 +29,13 @@ from speechmotion import (
     quality_score,
     swap_dynamics,
 )
-from speechmotion import build_branches, nn
+from speechmotion import nn
 from speechmotion.evaluation import evaluate_checkpoint, sample_diversity
 from speechmotion.motion import chunk_sequence, label_mode_change
 from speechmotion.toydata import make_toy_dataset
 from speechmotion.config import TrainSettings
-from speechmotion.training import _batch_loss, _make_batch, build_dataset, train
+from speechmotion.model import param_shapes
+from speechmotion.training import _batch_loss, build_dataset, train
 
 from oracles import LatentPosterior, loss_vae
 from sizes import sized_config
@@ -153,15 +154,15 @@ def test_criterion_2_kl_oracle():
 
 def test_criterion_3_gradient_checks():
     t0 = time.perf_counter()
-    pose, rhythm = build_branches(sized_config(
+    config = sized_config(
         SPEC2, t_frames=2, d_s=2, d_e=4, d_z=2, enc_hidden=(), latent_hidden=(),
         rhythm_hidden=2, rhythm_layers=1, rhythm_kernel=3,
-    ))
-    n_params = sum(math.prod(s) for s in {**pose.param_shapes(), **rhythm.param_shapes()}.values())
+    )
+    n_params = sum(math.prod(s) for s in param_shapes(config).values())
     assert n_params <= 200
 
     rng = np.random.default_rng(3)
-    params = nn.init_params({**pose.param_shapes(), **rhythm.param_shapes()}, rng)
+    params = nn.init_params(param_shapes(config), rng)
     samples = []
     for i, c in enumerate((1, 0)):
         data = np.random.default_rng(20 + i)
@@ -175,16 +176,14 @@ def test_criterion_3_gradient_checks():
                 segment=[f"seg{i}"],
             )
         )
-    batch = _make_batch(SampleSet.concatenate(samples))
+    batch = SampleSet.concatenate(samples)
 
     def loss_value(params, weights):
         # identical generator per call so the latent draw replays under FD
         total, _ = _batch_loss(
-            pose,
-            rhythm,
+            config.replace(train=weights),
             nn.param_vars(params),
             batch,
-            weights,
             np.random.default_rng(7),
         )
         return total
@@ -199,7 +198,7 @@ def test_criterion_3_gradient_checks():
     report = {}
     for name, weights in cases.items():
         pv = nn.param_vars(params)
-        total, _ = _batch_loss(pose, rhythm, pv, batch, weights, np.random.default_rng(7))
+        total, _ = _batch_loss(config.replace(train=weights), pv, batch, np.random.default_rng(7))
         total.backward()
         analytic = nn.gradients(pv)
         worst = 0.0
@@ -231,27 +230,24 @@ def test_criterion_3_gradient_checks():
 
 
 def _tiny_generation_setup():
-    pose, rhythm = build_branches(sized_config(
+    config = sized_config(
         SPEC4, t_frames=8, d_s=3, d_e=6, d_z=3, enc_hidden=(12,), latent_hidden=(8,),
         rhythm_hidden=6, rhythm_layers=2, rhythm_kernel=3,
-    ))
+    )
     rng = np.random.default_rng(17)
-    pose_params = nn.init_params(pose.param_shapes(), rng)
-    rhythm_params = nn.init_params(rhythm.param_shapes(), rng)
+    params = nn.init_params(param_shapes(config), rng)
     initial = rng.normal(size=(8, 8))
     audio = np.stack([rng.normal(size=(8, 3)) for _ in range(3)])
-    return pose, pose_params, rhythm, rhythm_params, initial, audio
+    return config, params, initial, audio
 
 
 def test_criterion_4_zero_code_determinism():
     t0 = time.perf_counter()
-    pose, pose_params, rhythm, rhythm_params, initial, audio = _tiny_generation_setup()
+    config, params, initial, audio = _tiny_generation_setup()
 
     zeros = ModeSchedule(labels=(0, 0, 0), provenance="explicit")
     runs = [
-        generate_sequence(
-            initial, audio, zeros, pose, rhythm, {**pose_params, **rhythm_params}, seeds=[s]
-        )[0]
+        generate_sequence(initial, audio, zeros, config, params, seeds=[s])[0]
         for s in (0, 0, 12345)
     ]
     same_seed = np.array_equal(runs[0].motion, runs[1].motion)
@@ -260,9 +256,7 @@ def test_criterion_4_zero_code_determinism():
     ones = ModeSchedule(labels=(1, 1, 1), provenance="explicit")
     motions = [
         r.motion
-        for r in generate_sequence(
-            initial, audio, ones, pose, rhythm, {**pose_params, **rhythm_params}, seeds=range(64)
-        )
+        for r in generate_sequence(initial, audio, ones, config, params, seeds=range(64))
     ]
     distinct = len({m.tobytes() for m in motions})
     spread = diversity(motions)
@@ -278,15 +272,11 @@ def test_criterion_4_zero_code_determinism():
 
 
 def test_criterion_5_branch_decoupling():
-    pose, pose_params, rhythm, rhythm_params, initial, audio = _tiny_generation_setup()
+    config, params, initial, audio = _tiny_generation_setup()
     schedule = ModeSchedule(labels=(0, 1, 1), provenance="explicit")
-    zeroed = {k: np.zeros_like(v) for k, v in rhythm_params.items()}
-    (with_rhythm,) = generate_sequence(
-        initial, audio, schedule, pose, rhythm, {**pose_params, **rhythm_params}, seeds=[5]
-    )
-    (without_rhythm,) = generate_sequence(
-        initial, audio, schedule, pose, rhythm, {**pose_params, **zeroed}, seeds=[5]
-    )
+    zeroed = {k: np.zeros_like(v) if k.startswith("rhythm.") else v for k, v in params.items()}
+    (with_rhythm,) = generate_sequence(initial, audio, schedule, config, params, seeds=[5])
+    (without_rhythm,) = generate_sequence(initial, audio, schedule, config, zeroed, seeds=[5])
     pose_identical = all(
         np.array_equal(a, b) for a, b in zip(with_rhythm.pose, without_rhythm.pose)
     )
@@ -350,9 +340,7 @@ def test_criterion_7_ablation_directions(toy_corpus):
             lvds.append(overall["lvd_model"])
             val = split.val.standardized(result.best.feature_stats)
             divs.append(
-                sample_diversity(
-                    val, *build_branches(cfg), result.best.params, n_samples=64, seed=0
-                )
+                sample_diversity(val, cfg, result.best.params, n_samples=64, seed=0)
             )
         medians[name] = (float(np.median(lvds)), float(np.median(divs)))
     elapsed = time.perf_counter() - t0

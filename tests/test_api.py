@@ -10,7 +10,7 @@ PUBLIC = {
     "PoseModeBranch", "RhythmBranch", "RhythmOffset",
     "RunConfig", "SampleSet", "SpeakerMetrics", "ToySettings", "TrainResult", "TrainSettings",
     "Transcript", "align_audio_to_motion", "baseline_last_step",
-    "baseline_mean_velocity", "build_branches", "build_dataset", "chunk_sequence", "compose",
+    "baseline_mean_velocity", "build_dataset", "chunk_sequence", "compose",
     "decompose", "diversity", "evaluate_checkpoint", "extract_mfcc", "generate_sequence",
     "label_mode_change", "lvd", "make_toy_dataset", "mel_filterbank", "mode_schedule",
     "normalize_skeleton", "quality_score", "sample_diversity", "swap_dynamics",
@@ -19,7 +19,7 @@ PUBLIC = {
 
 
 def test_public_names_are_pinned():
-    assert len(speechmotion.__all__) == len(set(speechmotion.__all__)) == 52
+    assert len(speechmotion.__all__) == len(set(speechmotion.__all__)) == 51
     assert set(speechmotion.__all__) == PUBLIC
     for name in speechmotion.__all__:
         assert getattr(speechmotion, name) is not None

@@ -6,9 +6,10 @@ import json
 import numpy as np
 import pytest
 
-from speechmotion import Checkpoint, FeatureStats, JointSpec, RunConfig, build_branches, io, nn
+from speechmotion import Checkpoint, FeatureStats, JointSpec, RunConfig, io, nn
 from speechmotion.cli import main
 from speechmotion.config import plain_hash
+from speechmotion.model import param_shapes
 
 
 def _small_config() -> RunConfig:
@@ -295,12 +296,14 @@ def test_output_root_env(tmp_path, monkeypatch):
 # -- exit codes ---------------------------------------------------------------------------
 
 
-def test_usage_errors_exit_1(tmp_path):
+def test_usage_errors_exit_1(tmp_path, capsys):
     assert main(["make-toy", "--out", str(tmp_path), "--bogus-flag"]) == 1
     assert main(["make-toy", "--out", str(tmp_path), "--set", "no_such.key=1"]) == 1
     assert main(["make-toy", "--out", str(tmp_path), "--set", "t_frames"]) == 1
     assert main(["make-toy", "--out", str(tmp_path), "--set", "model.d_z=0"]) == 1
     assert main(["make-toy", "--out", str(tmp_path), "--set", "mfcc.n_mfcc=0"]) == 1
+    assert main(["make-toy", "--out", str(tmp_path), "--config", str(tmp_path / "none.json")]) == 1
+    assert f"--config {tmp_path / 'none.json'}: No such file" in capsys.readouterr().err
     assert main(["no-such-command"]) == 1
     generate = ["generate", "--checkpoint", "x.npz", "--audio", "x.wav",
                 "--out", str(tmp_path / "g.npz")]
@@ -375,11 +378,10 @@ def test_checkpoint_with_retired_keys_generates_the_same_motion(tmp_path):
     assert plain_hash(tree) == "ce1a7f48eccb236f"
 
     config = RunConfig()
-    pose, rhythm = build_branches(config)
     rng = np.random.default_rng(2)
     new = tmp_path / "new.npz"
     io.save_checkpoint(new, Checkpoint(
-        params=nn.init_params({**pose.param_shapes(), **rhythm.param_shapes()}, rng),
+        params=nn.init_params(param_shapes(config), rng),
         config=config,
         feature_stats=FeatureStats.fit({"a": rng.normal(size=(40, config.mfcc.d_s))}),
         rest_posture=rng.normal(size=config.d_m),
@@ -601,10 +603,9 @@ def test_train_at_other_fps_names_file(workspace, tmp_path, capsys):
 
 def test_evaluate_checkpoint_of_other_clip_length_names_file(workspace, tmp_path, capsys):
     config = _small_config().replace(t_frames=64)
-    pose, rhythm = build_branches(config)
     checkpoint = tmp_path / "t64.npz"
     io.save_checkpoint(checkpoint, Checkpoint(
-        params=nn.init_params({**pose.param_shapes(), **rhythm.param_shapes()}, np.random.default_rng(0)),
+        params=nn.init_params(param_shapes(config), np.random.default_rng(0)),
         config=config,
         feature_stats=io.load_checkpoint(workspace["checkpoint"]).feature_stats,
         rest_posture=np.zeros(config.d_m),
@@ -640,11 +641,46 @@ def test_non_finite_landmarks_preprocess_names_file(workspace, tmp_path, capsys)
     assert str(bad) in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("case", ["non_finite", "other_joints"])
+def _zero_bone_landmarks(workspace, path):
+    # the nose on the neck in every frame: the reference bone has no length to scale by
+    frames, fps, spec, meta = io.load_landmarks(workspace["toy"] / "landmarks" / "spk0_seg00.npz")
+    frames[:, spec.xy("nose")] = frames[:, spec.xy("neck")]
+    io.save_landmarks(path, frames, fps, spec, meta)
+
+
+def test_zero_bone_landmarks_preprocess_skips_naming_file(workspace, tmp_path, capsys):
+    landmarks, audio_dir = tmp_path / "landmarks", workspace["toy"] / "audio"
+    landmarks.mkdir()
+    for src in sorted((workspace["toy"] / "landmarks").glob("*.npz")):
+        (landmarks / src.name).write_bytes(src.read_bytes())
+    bad = landmarks / "spk0_seg00.npz"
+    _zero_bone_landmarks(workspace, bad)
+    code = main(["preprocess", "--config", str(workspace["config"]), "--landmarks", str(landmarks),
+                 "--audio", str(audio_dir), "--out", str(tmp_path / "out")])
+    assert code == 0
+    skipped = [line for line in capsys.readouterr().err.splitlines() if line.startswith("skipped:")]
+    assert len(skipped) == 1 and str(bad) in skipped[0] and "degenerate reference bone" in skipped[0]
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert manifest["errors"] == [skipped[0].removeprefix("skipped: ")]
+
+
+def test_zero_bone_swap_demo_input_names_file(workspace, tmp_path, capsys):
+    good = workspace["toy"] / "landmarks" / "spk1_seg01.npz"
+    bad = tmp_path / "pose.npz"
+    _zero_bone_landmarks(workspace, bad)
+    for a, b in ((bad, good), (good, bad)):
+        code = main(["swap-demo", "--a", str(a), "--b", str(b), "--out", str(tmp_path / "swap")])
+        assert code == 2
+        assert f"{bad}: degenerate reference bone" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("case", ["non_finite", "other_joints", "zero_bone"])
 def test_bad_initial_pose_names_file(workspace, tmp_path, capsys, case):
     bad = tmp_path / "pose.npz"
     if case == "non_finite":
         _nan_landmarks(workspace, bad)
+    elif case == "zero_bone":
+        _zero_bone_landmarks(workspace, bad)
     else:
         spec = JointSpec(names=("nose", "neck", "right_palm"), hand_indices=(2,))
         io.save_landmarks(bad, np.random.default_rng(0).normal(size=(40, spec.d_m)), 15.0, spec)

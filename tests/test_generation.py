@@ -15,7 +15,10 @@ from speechmotion import (
     mode_schedule,
 )
 from speechmotion import autodiff as ad
-from speechmotion import build_branches, nn
+from speechmotion import nn
+from speechmotion.model import param_shapes
+from speechmotion.posemode import PoseModeBranch
+from speechmotion.rhythm import RhythmBranch
 
 from oracles import decode_motion, encode_motion, rhythm_generate, sample_latent
 from sizes import sized_config
@@ -87,20 +90,18 @@ def test_schedule_validation():
 
 
 @pytest.fixture
-def gen_setup(tiny_pose, tiny_rhythm, small_spec):
-    pose, pose_params = tiny_pose
-    rhythm, rhythm_params = tiny_rhythm
+def gen_setup(tiny_config, tiny_pose, tiny_rhythm, small_spec):
     rng = np.random.default_rng(100)
     initial = rng.normal(size=(4, small_spec.d_m))
     clips = np.stack([rng.normal(size=(4, 3)) for _ in range(3)])
-    return pose, pose_params, rhythm, rhythm_params, initial, clips
+    return tiny_config, {**tiny_pose[1], **tiny_rhythm[1]}, initial, clips
 
 
 def _run(setup, labels, seed=0):
-    pose, pp, rhythm, rp, initial, clips = setup
+    config, params, initial, clips = setup
     sched = ModeSchedule(tuple(labels), "explicit")
     return generate_sequence(
-        initial, clips[: len(labels)], sched, pose, rhythm, {**pp, **rp}, seeds=[seed]
+        initial, clips[: len(labels)], sched, config, params, seeds=[seed]
     )[0]
 
 
@@ -135,26 +136,29 @@ def test_output_shape_and_per_step(gen_setup):
 
 
 def test_single_step_equals_component_calls(gen_setup):
-    pose, pp, rhythm, rp, initial, clips = gen_setup
+    config, params, initial, clips = gen_setup
+    pose = PoseModeBranch(config)
     seed = 5
     result = _run(gen_setup, (1,), seed=seed)
-    e_prev = encode_motion(pose, pp, MotionClip(initial, joint_spec=pose.config.joint_spec))
+    e_prev = encode_motion(pose, params, MotionClip(initial, joint_spec=config.joint_spec))
     z = sample_latent(pose, 1, rng=np.random.default_rng(seed), mode="infer")
     e_star = pose.decode_transition_v(
-        nn.param_vars(pp), ad.Var(z[None, :]), ad.Var(e_prev[None, :])
+        nn.param_vars(params), ad.Var(z[None, :]), ad.Var(e_prev[None, :])
     ).data[0]
-    expected_pose = decode_motion(pose, pp, e_star)
-    expected_rhythm = rhythm_generate(rhythm, rp, clips[0])
+    expected_pose = decode_motion(pose, params, e_star)
+    expected_rhythm = rhythm_generate(RhythmBranch(config), params, clips[0])
     np.testing.assert_array_equal(
         result.motion, expected_pose.frames + expected_rhythm.offsets
     )
 
 
 def test_each_step_offsets_come_from_its_own_audio(gen_setup):
-    pose, pp, rhythm, rp, initial, clips = gen_setup
+    config, params, initial, clips = gen_setup
     result = _run(gen_setup, (0, 1, 0), seed=2)
     for audio, offsets in zip(clips, result.offsets):
-        np.testing.assert_array_equal(offsets, rhythm_generate(rhythm, rp, audio).offsets)
+        np.testing.assert_array_equal(
+            offsets, rhythm_generate(RhythmBranch(config), params, audio).offsets
+        )
 
 
 def test_prefix_stability(gen_setup):
@@ -164,11 +168,11 @@ def test_prefix_stability(gen_setup):
 
 
 def test_zeroed_rhythm_keeps_pose_clips(gen_setup):
-    pose, pp, rhythm, rp, initial, clips = gen_setup
-    zeroed = {k: np.zeros_like(v) for k, v in rp.items()}
+    config, params, initial, clips = gen_setup
+    zeroed = {k: np.zeros_like(v) if k.startswith("rhythm.") else v for k, v in params.items()}
     sched = ModeSchedule((0, 1, 1), "explicit")
-    (with_rhythm,) = generate_sequence(initial, clips, sched, pose, rhythm, {**pp, **rp}, seeds=[4])
-    (without,) = generate_sequence(initial, clips, sched, pose, rhythm, {**pp, **zeroed}, seeds=[4])
+    (with_rhythm,) = generate_sequence(initial, clips, sched, config, params, seeds=[4])
+    (without,) = generate_sequence(initial, clips, sched, config, zeroed, seeds=[4])
     assert np.abs(with_rhythm.motion - without.motion).max() > 0
     for a_pose, b_pose, b_offsets in zip(with_rhythm.pose, without.pose, without.offsets):
         np.testing.assert_array_equal(a_pose, b_pose)
@@ -176,9 +180,9 @@ def test_zeroed_rhythm_keeps_pose_clips(gen_setup):
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow is the point
-def test_non_finite_step_is_numeric_error_naming_it(tiny_pose, tiny_rhythm, small_spec):
-    pose, pp = tiny_pose
-    rhythm, rp = tiny_rhythm
+def test_non_finite_step_is_numeric_error_naming_it(tiny_config, tiny_pose, tiny_rhythm, small_spec):
+    _, pp = tiny_pose
+    _, rp = tiny_rhythm
     # offsets are 1e308 * (1 + tanh(10 tanh(10 a))) for audio channel a: finite
     # where a is negative, overflowing where it is positive (step 2 only)
     rp = {k: np.zeros_like(v) for k, v in rp.items()}
@@ -190,68 +194,68 @@ def test_non_finite_step_is_numeric_error_naming_it(tiny_pose, tiny_rhythm, smal
     initial = np.zeros((4, small_spec.d_m))
     sched = ModeSchedule((0, 1, 0, 1), "explicit")
     with pytest.raises(NumericError, match="non-finite motion at step 2 of 4"):
-        generate_sequence(initial, clips, sched, pose, rhythm, {**pp, **rp}, seeds=[0, 1])
+        generate_sequence(initial, clips, sched, tiny_config, {**pp, **rp}, seeds=[0, 1])
 
 
 def test_empty_audio_is_data_error(gen_setup):
-    pose, pp, rhythm, rp, initial, _ = gen_setup
+    config, params, initial, _ = gen_setup
     with pytest.raises(DataError):
-        generate_sequence(initial, [], ModeSchedule((), "explicit"), pose, rhythm, {**pp, **rp})
+        generate_sequence(initial, [], ModeSchedule((), "explicit"), config, params)
 
 
 def test_schedule_length_mismatch(gen_setup):
-    pose, pp, rhythm, rp, initial, clips = gen_setup
+    config, params, initial, clips = gen_setup
     with pytest.raises(ValueError):
         generate_sequence(
-            initial, clips, ModeSchedule((0, 1), "explicit"), pose, rhythm, {**pp, **rp}
+            initial, clips, ModeSchedule((0, 1), "explicit"), config, params
         )
 
 
 def test_empty_seed_list_rejected(gen_setup):
-    pose, pp, rhythm, rp, initial, clips = gen_setup
+    config, params, initial, clips = gen_setup
     with pytest.raises(ValueError):
         generate_sequence(
-            initial, clips, ModeSchedule((0, 1, 0), "explicit"), pose, rhythm, {**pp, **rp},
+            initial, clips, ModeSchedule((0, 1, 0), "explicit"), config, params,
             seeds=[],
         )
 
 
 def test_audio_width_mismatch_rejected(gen_setup):
-    pose, pp, rhythm, rp, initial, _ = gen_setup
+    config, params, initial, _ = gen_setup
     with pytest.raises(ValueError, match="audio features shape"):
         generate_sequence(
             initial, np.zeros((1, 4, 5)), ModeSchedule((0,), "explicit"),
-            pose, rhythm, {**pp, **rp},
+            config, params,
         )
 
 
 def test_audio_validation(gen_setup):
-    pose, pp, rhythm, rp, initial, clips = gen_setup
+    config, params, initial, clips = gen_setup
     sched = ModeSchedule((0, 0, 0), "explicit")
     with pytest.raises(ValueError, match="audio features shape"):
-        generate_sequence(initial, np.zeros(3), sched, pose, rhythm, {**pp, **rp})
+        generate_sequence(initial, np.zeros(3), sched, config, params)
     clips = clips.copy()
     clips[1, 2, 0] = np.nan
     with pytest.raises(DataError, match="audio features contain non-finite values"):
-        generate_sequence(initial, clips, sched, pose, rhythm, {**pp, **rp})
+        generate_sequence(initial, clips, sched, config, params)
 
 
 def test_initial_pose_shape_mismatch_rejected(gen_setup, small_spec):
-    pose, pp, rhythm, rp, _, clips = gen_setup
+    config, params, _, clips = gen_setup
     wrong = np.zeros((6, small_spec.d_m))
     with pytest.raises(ValueError, match=r"initial pose shape \(6, 6\) does not match configured \(4, 6\)"):
         generate_sequence(
-            wrong, clips[:1], ModeSchedule((0,), "explicit"), pose, rhythm, {**pp, **rp},
+            wrong, clips[:1], ModeSchedule((0,), "explicit"), config, params,
         )
 
 
 def test_non_finite_initial_pose_rejected(gen_setup):
-    pose, pp, rhythm, rp, initial, clips = gen_setup
+    config, params, initial, clips = gen_setup
     initial = initial.copy()
     initial[1, 2] = np.inf
     with pytest.raises(DataError, match="initial pose contains non-finite values"):
         generate_sequence(
-            initial, clips[:1], ModeSchedule((0,), "explicit"), pose, rhythm, {**pp, **rp},
+            initial, clips[:1], ModeSchedule((0,), "explicit"), config, params,
         )
 
 
@@ -262,29 +266,29 @@ MIXED = (0, 0, 1, 0, 1, 1, 0)  # first label-1 step is step 2
 
 @pytest.fixture(scope="module")
 def batch_setup():
-    """A branch wide enough that its GEMMs take BLAS's blocked kernels, not toy sizes."""
+    """A model wide enough that its GEMMs take BLAS's blocked kernels, not toy sizes."""
     spec = JointSpec(names=("nose", "neck", "right_palm"), hand_indices=(2,))
-    pose, rhythm = build_branches(sized_config(
+    config = sized_config(
         spec, t_frames=16, d_s=5, d_e=32, d_z=8, enc_hidden=(64,), latent_hidden=(32,),
         rhythm_hidden=16, rhythm_layers=2,
-    ))
+    )
     rng = np.random.default_rng(21)
-    pp, rp = nn.init_params(pose.param_shapes(), rng), nn.init_params(rhythm.param_shapes(), rng)
+    params = nn.init_params(param_shapes(config), rng)
     initial = rng.normal(size=(16, 6))
     clips = np.stack([rng.normal(size=(16, 5)) for _ in MIXED])
-    return pose, pp, rhythm, rp, initial, clips
+    return config, params, initial, clips
 
 
 @pytest.mark.parametrize("n_seeds", [1, 3, 8, 9])
 def test_batched_seeds_match_single_seed_runs(batch_setup, n_seeds):
-    pose, pp, rhythm, rp, initial, clips = batch_setup
+    config, params, initial, clips = batch_setup
     sched = ModeSchedule(MIXED, "explicit")
     seeds = [100 + s for s in range(n_seeds)]
-    batched = generate_sequence(initial, clips, sched, pose, rhythm, {**pp, **rp}, seeds=seeds)
+    batched = generate_sequence(initial, clips, sched, config, params, seeds=seeds)
     assert [r.seed for r in batched] == seeds
     for seed, got in zip(seeds, batched):
         (alone,) = generate_sequence(
-            initial, clips, sched, pose, rhythm, {**pp, **rp}, seeds=[seed]
+            initial, clips, sched, config, params, seeds=[seed]
         )
         scale = np.abs(alone.motion).max()
         assert np.abs(got.motion - alone.motion).max() <= 1e-12 * scale
@@ -296,10 +300,10 @@ def test_batched_seeds_match_single_seed_runs(batch_setup, n_seeds):
 
 @pytest.mark.parametrize("n_seeds", [1, 3, 8, 9])
 def test_batched_rows_before_first_draw_identical_across_seeds(batch_setup, n_seeds):
-    pose, pp, rhythm, rp, initial, clips = batch_setup
+    config, params, initial, clips = batch_setup
     sched = ModeSchedule(MIXED, "explicit")
     results = generate_sequence(
-        initial, clips, sched, pose, rhythm, {**pp, **rp}, seeds=range(n_seeds)
+        initial, clips, sched, config, params, seeds=range(n_seeds)
     )
     t = len(initial)
     before = MIXED.index(1) * t

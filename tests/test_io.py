@@ -16,13 +16,13 @@ from speechmotion import (
     RunConfig,
     SampleSet,
     Transcript,
-    build_branches,
     generate_sequence,
     io,
     mode_schedule,
     nn,
 )
 from speechmotion.config import TrainSettings, plain_hash
+from speechmotion.model import param_shapes
 
 SPEC = JointSpec(names=("nose", "neck", "right_palm"), hand_indices=(2,))
 
@@ -229,10 +229,9 @@ def _checkpoint():
             rhythm_hidden=4, rhythm_layers=1,
         ),
     )
-    pose, rhythm = build_branches(config)
     stats = FeatureStats.fit({"a": rng.normal(size=(30, config.mfcc.d_s))})
     return Checkpoint(
-        params=nn.init_params({**pose.param_shapes(), **rhythm.param_shapes()}, rng),
+        params=nn.init_params(param_shapes(config), rng),
         config=config,
         feature_stats=stats,
         rest_posture=rng.normal(size=config.d_m),
@@ -267,8 +266,9 @@ def test_checkpoint_missing_branch_is_data_error(tmp_path):
         io.load_checkpoint(tmp_path / "broken.npz")
 
 
-# the parameter names checkpoint/1 stores for _checkpoint()'s config; other readers
-# of the files (the benchmark's reference forward among them) rely on them
+# the parameter names checkpoint/1 stores for _checkpoint()'s config, in layout
+# order; other readers of the files (the benchmark's reference forward among
+# them) rely on the names, and init_params draws in the order
 CHECKPOINT_1_PARAMS = (
     *(f"param.pose.{net}.{kind}{layer}" for net in ("f_enc", "f_dec", "h_enc", "h_dec")
       for layer in (0, 1) for kind in "wb"),
@@ -281,6 +281,7 @@ def test_checkpoint_parameter_keys_unchanged(tmp_path):
     io.save_checkpoint(path, _checkpoint())
     with np.load(path) as npz:
         assert {k for k in npz.files if k.startswith("param.")} == set(CHECKPOINT_1_PARAMS)
+    assert [f"param.{key}" for key in param_shapes(_checkpoint().config)] == list(CHECKPOINT_1_PARAMS)
 
 
 def test_checkpoint_1_file_generates_same_motion(tmp_path):
@@ -295,13 +296,12 @@ def test_checkpoint_1_file_generates_same_motion(tmp_path):
     loaded = io.load_checkpoint(tmp_path / "old.npz")
 
     config = ckpt.config
-    pose, rhythm = build_branches(config)
     rng = np.random.default_rng(8)
     initial = rng.normal(size=(config.t_frames, config.d_m))
     audio = np.stack([rng.normal(size=(config.t_frames, config.mfcc.d_s)) for _ in range(3)])
     schedule = mode_schedule(None, 3, "explicit", explicit=[0, 1, 1])
-    expected = generate_sequence(initial, audio, schedule, pose, rhythm, ckpt.params, seeds=[1, 2])
-    got = generate_sequence(initial, audio, schedule, pose, rhythm, loaded.params, seeds=[1, 2])
+    expected = generate_sequence(initial, audio, schedule, config, ckpt.params, seeds=[1, 2])
+    got = generate_sequence(initial, audio, schedule, config, loaded.params, seeds=[1, 2])
     for a, b in zip(expected, got):
         np.testing.assert_array_equal(a.motion, b.motion)
 
@@ -365,8 +365,10 @@ def test_container_without_a_field_names_file_and_field(tmp_path, kind, field):
         load(path)
 
 
-# a scalar field holding what does not convert, per container kind
-BAD_SCALARS = [("landmarks", "fps", "fast"), ("waveform", "sample_rate", "x"),
+# a field holding what does not convert, per container kind
+BAD_SCALARS = [("landmarks", "fps", "fast"), ("landmarks", "hand_indices", ["x"]),
+               ("landmarks", "hand_indices", [70]), ("landmarks", "joint_names", ["nose"] * 3),
+               ("waveform", "sample_rate", "x"),
                ("split", "fps", "fast"), ("split", "sample_rate", "x")]
 
 

@@ -234,7 +234,7 @@ def _pose_step(branch, params, tiny_rhythm, prev, z):
     rhythm, rhythm_params = tiny_rhythm
     x_prev = prev.frames.reshape(1, -1)
     audio = np.zeros((1, prev.t, rhythm.config.mfcc.d_s))
-    pose_flat, _ = one_step(branch, rhythm, {**params, **rhythm_params}, x_prev, z, audio)
+    pose_flat, _ = one_step(branch.config, {**params, **rhythm_params}, x_prev, z, audio)
     return pose_flat.reshape(len(z), *prev.frames.shape)
 
 
@@ -255,8 +255,7 @@ def test_generate_pose_mode_matches_component_chain(tiny_pose, tiny_rhythm, clip
     seed = 13
     z_rows = np.random.default_rng(seed).standard_normal((1, branch.config.model.d_z))
     got_pose, got_offsets = one_step(
-        branch, rhythm, {**params, **rhythm_params}, prev.frames.reshape(1, -1), z_rows,
-        audio[None],
+        branch.config, {**params, **rhythm_params}, prev.frames.reshape(1, -1), z_rows, audio[None],
     )
 
     from speechmotion import autodiff as ad

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from speechmotion import (
+    DEFAULT_JOINTS,
     DataError,
     DatasetSplit,
     FeatureStats,
@@ -21,9 +22,12 @@ from speechmotion import (
     validation_lvd,
 )
 from speechmotion import autodiff as ad
-from speechmotion import build_branches, nn
+from speechmotion import nn
 from speechmotion.config import ModelSettings, ToySettings, TrainSettings
-from speechmotion.training import _batch_loss, _make_batch
+from speechmotion.model import param_shapes
+from speechmotion.posemode import PoseModeBranch
+from speechmotion.rhythm import RhythmBranch
+from speechmotion.training import _batch_loss
 
 import oracles
 from oracles import encode_motion, loss_vae, posterior, total_loss
@@ -32,14 +36,12 @@ from sizes import sized_config
 SPEC = JointSpec(names=("nose", "neck", "right_palm"), hand_indices=(2,))
 
 
-def _tiny_branches(seed=0):
-    pose, rhythm = build_branches(sized_config(
+def _tiny_model(seed=0):
+    config = sized_config(
         SPEC, t_frames=4, d_s=3, d_e=5, d_z=3, enc_hidden=(8,), latent_hidden=(6,),
         rhythm_hidden=4, rhythm_layers=2, rhythm_kernel=3,
-    ))
-    rng = np.random.default_rng(seed)
-    pose_params = nn.init_params(pose.param_shapes(), rng)
-    return pose, pose_params, rhythm, nn.init_params(rhythm.param_shapes(), rng)
+    )
+    return config, nn.init_params(param_shapes(config), np.random.default_rng(seed))
 
 
 def _sample(seed=0, c=0):
@@ -66,18 +68,17 @@ def test_negative_weight_rejected():
 
 
 def test_all_weights_zero_gives_zero():
-    pose, pp, rhythm, rp = _tiny_branches()
+    config, params = _tiny_model()
     total, breakdown = total_loss(
-        _sample(), pose, rhythm, {**pp, **rp}, TrainSettings(lambda_rec=0.0, lambda_vae=0.0, lambda_rhythm=0.0, lambda_reg=0.0)
+        _sample(), config, params, TrainSettings(lambda_rec=0.0, lambda_vae=0.0, lambda_rhythm=0.0, lambda_reg=0.0)
     )
     assert total == 0.0
     assert breakdown == {"rec": 0.0, "vae": 0.0, "rhythm": 0.0, "reg": 0.0}
 
 
 def test_perfect_model_on_zero_clip_reconstructs():
-    pose, pp, rhythm, rp = _tiny_branches()
-    pp = {k: np.zeros_like(v) for k, v in pp.items()}
-    rp = {k: np.zeros_like(v) for k, v in rp.items()}
+    config, params = _tiny_model()
+    params = {k: np.zeros_like(v) for k, v in params.items()}
     zero = SampleSet(
         m_prev=np.zeros((1, 4, 6)),
         m_cur=np.zeros((1, 4, 6)),
@@ -87,18 +88,18 @@ def test_perfect_model_on_zero_clip_reconstructs():
         segment=["seg"],
     )
     total, breakdown = total_loss(
-        zero, pose, rhythm, {**pp, **rp}, TrainSettings(lambda_rec=1.0, lambda_vae=0.0, lambda_rhythm=0.0, lambda_reg=0.0)
+        zero, config, params, TrainSettings(lambda_rec=1.0, lambda_vae=0.0, lambda_rhythm=0.0, lambda_reg=0.0)
     )
     assert total == 0.0
     assert breakdown["rec"] == 0.0
 
 
 def test_breakdown_additivity():
-    pose, pp, rhythm, rp = _tiny_branches()
+    config, params = _tiny_model()
     weights = TrainSettings(lambda_rec=1.0, lambda_vae=0.01, lambda_rhythm=1.0, lambda_reg=1.0)
     for c, seed in ((0, 1), (1, 2)):
         total, breakdown = total_loss(
-            _sample(seed, c), pose, rhythm, {**pp, **rp}, weights, rng=np.random.default_rng(0)
+            _sample(seed, c), config, params, weights, rng=np.random.default_rng(0)
         )
         weighted = (
             weights.lambda_rec * breakdown["rec"]
@@ -111,45 +112,46 @@ def test_breakdown_additivity():
 
 def test_weight_zeroing_identity():
     # weighted total with one lambda zeroed equals the sum of the other terms
-    pose, pp, rhythm, rp = _tiny_branches()
+    config, params = _tiny_model()
     full = TrainSettings(lambda_rec=1.0, lambda_vae=1.0, lambda_rhythm=1.0, lambda_reg=1.0)
     sample = _sample(3, c=1)
-    _, breakdown = total_loss(sample, pose, rhythm, {**pp, **rp}, full, rng=np.random.default_rng(5))
+    _, breakdown = total_loss(sample, config, params, full, rng=np.random.default_rng(5))
     for dropped in ("rec", "vae", "rhythm", "reg"):
         weights = TrainSettings(
             **{f"lambda_{k}": 0.0 if k == dropped else 1.0 for k in ("rec", "vae", "rhythm", "reg")}
         )
-        total, sub = total_loss(sample, pose, rhythm, {**pp, **rp}, weights, rng=np.random.default_rng(5))
+        total, sub = total_loss(sample, config, params, weights, rng=np.random.default_rng(5))
         assert sub[dropped] == 0.0
         expected = sum(breakdown[k] for k in breakdown if k != dropped)
         assert abs(total - expected) < 1e-9
 
 
 def test_indicator_semantics_of_vae_term(tiny_pose=None):
-    pose, pp, rhythm, rp = _tiny_branches()
+    config, params = _tiny_model()
+    pose = PoseModeBranch(config)
     for c in (0, 1):
         sample = _sample(seed=4, c=c)
         _, breakdown = total_loss(
-            sample, pose, rhythm, {**pp, **rp}, TrainSettings(lambda_rec=0.0, lambda_vae=1.0, lambda_rhythm=0.0, lambda_reg=0.0)
+            sample, config, params, TrainSettings(lambda_rec=0.0, lambda_vae=1.0, lambda_rhythm=0.0, lambda_reg=0.0)
         )
-        e_prev = encode_motion(pose, pp, MotionClip(sample.m_prev[0], joint_spec=SPEC))
-        e_cur = encode_motion(pose, pp, MotionClip(sample.m_cur[0], joint_spec=SPEC))
-        post = posterior(pose, pp, e_cur - e_prev)
+        e_prev = encode_motion(pose, params, MotionClip(sample.m_prev[0], joint_spec=SPEC))
+        e_cur = encode_motion(pose, params, MotionClip(sample.m_cur[0], joint_spec=SPEC))
+        post = posterior(pose, params, e_cur - e_prev)
         assert abs(breakdown["vae"] - loss_vae(post, c)) < 1e-9
 
 
 def test_total_loss_matches_hand_traced_forward():
-    pose, pp, rhythm, rp = _tiny_branches(seed=9)
+    config, params = _tiny_model(seed=9)
     sample = _sample(seed=10, c=1)
     weights = TrainSettings(lambda_rec=1.0, lambda_vae=0.01, lambda_rhythm=1.0, lambda_reg=1.0)
     got_total, got_parts = total_loss(
-        sample, pose, rhythm, {**pp, **rp}, weights, rng=np.random.default_rng(21)
+        sample, config, params, weights, rng=np.random.default_rng(21)
     )
 
     # independent forward pass in plain numpy
     def mlp(prefix, x, n_layers):
         for i in range(n_layers):
-            x = x @ pp[f"{prefix}.w{i}"] + pp[f"{prefix}.b{i}"]
+            x = x @ params[f"{prefix}.w{i}"] + params[f"{prefix}.b{i}"]
             if i < n_layers - 1:
                 x = np.tanh(x)
         return x
@@ -171,11 +173,11 @@ def test_total_loss_matches_hand_traced_forward():
     audio = sample.audio
     h = audio
     for i in range(2):
-        w, b_ = rp[f"rhythm.conv{i}.w"], rp[f"rhythm.conv{i}.b"]
+        w, b_ = params[f"rhythm.conv{i}.w"], params[f"rhythm.conv{i}.b"]
         pad = np.pad(h, ((0, 0), (1, 1), (0, 0)))
         h = sum(pad[:, k : k + 4] @ w[k] for k in range(3)) + b_
         h = np.tanh(h)
-    rhythm_out = h @ rp["rhythm.head.w"] + rp["rhythm.head.b"]
+    rhythm_out = h @ params["rhythm.head.w"] + params["rhythm.head.b"]
     rhythm_flat = rhythm_out.reshape(1, -1)
 
     rec = float(np.abs(pose_flat + rhythm_flat - x_cur).mean())
@@ -195,9 +197,9 @@ def test_total_loss_matches_hand_traced_forward():
 
 
 def test_c1_reconstruction_needs_rng():
-    pose, pp, rhythm, rp = _tiny_branches()
+    config, params = _tiny_model()
     with pytest.raises(ValueError):
-        total_loss(_sample(c=1), pose, rhythm, {**pp, **rp}, TrainSettings(lambda_rec=1.0, lambda_vae=0.0, lambda_rhythm=0.0, lambda_reg=0.0))
+        total_loss(_sample(c=1), config, params, TrainSettings(lambda_rec=1.0, lambda_vae=0.0, lambda_rhythm=0.0, lambda_reg=0.0))
 
 
 # -- dataset assembly ------------------------------------------------------------------
@@ -360,7 +362,8 @@ def test_sample_set_rejects_rows_or_frames_that_disagree():
 
 @pytest.mark.parametrize("t", [4, 16, 64])
 def test_batches_match_per_sample_stacking(t):
-    """Rows of the once-standardized set are the batches stacked sample by sample."""
+    """Rows of the once-standardized set, and the rhythm targets the objective
+    builds from them, are the batches stacked sample by sample."""
     rng = np.random.default_rng(t)
     n = 40
     samples = _sample_set(
@@ -376,12 +379,21 @@ def test_batches_match_per_sample_stacking(t):
         str(spk): samples.audio[samples.speaker == spk].reshape(-1, 26)
         for spk in np.unique(samples.speaker[train_rows])
     })
-    whole = _make_batch(samples.standardized(stats))
+    whole = samples.standardized(stats)
+    # only the rhythm term, whose target is the one thing the objective derives
+    config = sized_config(
+        DEFAULT_JOINTS, t_frames=t, d_s=26, d_e=4, d_z=2, enc_hidden=(), latent_hidden=(),
+        rhythm_hidden=4, rhythm_layers=1,
+    ).replace(train=TrainSettings(lambda_rec=0.0, lambda_vae=0.0, lambda_reg=0.0))
+    pv = nn.param_vars(nn.init_params(param_shapes(config), np.random.default_rng(0)))
     for size in (1, 5, 16, 32):
         idx = rng.permutation(n)[:size]
-        got, expected = whole.rows(idx), oracles.make_batch(samples, idx, stats)
-        for field in ("x_prev", "x_cur", "audio", "offsets", "labels"):
+        got, (expected, targets) = whole[idx], oracles.make_batch(samples, idx, stats)
+        for field in ("m_prev", "m_cur", "audio", "c"):
             assert np.array_equal(getattr(got, field), getattr(expected, field)), field
+        _, parts = _batch_loss(config, pv, got, None)
+        offsets = RhythmBranch(config).forward_v(pv, ad.Var(got.audio)).data.reshape(size, -1)
+        assert parts["rhythm"] == np.mean(np.abs(offsets - targets))
 
 
 # -- training loop -------------------------------------------------------------------------
@@ -408,9 +420,7 @@ def test_init_values_pinned():
         model=ModelSettings(d_e=8, d_z=4, enc_hidden=(16,), latent_hidden=(8,),
                             rhythm_hidden=8, rhythm_layers=2),
     )
-    pose, rhythm = build_branches(config)
-    shapes = {**pose.param_shapes(), **rhythm.param_shapes()}
-    params = nn.init_params(shapes, np.random.default_rng(0))
+    params = nn.init_params(param_shapes(config), np.random.default_rng(0))
     assert len(params) == 22
     assert _digest(params) == "537e42c867bfa170f6df5338e98fcf5ab0fe7a4ae0301504b29e8b52dc8aa5a1"
     quality = nn.TemporalConv(c_in=24, c_out=1, hidden=8, n_layers=2, kernel=5)
@@ -466,14 +476,13 @@ def test_batch_loss_leaf_gradients_match_intact_graph_walk(toy_corpus):
     """The consuming `backward` gives the leaves what the intact walk gives."""
     _, config, landmarks, audio = toy_corpus
     split, _ = build_dataset(landmarks, audio, config)
-    pose, rhythm = build_branches(config)
-    params = nn.init_params({**pose.param_shapes(), **rhythm.param_shapes()}, np.random.default_rng(4))
-    batch = _make_batch(split.train[:8].standardized(split.feature_stats))
-    assert set(batch.labels) == {0, 1}
+    params = nn.init_params(param_shapes(config), np.random.default_rng(4))
+    batch = split.train[:8].standardized(split.feature_stats)
+    assert set(batch.c) == {0, 1}
     grads = []
     for walk in (ad.Var.backward, oracles.backward):
         pv = nn.param_vars(params)
-        total, _ = _batch_loss(pose, rhythm, pv, batch, TrainSettings(), np.random.default_rng(5), 0.5)
+        total, _ = _batch_loss(config, pv, batch, np.random.default_rng(5), 0.5)
         walk(total)
         grads.append(nn.gradients(pv))
     for key in params:
@@ -488,21 +497,21 @@ def test_train_loss_decreases(toy_corpus):
 
 
 def test_validation_lvd_empty_is_nan():
-    pose, pp, rhythm, rp = _tiny_branches()
-    assert np.isnan(validation_lvd([], pose, rhythm, {**pp, **rp}, seed=0))
+    config, params = _tiny_model()
+    assert np.isnan(validation_lvd([], config, params, seed=0))
 
 
 def test_validation_lvd_positive(toy_corpus):
     _, config, landmarks, audio = toy_corpus
     split, _ = build_dataset(landmarks, audio, config)
-    pose, rhythm = build_branches(sized_config(
+    sized = sized_config(
         config.joint_spec, t_frames=16, d_s=26, d_e=8, d_z=4, enc_hidden=(16,),
         latent_hidden=(8,), rhythm_hidden=8, rhythm_layers=2,
-    ))
+    )
     rng = np.random.default_rng(0)
     value = validation_lvd(
-        split.val.standardized(split.feature_stats), pose, rhythm,
-        nn.init_params({**pose.param_shapes(), **rhythm.param_shapes()}, rng),
+        split.val.standardized(split.feature_stats), sized,
+        nn.init_params(param_shapes(sized), rng),
         seed=0,
     )
     assert value > 0
