@@ -173,7 +173,7 @@ def cmd_train(args) -> int:
 def _initial_pose(args, ckpt) -> np.ndarray:
     config = ckpt.config
     if args.initial_pose:
-        normalized, _, _ = io.load_normalized_landmarks(args.initial_pose, config)
+        normalized, _ = io.load_normalized_landmarks(args.initial_pose, config)
         if len(normalized) < config.t_frames:
             raise DataError(f"{args.initial_pose}: too short for one clip")
         return normalized[: config.t_frames]
@@ -202,15 +202,14 @@ def _schedule_for(args, config: RunConfig, n_steps: int, transcript) -> ModeSche
             keywords=config.generate.keywords,
         )
     if policy == "fixed-interval":
-        interval = args.interval if args.interval is not None else config.generate.interval
-        return mode_schedule(None, n_steps, "fixed-interval", interval=interval)
+        return mode_schedule(None, n_steps, "fixed-interval", interval=args.interval)
     raise _UsageError(f"unknown policy {policy!r}")
 
 
 def cmd_generate(args) -> int:
     if args.num_seeds < 1:
         raise _UsageError(f"--num-seeds must be at least 1, got {args.num_seeds}")
-    if args.interval is not None and args.interval < 1:
+    if args.interval < 1:
         raise _UsageError(f"--interval must be at least 1, got {args.interval}")
     ckpt = io.load_checkpoint(_out_path(args.checkpoint))
     config = ckpt.config
@@ -366,7 +365,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--out", required=True, help="output .npz (or directory with --num-seeds > 1)")
     p.add_argument("--transcript", help="word timing file for the keyword policy")
     p.add_argument("--policy", choices=["keyword", "fixed-interval"])
-    p.add_argument("--interval", type=int, default=None)
+    p.add_argument("--interval", type=int, default=4)
     p.add_argument("--labels", help="explicit 0/1 schedule string, or zeros/ones")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--num-seeds", type=int, default=1)

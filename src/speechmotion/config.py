@@ -1,4 +1,6 @@
-"""Run configuration: one frozen dataclass tree holding every tunable.
+"""Run configuration: one frozen dataclass tree holding every setting a run
+can change. Fixed parts of the method, such as the quality classifier's
+shape, are constants in the modules that use them.
 
 Configs load from JSON with strict key checking (a typo is a usage error,
 not a silent default), serialize back to the identical dict, and hash to a
@@ -72,31 +74,21 @@ class TrainSettings:
 @dataclass(frozen=True)
 class GenerateSettings:
     keywords: tuple[str, ...] = DEFAULT_KEYWORDS
-    interval: int = 4
 
 
 @dataclass(frozen=True)
 class EvalSettings:
     diversity_samples: int = 64
-    diversity_audios: int = 4
-    quality_hidden: int = 8
-    quality_layers: int = 2
     quality_epochs: int = 200
-    quality_lr: float = 1e-2
-    quality_train_frac: float = 0.7
 
 
 @dataclass(frozen=True)
 class ToySettings:
-    """Shape of the synthetic dataset the toy generator emits."""
+    """Size of the synthetic dataset the toy generator emits."""
 
     speakers: int = 2
     segments_per_speaker: int = 6
     clips_per_segment: int = 9
-    n_postures: int = 3
-    rhythm_amp: float = 0.08
-    wander_amp: float = 0.01
-    beat_choices: tuple[float, ...] = (1.25, 2.0, 3.0)
 
 
 @dataclass(frozen=True)
@@ -176,6 +168,16 @@ _RETIRED = {
     "generate.condition_on_composed": False,
     "generate.recenter_offsets": False,
     "train.split_test": "1 - split_train - split_val",
+    "generate.interval": 4,
+    "evaluate.diversity_audios": 4,
+    "evaluate.quality_hidden": 8,
+    "evaluate.quality_layers": 2,
+    "evaluate.quality_lr": 0.01,
+    "evaluate.quality_train_frac": 0.7,
+    "toy.n_postures": 3,
+    "toy.rhythm_amp": 0.08,
+    "toy.wander_amp": 0.01,
+    "toy.beat_choices": [1.25, 2.0, 3.0],
 }
 
 

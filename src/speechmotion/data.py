@@ -70,7 +70,10 @@ class SampleSet:
         return len(self.c)
 
     def __getitem__(self, rows) -> "SampleSet":
-        return SampleSet(*(getattr(self, name)[rows] for name in _LAYOUT))
+        arrays = [getattr(self, name)[rows] for name in _LAYOUT]
+        for array in arrays:  # a fresh gather or a view of frozen rows: no copy needed
+            array.flags.writeable = False
+        return SampleSet(*arrays)
 
     @classmethod
     def concatenate(cls, sets) -> "SampleSet":

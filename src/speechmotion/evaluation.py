@@ -3,8 +3,8 @@
 Each sample is scored by one-step generation: the ground-truth previous clip
 is encoded, the latent code is drawn under the sample's mode label, and the
 composed prediction is compared to the ground-truth current clip. Diversity
-redraws the latent code many times for a handful of audios; quality pits the
-generated clips against the real ones.
+redraws the latent code many times for each speaker's first four rows;
+quality pits the generated clips against the real ones.
 """
 
 from __future__ import annotations
@@ -25,6 +25,8 @@ from .metrics import (
 from .config import RunConfig
 from .model import one_step
 from .training import one_step_predictions
+
+_DIVERSITY_AUDIOS = 4  # rows of each speaker that diversity redraws latent codes for
 
 
 def sample_diversity(
@@ -59,7 +61,6 @@ def evaluate_checkpoint(
     if not samples:
         raise DataError("no samples to evaluate")
     config = ckpt.config
-    ev = config.evaluate
     standardized = samples.standardized(ckpt.feature_stats)
 
     rows = []
@@ -71,19 +72,12 @@ def evaluate_checkpoint(
         lvd_last = lvd(baseline_last_step(group.m_prev, group.m_cur.shape[1]), group.m_cur)
         lvd_mean = lvd(baseline_mean_velocity(group.m_cur), group.m_cur)
         diversity_value = sample_diversity(
-            group[: ev.diversity_audios], config, ckpt.params,
-            n_samples=ev.diversity_samples, seed=seed,
+            group[:_DIVERSITY_AUDIOS], config, ckpt.params,
+            n_samples=config.evaluate.diversity_samples, seed=seed,
         )
         if len(group) >= 4:
             quality = quality_score(
-                group.m_cur,
-                generated,
-                seed=seed,
-                hidden=ev.quality_hidden,
-                n_layers=ev.quality_layers,
-                epochs=ev.quality_epochs,
-                lr=ev.quality_lr,
-                train_frac=ev.quality_train_frac,
+                group.m_cur, generated, seed=seed, epochs=config.evaluate.quality_epochs
             )
         else:  # too few clips to train the classifier for this speaker
             quality = float("nan")

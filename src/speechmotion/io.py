@@ -155,22 +155,25 @@ def load_landmarks(path) -> tuple[np.ndarray, float, JointSpec, dict]:
     return frames, npz.scalar("fps", float), spec, npz.meta()
 
 
-def load_normalized_landmarks(path, config: RunConfig) -> tuple[np.ndarray, JointSpec, dict]:
+def load_normalized_landmarks(path, config: RunConfig) -> tuple[np.ndarray, dict]:
     """A landmarks/1 file that must fit `config`: its frames through
-    `normalize_skeleton`, its joint spec and its meta.
+    `normalize_skeleton`, and its meta.
 
     Raises:
         DataError naming the file: whatever `load_landmarks` rejects, joint
-        names or an fps other than the config's, or a reference bone too
-        short to scale by.
+        names, hand joints or an fps other than the config's, or a reference
+        bone too short to scale by.
     """
     frames, fps, spec, meta = load_landmarks(path)
     if spec.names != tuple(config.joint_names):
         raise DataError(f"{path}: joint names do not match the configured skeleton")
+    hands = [spec.names[i] for i in spec.hand_indices]
+    if hands != list(config.hand_joints):
+        raise DataError(f"{path}: hand joints {hands} do not match configured {list(config.hand_joints)}")
     if abs(fps - config.fps) > 1e-9:
         raise DataError(f"{path}: fps {fps} does not match configured {config.fps}")
     try:
-        return normalize_skeleton(frames, spec), spec, meta
+        return normalize_skeleton(frames, spec), meta
     except DataError as exc:
         raise DataError(f"{path}: {exc}") from None
 

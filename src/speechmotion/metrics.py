@@ -6,7 +6,9 @@ arrays. `lvd` and the baselines work along the frame axis, -2, so one
 (T, D) clip goes through the same code. The quality score trains a small
 temporal-conv classifier to separate real from generated clips and reports
 the mean predicted-real probability on held-out generated ones, so 0.5
-means indistinguishable and 0 means the fakes are trivially spotted.
+means indistinguishable and 0 means the fakes are trivially spotted. The
+classifier's shape, step size and split are fixed by the protocol; only its
+seed and epoch count are arguments.
 """
 
 from __future__ import annotations
@@ -94,25 +96,20 @@ def baseline_mean_velocity(gt_frames) -> np.ndarray:
 
 # -- adversarial quality --------------------------------------------------------
 
+_QUALITY_HIDDEN = 8  # channels of each hidden convolution
+_QUALITY_LAYERS = 2  # hidden convolutions
 _QUALITY_KERNEL = 5  # frames each classifier convolution spans
+_QUALITY_LR = 1e-2  # Adam step size
+_QUALITY_TRAIN_FRAC = 0.7  # share of each class the classifier trains on
 _QUALITY_WEIGHT_DECAY = 1e-2  # L2 penalty on every classifier weight
 
 
-def quality_score(
-    real_set,
-    generated_set,
-    *,
-    seed: int = 0,
-    hidden: int = 8,
-    n_layers: int = 2,
-    epochs: int = 200,
-    lr: float = 1e-2,
-    train_frac: float = 0.7,
-) -> float:
+def quality_score(real_set, generated_set, *, seed: int = 0, epochs: int = 200) -> float:
     """Mean predicted-real probability of held-out generated clips.
 
     Both sets are (N, T, D) stacks of one clip shape. A small temporal-conv
-    classifier is trained on a 70/30 split of both sets (subsampled to equal
+    classifier (two hidden layers of 8 channels, kernel 5) is trained for
+    `epochs` Adam steps on a 70/30 split of both sets (subsampled to equal
     class sizes) with logistic loss, then applied to the held-out generated
     clips. Deterministic for a fixed seed.
     """
@@ -122,8 +119,6 @@ def quality_score(
         raise ValueError(
             f"real and generated clips differ in shape: {real.shape[1:]} vs {gen.shape[1:]}"
         )
-    if not 0 < train_frac < 1:
-        raise ValueError("train_frac must be strictly between 0 and 1")
 
     rng = np.random.default_rng(seed)
     n_class = min(len(real), len(gen))
@@ -131,7 +126,7 @@ def quality_score(
         raise DataError("quality_score needs at least 4 sequences per class")
     real = real[rng.permutation(len(real))[:n_class]]
     gen = gen[rng.permutation(len(gen))[:n_class]]
-    n_train = max(1, min(n_class - 1, int(round(train_frac * n_class))))
+    n_train = max(1, min(n_class - 1, int(round(_QUALITY_TRAIN_FRAC * n_class))))
 
     train_x = np.concatenate([real[:n_train], gen[:n_train]])
     train_y = np.concatenate([np.ones(n_train), np.zeros(n_train)])
@@ -143,9 +138,9 @@ def quality_score(
     train_x = (train_x - mean) / scale
     held_gen = (held_gen - mean) / scale
 
-    net = nn.TemporalConv(train_x.shape[2], 1, hidden, n_layers, _QUALITY_KERNEL)
+    net = nn.TemporalConv(train_x.shape[2], 1, _QUALITY_HIDDEN, _QUALITY_LAYERS, _QUALITY_KERNEL)
     params = nn.init_params(net.param_shapes(), rng)
-    optimizer = nn.Adam(params, lr=lr)
+    optimizer = nn.Adam(params, lr=_QUALITY_LR)
     x_const = ad.constant(train_x)
     y = ad.constant(train_y[:, None])
 

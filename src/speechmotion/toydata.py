@@ -1,15 +1,17 @@
 """Synthetic speech/motion corpus with known structure.
 
 Each segment is a run of fixed-length clips grouped into blocks. Within a
-block the skeleton holds one of a few base postures while the arm joints
-oscillate at the block's beat frequency; the audio is a tone whose loudness
-envelope is phase-locked to that oscillation, so the rhythm branch has a
-real cue to learn. Posture switches happen exactly at scripted block
-boundaries, far enough apart in hand space that the mode-change pseudo-label
-recovers the script, and each switch plants a keyword token in the
-transcript at the boundary time. Transitions pick uniformly among the other
-postures, so clip-to-clip continuation is genuinely multimodal and the
-latent code has something to encode.
+block the skeleton holds one of three base postures while the arm joints
+oscillate at the block's beat frequency (1.25, 2 or 3 Hz); the audio is a
+tone whose loudness envelope is phase-locked to that oscillation, so the
+rhythm branch has a real cue to learn. Posture switches happen exactly at
+scripted block boundaries, far enough apart in hand space that the
+mode-change pseudo-label recovers the script, and each switch plants a
+keyword token in the transcript at the boundary time. Transitions pick
+uniformly among the other postures, so clip-to-clip continuation is
+genuinely multimodal and the latent code has something to encode. The
+postures, amplitudes and beats are constants; `config.toy` sets only the
+corpus's size.
 
 Skeleton units are pre-normalized: the neck sits at the origin and the
 neck-nose bone has length exactly 1, so normalize_skeleton is an identity
@@ -35,6 +37,9 @@ _WRIST_BY_POSTURE = (
     (1.6, 0.4),  # raised: hands up
     (0.35, -1.0),  # center: hands pulled in
 )
+_RHYTHM_AMP = 0.08  # x amplitude of the arm oscillation; y swings half as far
+_WANDER_AMP = 0.01  # amplitude of each joint's slow drift
+_BEAT_CHOICES = (1.25, 2.0, 3.0)  # beat frequencies (Hz) a block draws from
 
 _OSCILLATING = (
     "right_elbow",
@@ -73,7 +78,7 @@ def base_posture(index: int, joint_spec: JointSpec) -> np.ndarray:
     return row
 
 
-def _segment_blocks(n_clips: int, n_postures: int, rng: np.random.Generator):
+def _segment_blocks(n_clips: int, rng: np.random.Generator):
     """Block lengths (in clips) and the posture index of each block."""
     lengths: list[int] = []
     while sum(lengths) < n_clips:
@@ -81,9 +86,9 @@ def _segment_blocks(n_clips: int, n_postures: int, rng: np.random.Generator):
     lengths[-1] -= sum(lengths) - n_clips
     if lengths[-1] == 0:
         lengths.pop()
-    postures = [int(rng.integers(n_postures))]
+    postures = [int(rng.integers(len(_WRIST_BY_POSTURE)))]
     for _ in lengths[1:]:
-        choices = [p for p in range(n_postures) if p != postures[-1]]
+        choices = [p for p in range(len(_WRIST_BY_POSTURE)) if p != postures[-1]]
         postures.append(int(rng.choice(choices)))
     return lengths, postures
 
@@ -102,8 +107,6 @@ def make_toy_dataset(out_dir: str | Path, config: RunConfig, seed: int = 0) -> d
     out_dir = Path(out_dir)
     spec = config.joint_spec
     toy = config.toy
-    if toy.n_postures > len(_WRIST_BY_POSTURE):
-        raise ValueError(f"toy generator defines only {len(_WRIST_BY_POSTURE)} postures")
     for name in ("landmarks", "audio", "transcripts"):
         (out_dir / name).mkdir(parents=True, exist_ok=True)
 
@@ -119,8 +122,8 @@ def make_toy_dataset(out_dir: str | Path, config: RunConfig, seed: int = 0) -> d
         for seg_idx in range(toy.segments_per_speaker):
             segment_id = f"{speaker}_seg{seg_idx:02d}"
             rng = np.random.default_rng([seed, spk_idx, seg_idx])
-            lengths, postures = _segment_blocks(toy.clips_per_segment, toy.n_postures, rng)
-            beats = [float(rng.choice(toy.beat_choices)) for _ in lengths]
+            lengths, postures = _segment_blocks(toy.clips_per_segment, rng)
+            beats = [float(rng.choice(_BEAT_CHOICES)) for _ in lengths]
 
             n_frames = toy.clips_per_segment * t_frames
             t_motion = np.arange(n_frames) / fps
@@ -139,8 +142,8 @@ def make_toy_dataset(out_dir: str | Path, config: RunConfig, seed: int = 0) -> d
                 for j, name in enumerate(_OSCILLATING):
                     osc = np.sin(2.0 * np.pi * beat * t_local + phases[j])
                     cols = spec.xy(name)
-                    frames[rows, cols.start] += toy.rhythm_amp * osc
-                    frames[rows, cols.start + 1] += 0.5 * toy.rhythm_amp * osc
+                    frames[rows, cols.start] += _RHYTHM_AMP * osc
+                    frames[rows, cols.start + 1] += 0.5 * _RHYTHM_AMP * osc
                 a_begin = int(round(begin / fps * sr))
                 a_end = min(int(round(end / fps * sr)), n_samples)
                 amplitude[a_begin:a_end] = _envelope(
@@ -156,7 +159,7 @@ def make_toy_dataset(out_dir: str | Path, config: RunConfig, seed: int = 0) -> d
                 for axis in range(2):
                     freq = rng.uniform(0.05, 0.15)
                     phase = rng.uniform(0.0, 2.0 * np.pi)
-                    frames[:, 2 * j + axis] += toy.wander_amp * np.sin(
+                    frames[:, 2 * j + axis] += _WANDER_AMP * np.sin(
                         2.0 * np.pi * freq * t_motion + phase
                     )
 

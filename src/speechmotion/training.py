@@ -62,7 +62,7 @@ def _pair_by_stem(landmark_files, audio_files) -> tuple[list[tuple[Path, Path]],
 
 
 def _segment_samples(lm_path: Path, audio_path: Path, config: RunConfig) -> SampleSet:
-    normalized, spec, meta = load_normalized_landmarks(lm_path, config)
+    normalized, meta = load_normalized_landmarks(lm_path, config)
 
     wave, rate = load_waveform(audio_path)
     try:
@@ -72,7 +72,7 @@ def _segment_samples(lm_path: Path, audio_path: Path, config: RunConfig) -> Samp
         raise DataError(f"{audio_path}: {exc}") from None
 
     try:
-        clips = chunk_sequence(normalized, config.t_frames, joint_spec=spec)
+        clips = chunk_sequence(normalized, config.t_frames, joint_spec=config.joint_spec)
         if len(clips) < 2:
             raise DataError("segment too short for a clip pair")
         n, t = len(clips) - 1, config.t_frames
@@ -80,7 +80,7 @@ def _segment_samples(lm_path: Path, audio_path: Path, config: RunConfig) -> Samp
             m_prev=clips[:-1],
             m_cur=clips[1:],
             audio=aligned[t : (n + 1) * t].reshape(n, t, -1),
-            c=label_mode_change(clips[:-1], clips[1:], spec, config.mode_threshold),
+            c=label_mode_change(clips[:-1], clips[1:], config.joint_spec, config.mode_threshold),
             speaker=[str(meta.get("speaker", lm_path.stem.split("_")[0]))] * n,
             segment=[str(meta.get("segment", lm_path.stem))] * n,
         )

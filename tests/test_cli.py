@@ -332,6 +332,16 @@ BAD_SETTINGS = {
     "generate.recenter_offsets=true": "generate.recenter_offsets",
     "train.split_test=0.2": "train.split_test",
     "train.split_test=0.100000002": "train.split_test",
+    "generate.interval=2": "generate.interval",
+    "evaluate.diversity_audios=8": "evaluate.diversity_audios",
+    "evaluate.quality_hidden=16": "evaluate.quality_hidden",
+    "evaluate.quality_layers=3": "evaluate.quality_layers",
+    "evaluate.quality_lr=0.001": "evaluate.quality_lr",
+    "evaluate.quality_train_frac=0.5": "evaluate.quality_train_frac",
+    "toy.n_postures=2": "toy.n_postures",
+    "toy.rhythm_amp=0.1": "toy.rhythm_amp",
+    "toy.wander_amp=0": "toy.wander_amp",
+    "toy.beat_choices=[2.0]": "toy.beat_choices",
 }
 
 
@@ -339,6 +349,10 @@ BAD_SETTINGS = {
 RETIRED_SETTINGS = [
     "model.activation=tanh", "train.kl_anneal=true", "train.split_test=0.1",
     "generate.condition_on_composed=false", "generate.recenter_offsets=false",
+    "generate.interval=4", "evaluate.diversity_audios=4", "evaluate.quality_hidden=8",
+    "evaluate.quality_layers=2", "evaluate.quality_lr=0.01", "evaluate.quality_train_frac=0.7",
+    "toy.n_postures=3", "toy.rhythm_amp=0.08", "toy.wander_amp=0.01",
+    "toy.beat_choices=[1.25,2.0,3.0]",
 ]
 
 
@@ -370,11 +384,14 @@ def test_retired_keys_at_their_one_value_leave_the_config_alone(tmp_path):
 
 
 def test_checkpoint_with_retired_keys_generates_the_same_motion(tmp_path):
-    # the default config as stored before five settings were retired
+    # the default config as stored before fifteen settings were retired
     tree = RunConfig().to_dict()
     tree["model"]["activation"] = "tanh"
     tree["train"].update(kl_anneal=True, split_test=0.1)
-    tree["generate"].update(condition_on_composed=False, recenter_offsets=False)
+    tree["generate"].update(condition_on_composed=False, recenter_offsets=False, interval=4)
+    tree["evaluate"].update(diversity_audios=4, quality_hidden=8, quality_layers=2,
+                            quality_lr=0.01, quality_train_frac=0.7)
+    tree["toy"].update(n_postures=3, rhythm_amp=0.08, wander_amp=0.01, beat_choices=[1.25, 2.0, 3.0])
     assert plain_hash(tree) == "ce1a7f48eccb236f"
 
     config = RunConfig()
@@ -504,6 +521,16 @@ RETIRED_VALUES = {
     "condition_on_composed": ("generate", "condition_on_composed", True),
     "recenter_offsets": ("generate", "recenter_offsets", True),
     "split_test": ("train", "split_test", 0.1 + 2e-9),
+    "interval": ("generate", "interval", 2),
+    "diversity_audios": ("evaluate", "diversity_audios", 8),
+    "quality_hidden": ("evaluate", "quality_hidden", 16),
+    "quality_layers": ("evaluate", "quality_layers", 3),
+    "quality_lr": ("evaluate", "quality_lr", 0.001),
+    "quality_train_frac": ("evaluate", "quality_train_frac", 0.5),
+    "n_postures": ("toy", "n_postures", 2),
+    "rhythm_amp": ("toy", "rhythm_amp", 0.1),
+    "wander_amp": ("toy", "wander_amp", 0.0),
+    "beat_choices": ("toy", "beat_choices", [2.0]),
 }
 
 
@@ -648,20 +675,40 @@ def _zero_bone_landmarks(workspace, path):
     io.save_landmarks(path, frames, fps, spec, meta)
 
 
-def test_zero_bone_landmarks_preprocess_skips_naming_file(workspace, tmp_path, capsys):
+def _nose_hand_landmarks(workspace, path):
+    # the nose as the one hand joint: mode labels would follow the head, not the hands
+    frames, fps, spec, meta = io.load_landmarks(workspace["toy"] / "landmarks" / "spk0_seg00.npz")
+    nose = JointSpec(names=spec.names, hand_indices=(spec.names.index("nose"),))
+    io.save_landmarks(path, frames, fps, nose, meta)
+
+
+def _preprocess_skipping_one(workspace, tmp_path, capsys, write_bad) -> str:
+    """Preprocess the toy landmarks with spk0_seg00 rewritten by `write_bad`;
+    returns the one skipped line, which stderr and the manifest must both give."""
     landmarks, audio_dir = tmp_path / "landmarks", workspace["toy"] / "audio"
     landmarks.mkdir()
     for src in sorted((workspace["toy"] / "landmarks").glob("*.npz")):
         (landmarks / src.name).write_bytes(src.read_bytes())
     bad = landmarks / "spk0_seg00.npz"
-    _zero_bone_landmarks(workspace, bad)
+    write_bad(workspace, bad)
     code = main(["preprocess", "--config", str(workspace["config"]), "--landmarks", str(landmarks),
                  "--audio", str(audio_dir), "--out", str(tmp_path / "out")])
     assert code == 0
     skipped = [line for line in capsys.readouterr().err.splitlines() if line.startswith("skipped:")]
-    assert len(skipped) == 1 and str(bad) in skipped[0] and "degenerate reference bone" in skipped[0]
+    assert len(skipped) == 1 and str(bad) in skipped[0]
     manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
     assert manifest["errors"] == [skipped[0].removeprefix("skipped: ")]
+    return skipped[0]
+
+
+def test_zero_bone_landmarks_preprocess_skips_naming_file(workspace, tmp_path, capsys):
+    skipped = _preprocess_skipping_one(workspace, tmp_path, capsys, _zero_bone_landmarks)
+    assert "degenerate reference bone" in skipped
+
+
+def test_other_hand_joints_preprocess_skips_naming_file(workspace, tmp_path, capsys):
+    skipped = _preprocess_skipping_one(workspace, tmp_path, capsys, _nose_hand_landmarks)
+    assert "hand joints ['nose']" in skipped
 
 
 def test_zero_bone_swap_demo_input_names_file(workspace, tmp_path, capsys):
@@ -674,13 +721,15 @@ def test_zero_bone_swap_demo_input_names_file(workspace, tmp_path, capsys):
         assert f"{bad}: degenerate reference bone" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("case", ["non_finite", "other_joints", "zero_bone"])
+@pytest.mark.parametrize("case", ["non_finite", "other_joints", "zero_bone", "other_hands"])
 def test_bad_initial_pose_names_file(workspace, tmp_path, capsys, case):
     bad = tmp_path / "pose.npz"
     if case == "non_finite":
         _nan_landmarks(workspace, bad)
     elif case == "zero_bone":
         _zero_bone_landmarks(workspace, bad)
+    elif case == "other_hands":
+        _nose_hand_landmarks(workspace, bad)
     else:
         spec = JointSpec(names=("nose", "neck", "right_palm"), hand_indices=(2,))
         io.save_landmarks(bad, np.random.default_rng(0).normal(size=(40, spec.d_m)), 15.0, spec)

@@ -509,11 +509,15 @@ def test_config_set_in_python_hashes_like_the_cli():
     assert as_int.config_hash() == RunConfig(train=TrainSettings(lr=1.0)).config_hash()
 
 
-# the five settings the default config held before they were retired
+# the fifteen settings the default config held before they were retired
 RETIRED_DEFAULTS = {
     "model": {"activation": "tanh"},
     "train": {"kl_anneal": True, "split_test": 0.1},
-    "generate": {"condition_on_composed": False, "recenter_offsets": False},
+    "generate": {"condition_on_composed": False, "recenter_offsets": False, "interval": 4},
+    "evaluate": {"diversity_audios": 4, "quality_hidden": 8, "quality_layers": 2,
+                 "quality_lr": 0.01, "quality_train_frac": 0.7},
+    "toy": {"n_postures": 3, "rhythm_amp": 0.08, "wander_amp": 0.01,
+            "beat_choices": [1.25, 2.0, 3.0]},
 }
 
 

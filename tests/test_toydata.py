@@ -77,7 +77,7 @@ def test_script_blocks_are_consistent(toy_dir):
         for a, b in zip(entry["block_postures"], entry["block_postures"][1:]):
             assert a != b  # consecutive blocks always switch posture
         for beat in entry["block_beats_hz"]:
-            assert beat in config.toy.beat_choices
+            assert beat in (1.25, 2.0, 3.0)
 
 
 def test_keywords_sit_on_block_boundaries(toy_dir):
