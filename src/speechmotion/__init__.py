@@ -42,13 +42,9 @@ from .metrics import (
     quality_score,
 )
 from .motion import (
-    DEFAULT_FPS,
     DEFAULT_JOINTS,
     DEFAULT_MODE_THRESHOLD,
     JointSpec,
-    MeanPosture,
-    MotionClip,
-    RhythmOffset,
     chunk_sequence,
     compose,
     decompose,
@@ -68,7 +64,6 @@ __all__ = [
     "Checkpoint",
     "DataError",
     "DatasetSplit",
-    "DEFAULT_FPS",
     "DEFAULT_JOINTS",
     "DEFAULT_MODE_THRESHOLD",
     "EvalSettings",
@@ -76,16 +71,13 @@ __all__ = [
     "GenerateSettings",
     "GenerationResult",
     "JointSpec",
-    "MeanPosture",
     "MetricReport",
     "MfccSettings",
     "ModeSchedule",
     "ModelSettings",
-    "MotionClip",
     "NumericError",
     "PoseModeBranch",
     "RhythmBranch",
-    "RhythmOffset",
     "RunConfig",
     "SampleSet",
     "SpeakerMetrics",

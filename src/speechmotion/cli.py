@@ -29,7 +29,7 @@ from .errors import DataError, NumericError
 from .evaluation import evaluate_checkpoint
 from .generation import ModeSchedule, generate_sequence, mode_schedule
 from .metrics import diversity
-from .motion import MotionClip, normalize_skeleton, swap_dynamics
+from .motion import normalize_skeleton, swap_dynamics, temporal_mean
 from .toydata import make_toy_dataset
 from .training import build_dataset, train
 from . import io
@@ -303,25 +303,22 @@ def cmd_swap_demo(args) -> int:
     if n < 2:
         raise DataError("swap-demo needs at least two overlapping frames")
 
-    def clip(path, frames, fps, spec) -> MotionClip:
+    def clip(path, frames, spec) -> np.ndarray:
         try:
-            return MotionClip(normalize_skeleton(frames[:n], spec), fps=fps, joint_spec=spec)
+            return normalize_skeleton(frames[:n], spec)
         except DataError as exc:
             raise DataError(f"{path}: {exc}") from None
 
-    clip_a, clip_b = clip(args.a, frames_a, fps_a, spec_a), clip(args.b, frames_b, fps_b, spec_b)
-    swapped_a, swapped_b = swap_dynamics(clip_a, clip_b)
+    clips = np.stack([clip(args.a, frames_a, spec_a), clip(args.b, frames_b, spec_b)])
+    swapped, _ = swap_dynamics(clips, clips[::-1])  # a with b's offsets, b with a's
     out = _out_path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     # file names only, so the bytes do not depend on the working directory
     meta = _meta(config, config.train.seed, source_a=Path(args.a).name,
                  source_b=Path(args.b).name)
-    io.save_landmarks(out / "a_with_b_rhythm.npz", swapped_a.frames, fps_a, spec_a, meta)
-    io.save_landmarks(out / "b_with_a_rhythm.npz", swapped_b.frames, fps_b, spec_b, meta)
-    drift = max(
-        float(np.abs(swapped_a.frames.mean(0) - clip_a.frames.mean(0)).max()),
-        float(np.abs(swapped_b.frames.mean(0) - clip_b.frames.mean(0)).max()),
-    )
+    io.save_landmarks(out / "a_with_b_rhythm.npz", swapped[0], fps_a, spec_a, meta)
+    io.save_landmarks(out / "b_with_a_rhythm.npz", swapped[1], fps_b, spec_b, meta)
+    drift = float(np.abs(temporal_mean(swapped) - temporal_mean(clips)).max())
     print(f"swapped rhythm between {args.a} and {args.b} over {n} frames;"
           f" max mean-posture drift {drift:.2e}; wrote {out}")
     return EXIT_OK

@@ -123,16 +123,8 @@ def save_landmarks(
     )
 
 
-def load_landmarks(path) -> tuple[np.ndarray, float, JointSpec, dict]:
-    """Read a landmarks/1 file.
-
-    Raises:
-        DataError naming the file: joint names or hand indices that make no
-        joint spec, frames that do not fit its joint spec, or non-finite
-        frame values.
-    """
-    npz = _load_npz(path)
-    _check_format(npz, "landmarks/1", path)
+def _joints(npz, path) -> tuple[tuple[str, ...], tuple[int, ...]]:
+    """The file's joint names and hand indices, each index one of its joints."""
     names, hands = tuple(str(n) for n in npz["joint_names"]), npz["hand_indices"]
     try:
         hand_indices = tuple(int(i) for i in hands)
@@ -143,6 +135,20 @@ def load_landmarks(path) -> tuple[np.ndarray, float, JointSpec, dict]:
             f"{path}: field 'hand_indices' holds {hands.tolist()!r},"
             f" not indices of its {len(names)} joints"
         ) from None
+    return names, hand_indices
+
+
+def load_landmarks(path) -> tuple[np.ndarray, float, JointSpec, dict]:
+    """Read a landmarks/1 file.
+
+    Raises:
+        DataError naming the file: joint names or hand indices that make no
+        joint spec, frames that do not fit its joint spec, non-finite frame
+        values, or an fps that is not finite and positive.
+    """
+    npz = _load_npz(path)
+    _check_format(npz, "landmarks/1", path)
+    names, hand_indices = _joints(npz, path)
     try:
         spec = JointSpec(names=names, hand_indices=hand_indices)
     except ValueError as exc:
@@ -152,7 +158,10 @@ def load_landmarks(path) -> tuple[np.ndarray, float, JointSpec, dict]:
         raise DataError(f"{path}: frames shape {frames.shape} does not fit its joint spec")
     if not np.all(np.isfinite(frames)):
         raise DataError(f"{path}: frames contain non-finite values")
-    return frames, npz.scalar("fps", float), spec, npz.meta()
+    fps = npz.scalar("fps", float)
+    if not (np.isfinite(fps) and fps > 0):
+        raise DataError(f"{path}: fps must be finite and positive, got {fps}")
+    return frames, fps, spec, npz.meta()
 
 
 def load_normalized_landmarks(path, config: RunConfig) -> tuple[np.ndarray, dict]:
@@ -280,8 +289,9 @@ def load_split(path, config: RunConfig) -> SampleSet:
 
     Raises:
         DataError naming the file: arrays whose rows or frames disagree, a
-        mode label other than 0 or 1, non-finite values, or clips, audio,
-        joints or frame rate that do not fit `config`.
+        mode label other than 0 or 1, non-finite values, hand indices that
+        are not indices of its joints, or clips, audio, joints, hand joints
+        or frame rate that do not fit `config`.
     """
     npz = _load_npz(path)
     _check_format(npz, "split/1", path)
@@ -290,9 +300,11 @@ def load_split(path, config: RunConfig) -> SampleSet:
         samples = SampleSet(*arrays)
     except ValueError as exc:
         raise DataError(f"{path}: {exc}") from None
+    names, hand_indices = _joints(npz, path)
     for what, found, needed in (
         ("clip frames", samples.m_cur.shape[1], config.t_frames),
-        ("joint names", tuple(str(n) for n in npz["joint_names"]), tuple(config.joint_names)),
+        ("joint names", names, tuple(config.joint_names)),
+        ("hand joints", tuple(names[i] for i in hand_indices), tuple(config.hand_joints)),
         ("motion width", samples.m_cur.shape[2], config.d_m),
         ("audio width", samples.audio.shape[2], config.mfcc.d_s),
         ("fps", npz.scalar("fps", float), config.fps),

@@ -1,27 +1,27 @@
-"""2D landmark motion: containers and the posture/rhythm decomposition.
+"""2D landmark motion and the posture/rhythm decomposition.
 
 A motion sequence is an (N, D) float64 array of per-frame landmark
 coordinates, D = 2 * number of joints, laid out (x0, y0, x1, y1, ...)
-according to a JointSpec. Sequences are cut into fixed-length clips, and
-every clip splits exactly into a time-averaged posture plus zero-mean
+according to a JointSpec. Sequences are cut into fixed-length (T, D) clips,
+and every clip splits exactly into its time-averaged posture plus zero-mean
 per-frame offsets:
 
-    frames == mean_posture + offsets        (rows of `offsets` sum to ~0)
+    frames == posture[..., None, :] + offsets    (offsets sum to ~0 over T)
 
-The two generation branches are built around that identity: one predicts
-the posture part, the other predicts the offsets, and composition is a
-plain addition. All functions here are pure and operate in float64.
+The decomposition works on plain arrays along axis -2, so a (N, T, D) stack
+of clips decomposes, composes or swaps in one call, clip by clip. The two
+generation branches are built around that identity: one predicts the
+posture part, the other predicts the offsets. All functions here are pure
+and operate in float64.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DataError
-
-DEFAULT_FPS = 15.0
 
 
 @dataclass(frozen=True)
@@ -105,80 +105,6 @@ def _as_frames(array, d_m: int | None = None) -> np.ndarray:
     return frames
 
 
-@dataclass(frozen=True)
-class MotionClip:
-    """Fixed-length window of landmark frames.
-
-    frames: (T, D) float64, T >= 2. The array is copied and frozen so clips
-    can be shared without defensive copies downstream.
-    """
-
-    frames: np.ndarray
-    fps: float = DEFAULT_FPS
-    joint_spec: JointSpec = field(default=DEFAULT_JOINTS)
-
-    def __post_init__(self) -> None:
-        frames = _as_frames(self.frames, self.joint_spec.d_m).copy()
-        if frames.shape[0] < 2:
-            raise ValueError("a clip needs at least two frames")
-        if not self.fps > 0:
-            raise ValueError("fps must be positive")
-        frames.flags.writeable = False
-        object.__setattr__(self, "frames", frames)
-
-    @property
-    def t(self) -> int:
-        return self.frames.shape[0]
-
-    @property
-    def d_m(self) -> int:
-        return self.frames.shape[1]
-
-    @property
-    def duration_s(self) -> float:
-        return self.t / self.fps
-
-
-@dataclass(frozen=True)
-class MeanPosture:
-    """Per-clip time average of the frames; one row of width D."""
-
-    posture: np.ndarray
-
-    def __post_init__(self) -> None:
-        posture = np.asarray(self.posture, dtype=np.float64).copy()
-        if posture.ndim != 1:
-            raise ValueError(f"posture must be 1-D, got shape {posture.shape}")
-        if not np.all(np.isfinite(posture)):
-            raise DataError("posture contains non-finite values")
-        posture.flags.writeable = False
-        object.__setattr__(self, "posture", posture)
-
-    @property
-    def d_m(self) -> int:
-        return self.posture.shape[0]
-
-
-@dataclass(frozen=True)
-class RhythmOffset:
-    """Per-frame residuals around a clip's mean posture, (T, D)."""
-
-    offsets: np.ndarray
-
-    def __post_init__(self) -> None:
-        offsets = _as_frames(self.offsets).copy()
-        offsets.flags.writeable = False
-        object.__setattr__(self, "offsets", offsets)
-
-    @property
-    def t(self) -> int:
-        return self.offsets.shape[0]
-
-    @property
-    def d_m(self) -> int:
-        return self.offsets.shape[1]
-
-
 def chunk_sequence(
     sequence,
     t_frames: int,
@@ -223,45 +149,45 @@ def normalize_skeleton(sequence, joint_spec: JointSpec = DEFAULT_JOINTS) -> np.n
     return centered / scale
 
 
-def temporal_mean(clip: MotionClip) -> MeanPosture:
-    """Time average of a clip's frames."""
-    return MeanPosture(clip.frames.mean(axis=0))
+def temporal_mean(frames) -> np.ndarray:
+    """Time average of (..., T, D) clip frames: the mean posture, (..., D)."""
+    return np.asarray(frames, dtype=np.float64).mean(axis=-2)
 
 
-def decompose(clip: MotionClip) -> tuple[MeanPosture, RhythmOffset]:
-    """Split a clip into its mean posture and zero-mean per-frame offsets."""
-    mean = clip.frames.mean(axis=0)
-    return MeanPosture(mean), RhythmOffset(clip.frames - mean)
+def decompose(frames) -> tuple[np.ndarray, np.ndarray]:
+    """Split (..., T, D) clip frames into each clip's mean posture, (..., D),
+    and its zero-mean per-frame offsets, (..., T, D)."""
+    frames = np.asarray(frames, dtype=np.float64)
+    posture = temporal_mean(frames)
+    return posture, frames - posture[..., None, :]
 
 
-def compose(
-    mean: MeanPosture,
-    offset: RhythmOffset,
-    *,
-    fps: float = DEFAULT_FPS,
-    joint_spec: JointSpec = DEFAULT_JOINTS,
-) -> MotionClip:
-    """Rebuild a clip by adding a mean posture to every offset row."""
-    if mean.d_m != offset.d_m:
+def compose(posture, offsets) -> np.ndarray:
+    """Rebuild (..., T, D) clips by adding each (..., D) mean posture to every
+    offset row of its clip."""
+    posture = np.asarray(posture, dtype=np.float64)
+    offsets = np.asarray(offsets, dtype=np.float64)
+    if posture.shape != offsets.shape[:-2] + offsets.shape[-1:]:
         raise ValueError(
-            f"posture width {mean.d_m} does not match offset width {offset.d_m}"
+            f"posture shape {posture.shape} does not fit offsets of shape {offsets.shape}"
         )
-    return MotionClip(mean.posture + offset.offsets, fps=fps, joint_spec=joint_spec)
+    return posture[..., None, :] + offsets
 
 
-def swap_dynamics(a: MotionClip, b: MotionClip) -> tuple[MotionClip, MotionClip]:
-    """Exchange the rhythmic offsets of two clips, keeping each mean posture.
+def swap_dynamics(a, b) -> tuple[np.ndarray, np.ndarray]:
+    """Exchange the rhythmic offsets of (..., T, D) clips, keeping each mean
+    posture.
 
-    Requires matching frame counts and widths. Swapping twice restores the
-    originals, and temporal means are preserved exactly.
+    Requires matching shapes. Swapping twice restores the originals, and
+    temporal means are preserved exactly.
     """
-    if a.frames.shape != b.frames.shape:
-        raise ValueError(f"clip shapes differ: {a.frames.shape} vs {b.frames.shape}")
-    mean_a, off_a = decompose(a)
-    mean_b, off_b = decompose(b)
-    swapped_a = compose(mean_a, off_b, fps=a.fps, joint_spec=a.joint_spec)
-    swapped_b = compose(mean_b, off_a, fps=b.fps, joint_spec=b.joint_spec)
-    return swapped_a, swapped_b
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    if a.shape != b.shape:
+        raise ValueError(f"clip shapes differ: {a.shape} vs {b.shape}")
+    posture_a, offsets_a = decompose(a)
+    posture_b, offsets_b = decompose(b)
+    return compose(posture_a, offsets_b), compose(posture_b, offsets_a)
 
 
 def label_mode_change(
@@ -293,7 +219,7 @@ def label_mode_change(
         raise DataError("clip frames contain non-finite values")
     if not joint_spec.hand_indices:
         raise DataError("joint spec defines no hand joints to label with")
-    delta = prev.mean(axis=-2) - cur.mean(axis=-2)
+    delta = temporal_mean(prev) - temporal_mean(cur)
     x_cols = 2 * np.array(joint_spec.hand_indices)
     dists = np.hypot(delta[..., x_cols], delta[..., x_cols + 1])
     return (dists.mean(axis=-1) > threshold).astype(np.int64)

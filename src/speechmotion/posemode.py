@@ -64,9 +64,6 @@ class PoseModeBranch:
         """Posterior head on transition features: (mu, logvar), each (B, d_z)."""
         out = self.h_enc.apply(pv, tau, "pose.h_enc.")
         d_z = self.config.model.d_z
-        stats = out.data.shape[-1]
-        if stats != 2 * d_z:
-            raise ValueError(f"posterior head emitted width {stats}, expected {2 * d_z}")
 
         def half(lo: int) -> ad.Var:
             def vjp(g):

@@ -36,7 +36,7 @@ from .errors import DataError, NumericError
 from .io import load_normalized_landmarks, load_waveform
 from .metrics import lvd
 from .model import one_step, param_shapes
-from .motion import chunk_sequence, label_mode_change
+from .motion import chunk_sequence, decompose, label_mode_change, temporal_mean
 from .posemode import PoseModeBranch
 from .rhythm import RhythmBranch
 
@@ -231,9 +231,8 @@ def _batch_loss(
         terms["rec"] = ad.mean(ad.absolute(pose_flat + rhythm_flat - x_cur))
 
     if weights.lambda_rhythm > 0:
-        # the target is each clip minus its own temporal mean
-        offsets = (batch.m_cur - batch.m_cur.mean(axis=1, keepdims=True)).reshape(b, -1)
-        terms["rhythm"] = ad.mean(ad.absolute(rhythm_flat - ad.constant(offsets)))
+        _, offsets = decompose(batch.m_cur)
+        terms["rhythm"] = ad.mean(ad.absolute(rhythm_flat - ad.constant(offsets.reshape(b, -1))))
 
     if weights.lambda_reg > 0:
         rec_cur = pose.decode_v(pv, e_cur)
@@ -322,7 +321,7 @@ def train(
     total_steps = tcfg.epochs * steps_per_epoch
     warmup = int(round(tcfg.kl_anneal_frac * total_steps))
 
-    rest_posture = dataset.train.m_cur.mean(axis=1).mean(axis=0)
+    rest_posture = temporal_mean(dataset.train.m_cur).mean(axis=0)
 
     def checkpoint(epoch: int, val: float | None) -> Checkpoint:
         return Checkpoint(

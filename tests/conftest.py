@@ -7,7 +7,7 @@ lives only in the acceptance suite.
 import numpy as np
 import pytest
 
-from speechmotion import JointSpec, MotionClip, nn
+from speechmotion import JointSpec, nn
 from speechmotion.posemode import PoseModeBranch
 from speechmotion.rhythm import RhythmBranch
 
@@ -44,10 +44,9 @@ def tiny_rhythm(tiny_config):
 
 @pytest.fixture
 def clip_factory(small_spec):
-    def make(seed: int = 0, t: int = 4, scale: float = 1.0) -> MotionClip:
+    def make(seed: int = 0, t: int = 4, scale: float = 1.0) -> np.ndarray:
+        """A (t, D) clip of random frames."""
         rng = np.random.default_rng(seed)
-        return MotionClip(
-            scale * rng.normal(size=(t, small_spec.d_m)), fps=15.0, joint_spec=small_spec
-        )
+        return scale * rng.normal(size=(t, small_spec.d_m))
 
     return make

@@ -24,7 +24,7 @@ from speechmotion import autodiff as ad
 from speechmotion import nn
 from speechmotion.audio import FeatureStats
 from speechmotion.data import SampleSet
-from speechmotion.motion import JointSpec, MotionClip, RhythmOffset
+from speechmotion.motion import JointSpec
 from speechmotion.posemode import PoseModeBranch
 from speechmotion.rhythm import RhythmBranch
 from speechmotion.config import RunConfig, TrainSettings
@@ -74,31 +74,31 @@ def _check_label(c: int) -> None:
         raise ValueError(f"mode label must be 0 or 1, got {c!r}")
 
 
-def _flat(pose: PoseModeBranch, clip: MotionClip) -> np.ndarray:
+def _flat(pose: PoseModeBranch, clip: np.ndarray) -> np.ndarray:
     cfg = pose.config
-    if clip.frames.shape != (cfg.t_frames, cfg.d_m):
+    clip = np.asarray(clip, dtype=np.float64)
+    if clip.shape != (cfg.t_frames, cfg.d_m):
         raise ValueError(
-            f"clip shape {clip.frames.shape} does not match configured ({cfg.t_frames}, {cfg.d_m})"
+            f"clip shape {clip.shape} does not match configured ({cfg.t_frames}, {cfg.d_m})"
         )
-    return clip.frames.reshape(1, cfg.t_frames * cfg.d_m)
+    return clip.reshape(1, cfg.t_frames * cfg.d_m)
 
 
-def encode_motion(pose: PoseModeBranch, params: Mapping[str, np.ndarray], clip: MotionClip) -> np.ndarray:
-    """Embed one clip; returns a (d_e,) vector."""
+def encode_motion(pose: PoseModeBranch, params: Mapping[str, np.ndarray], clip: np.ndarray) -> np.ndarray:
+    """Embed one (T, D) clip; returns a (d_e,) vector."""
     out = pose.encode_v(nn.param_vars(params), ad.Var(_flat(pose, clip)))
     return out.data[0]
 
 
 def decode_motion(
     pose: PoseModeBranch, params: Mapping[str, np.ndarray], embedding: np.ndarray
-) -> MotionClip:
-    """Decode a (d_e,) embedding into a clip."""
+) -> np.ndarray:
+    """Decode a (d_e,) embedding into a (T, D) clip."""
     embedding = np.asarray(embedding, dtype=np.float64)
     if embedding.shape != (pose.config.model.d_e,):
         raise ValueError(f"embedding shape {embedding.shape}, expected ({pose.config.model.d_e},)")
     out = pose.decode_v(nn.param_vars(params), ad.Var(embedding[None, :]))
-    frames = out.data[0].reshape(pose.config.t_frames, pose.config.d_m)
-    return MotionClip(frames, fps=pose.config.fps, joint_spec=pose.config.joint_spec)
+    return out.data[0].reshape(pose.config.t_frames, pose.config.d_m)
 
 
 def posterior(pose: PoseModeBranch, params: Mapping[str, np.ndarray], tau: np.ndarray) -> LatentPosterior:
@@ -145,10 +145,10 @@ def sample_latent(
 def loss_reg(
     pose: PoseModeBranch,
     params: Mapping[str, np.ndarray],
-    m_prev: MotionClip,
-    m_cur: MotionClip,
+    m_prev: np.ndarray,
+    m_cur: np.ndarray,
 ) -> float:
-    """Mean-absolute autoencoding error of both clips through f_dec(f_enc(.))."""
+    """Mean-absolute autoencoding error of both (T, D) clips through f_dec(f_enc(.))."""
     pv = nn.param_vars(params)
     x = ad.Var(np.concatenate([_flat(pose, m_cur), _flat(pose, m_prev)], axis=0))
     recon = pose.decode_v(pv, pose.encode_v(pv, x))
@@ -159,8 +159,8 @@ def loss_reg(
 # -- rhythm branch -------------------------------------------------------------------
 
 
-def rhythm_generate(rhythm: RhythmBranch, params: Mapping[str, np.ndarray], features: np.ndarray) -> RhythmOffset:
-    """Predict offsets for one clip of aligned (T, D_S) audio features."""
+def rhythm_generate(rhythm: RhythmBranch, params: Mapping[str, np.ndarray], features: np.ndarray) -> np.ndarray:
+    """Predict (T, D) offsets for one clip of aligned (T, D_S) audio features."""
     cfg = rhythm.config
     if features.shape != (cfg.t_frames, cfg.mfcc.d_s):
         raise ValueError(
@@ -168,21 +168,21 @@ def rhythm_generate(rhythm: RhythmBranch, params: Mapping[str, np.ndarray], feat
             f" configured ({cfg.t_frames}, {cfg.mfcc.d_s})"
         )
     out = rhythm.forward_v(nn.param_vars(params), ad.Var(features[None]))
-    return RhythmOffset(out.data[0])
+    return out.data[0]
 
 
-def loss_rhythm(pred: RhythmOffset, gt: MotionClip) -> float:
-    """Mean-absolute error against the ground-truth offsets of a clip.
+def loss_rhythm(pred: np.ndarray, gt: np.ndarray) -> float:
+    """Mean-absolute error of (T, D) offsets against the ground-truth offsets
+    of a (T, D) clip.
 
     The target is the clip minus its own temporal mean, so the branch is
     never asked to reproduce posture, only residual motion.
     """
-    if pred.offsets.shape != gt.frames.shape:
-        raise ValueError(
-            f"offset shape {pred.offsets.shape} does not match clip shape {gt.frames.shape}"
-        )
-    target = gt.frames - gt.frames.mean(axis=0)
-    return float(np.mean(np.abs(pred.offsets - target)))
+    pred, gt = np.asarray(pred, dtype=np.float64), np.asarray(gt, dtype=np.float64)
+    if pred.shape != gt.shape:
+        raise ValueError(f"offset shape {pred.shape} does not match clip shape {gt.shape}")
+    target = gt - gt.mean(axis=0)
+    return float(np.mean(np.abs(pred - target)))
 
 
 # -- combined objective ------------------------------------------------------------------

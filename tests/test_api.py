@@ -1,13 +1,16 @@
-"""The package's public names: additions and removals are deliberate."""
+"""The package's public names: additions and removals are deliberate. The
+README's Python examples run against them."""
+
+import re
+from pathlib import Path
 
 import speechmotion
 
 PUBLIC = {
-    "Checkpoint", "DataError", "DatasetSplit", "DEFAULT_FPS", "DEFAULT_JOINTS",
+    "Checkpoint", "DataError", "DatasetSplit", "DEFAULT_JOINTS",
     "DEFAULT_MODE_THRESHOLD", "EvalSettings", "FeatureStats", "GenerateSettings",
-    "GenerationResult", "JointSpec", "MeanPosture", "MetricReport",
-    "MfccSettings", "ModeSchedule", "ModelSettings", "MotionClip", "NumericError",
-    "PoseModeBranch", "RhythmBranch", "RhythmOffset",
+    "GenerationResult", "JointSpec", "MetricReport", "MfccSettings", "ModeSchedule",
+    "ModelSettings", "NumericError", "PoseModeBranch", "RhythmBranch",
     "RunConfig", "SampleSet", "SpeakerMetrics", "ToySettings", "TrainResult", "TrainSettings",
     "Transcript", "align_audio_to_motion", "baseline_last_step",
     "baseline_mean_velocity", "build_dataset", "chunk_sequence", "compose",
@@ -19,7 +22,15 @@ PUBLIC = {
 
 
 def test_public_names_are_pinned():
-    assert len(speechmotion.__all__) == len(set(speechmotion.__all__)) == 51
+    assert len(speechmotion.__all__) == len(set(speechmotion.__all__)) == 47
     assert set(speechmotion.__all__) == PUBLIC
     for name in speechmotion.__all__:
         assert getattr(speechmotion, name) is not None
+
+
+def test_readme_python_blocks_run():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    blocks = re.findall(r"^```python\n(.*?)^```", readme.read_text(), re.DOTALL | re.MULTILINE)
+    assert blocks
+    for block in blocks:
+        exec(compile(block, str(readme), "exec"), {})

@@ -721,6 +721,51 @@ def test_zero_bone_swap_demo_input_names_file(workspace, tmp_path, capsys):
         assert f"{bad}: degenerate reference bone" in capsys.readouterr().err
 
 
+def _fps_landmarks(fps):
+    """A writer of the toy landmarks with their fps set to `fps`."""
+    def write(workspace, path):
+        frames, _, spec, meta = io.load_landmarks(workspace["toy"] / "landmarks" / "spk0_seg00.npz")
+        io.save_landmarks(path, frames, fps, spec, meta)
+
+    return write
+
+
+BAD_FPS = [np.nan, 0.0, -15.0]
+
+
+def _fps_error(fps) -> str:
+    if fps == 30.0:
+        return "fps 30.0 does not match configured 15.0"
+    return f"fps must be finite and positive, got {fps}"
+
+
+@pytest.mark.parametrize("fps", BAD_FPS)
+def test_bad_fps_swap_demo_input_names_file(workspace, tmp_path, capsys, fps):
+    good = workspace["toy"] / "landmarks" / "spk1_seg01.npz"
+    bad = tmp_path / "pose.npz"
+    _fps_landmarks(fps)(workspace, bad)
+    for a, b in ((bad, good), (good, bad), (bad, bad)):
+        code = main(["swap-demo", "--a", str(a), "--b", str(b), "--out", str(tmp_path / "swap")])
+        assert code == 2
+        assert f"{bad}: {_fps_error(fps)}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("fps", [*BAD_FPS, 30.0])
+def test_bad_fps_landmarks_preprocess_skips_naming_file(workspace, tmp_path, capsys, fps):
+    skipped = _preprocess_skipping_one(workspace, tmp_path, capsys, _fps_landmarks(fps))
+    assert skipped.endswith(f"spk0_seg00.npz: {_fps_error(fps)}")
+
+
+@pytest.mark.parametrize("fps", [*BAD_FPS, 30.0])
+def test_bad_fps_initial_pose_names_file(workspace, tmp_path, capsys, fps):
+    bad = tmp_path / "pose.npz"
+    _fps_landmarks(fps)(workspace, bad)
+    code = main(["generate", "--checkpoint", str(workspace["checkpoint"]), "--audio",
+                 str(workspace["audio"]), "--initial-pose", str(bad), "--out", str(tmp_path / "x.npz")])
+    assert code == 2
+    assert f"{bad}: {_fps_error(fps)}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("case", ["non_finite", "other_joints", "zero_bone", "other_hands"])
 def test_bad_initial_pose_names_file(workspace, tmp_path, capsys, case):
     bad = tmp_path / "pose.npz"

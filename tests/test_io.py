@@ -48,6 +48,14 @@ def test_save_landmarks_refuses_non_finite_frames(tmp_path):
     assert not path.exists()
 
 
+@pytest.mark.parametrize("fps", [np.nan, np.inf, 0.0, -15.0])
+def test_landmarks_with_fps_not_finite_and_positive_names_file(tmp_path, fps):
+    path = tmp_path / "seg.npz"
+    io.save_landmarks(path, np.zeros((4, 6)), fps, SPEC)
+    with pytest.raises(DataError, match=rf"seg\.npz: fps must be finite and positive, got {fps}"):
+        io.load_landmarks(path)
+
+
 def test_landmarks_reject_foreign_file(tmp_path):
     path = tmp_path / "other.npz"
     np.savez(path, stuff=np.zeros(3))
@@ -182,6 +190,23 @@ def test_split_that_does_not_fit_the_config_names_file(tmp_path, changes, what):
     io.save_split(path, _samples(), SPLIT_CONFIG)
     with pytest.raises(DataError, match=rf"train\.npz: split has {what}"):
         io.load_split(path, SPLIT_CONFIG.replace(**changes))
+
+
+def test_split_of_other_hand_joints_names_file(tmp_path):
+    # written with the default skeleton's hands (joints 8-11), read under a config whose hand is the nose
+    config = SPLIT_CONFIG.replace(joint_names=RunConfig().joint_names, hand_joints=RunConfig().hand_joints)
+    rng = np.random.default_rng(0)
+    samples = dataclasses.replace(
+        _samples(), m_prev=rng.normal(size=(5, 4, 24)), m_cur=rng.normal(size=(5, 4, 24))
+    )
+    path = tmp_path / "train.npz"
+    io.save_split(path, samples, config)
+    with pytest.raises(
+        DataError,
+        match=r"train\.npz: split has hand joints \('right_palm', 'right_fingertip', 'left_palm',"
+        r" 'left_fingertip'\), the config needs \('nose',\)",
+    ):
+        io.load_split(path, config.replace(hand_joints=("nose",)))
 
 
 def test_preprocess_split_round_trips_byte_identically(tmp_path):
@@ -344,8 +369,8 @@ STATS_FIELDS = ("stats.speakers", "stats.means", "stats.stds", "stats.pooled_mea
 READ_FIELDS = {
     "landmarks": ("frames", "fps", "joint_names", "hand_indices", "meta"),
     "waveform": ("samples", "sample_rate"),
-    "split": ("m_prev", "m_cur", "s_cur", "c", "speaker", "segment", "joint_names", "fps",
-              "sample_rate"),
+    "split": ("m_prev", "m_cur", "s_cur", "c", "speaker", "segment", "joint_names",
+              "hand_indices", "fps", "sample_rate"),
     "stats": STATS_FIELDS,
     "checkpoint": ("config", "meta", "rest_posture", *STATS_FIELDS),
 }
@@ -369,6 +394,7 @@ def test_container_without_a_field_names_file_and_field(tmp_path, kind, field):
 BAD_SCALARS = [("landmarks", "fps", "fast"), ("landmarks", "hand_indices", ["x"]),
                ("landmarks", "hand_indices", [70]), ("landmarks", "joint_names", ["nose"] * 3),
                ("waveform", "sample_rate", "x"),
+               ("split", "hand_indices", ["x"]), ("split", "hand_indices", [70]),
                ("split", "fps", "fast"), ("split", "sample_rate", "x")]
 
 

@@ -1,4 +1,4 @@
-"""Motion containers and the posture/offset decomposition."""
+"""Clip frames, skeleton normalization and the posture/offset decomposition."""
 
 import numpy as np
 import pytest
@@ -9,9 +9,6 @@ from speechmotion import (
     DEFAULT_JOINTS,
     DataError,
     JointSpec,
-    MeanPosture,
-    MotionClip,
-    RhythmOffset,
     chunk_sequence,
     compose,
     decompose,
@@ -24,47 +21,31 @@ from speechmotion import (
 ONE_JOINT = JointSpec(names=("nose", "neck"), hand_indices=(0,), scale_pair=("neck", "nose"))
 
 
-def _clip(rows, spec, fps=15.0):
-    return MotionClip(np.asarray(rows, dtype=float), fps=fps, joint_spec=spec)
-
-
 # -- worked examples, frozen -----------------------------------------------------
 
 
 def test_decompose_two_frame_example():
-    clip = _clip([[1.0, 1.0, 0.0, 0.0], [3.0, 3.0, 0.0, 0.0]], ONE_JOINT)
-    mean, offsets = decompose(clip)
-    np.testing.assert_array_equal(mean.posture, [2.0, 2.0, 0.0, 0.0])
-    np.testing.assert_array_equal(offsets.offsets, [[-1.0, -1.0, 0.0, 0.0], [1.0, 1.0, 0.0, 0.0]])
+    posture, offsets = decompose([[1.0, 1.0, 0.0, 0.0], [3.0, 3.0, 0.0, 0.0]])
+    np.testing.assert_array_equal(posture, [2.0, 2.0, 0.0, 0.0])
+    np.testing.assert_array_equal(offsets, [[-1.0, -1.0, 0.0, 0.0], [1.0, 1.0, 0.0, 0.0]])
 
 
 def test_compose_two_frame_example():
-    clip = compose(
-        MeanPosture([2.0, 2.0, 0.0, 0.0]),
-        RhythmOffset([[-1.0, -1.0, 0.0, 0.0], [1.0, 1.0, 0.0, 0.0]]),
-        fps=15.0,
-        joint_spec=ONE_JOINT,
-    )
-    np.testing.assert_array_equal(clip.frames, [[1.0, 1.0, 0.0, 0.0], [3.0, 3.0, 0.0, 0.0]])
+    clip = compose([2.0, 2.0, 0.0, 0.0], [[-1.0, -1.0, 0.0, 0.0], [1.0, 1.0, 0.0, 0.0]])
+    np.testing.assert_array_equal(clip, [[1.0, 1.0, 0.0, 0.0], [3.0, 3.0, 0.0, 0.0]])
 
 
 def test_temporal_mean_examples():
-    constant = _clip([[5.0, -1.0, 2.0, 2.0]] * 3, ONE_JOINT)
-    np.testing.assert_array_equal(temporal_mean(constant).posture, [5.0, -1.0, 2.0, 2.0])
+    np.testing.assert_array_equal(temporal_mean([[5.0, -1.0, 2.0, 2.0]] * 3), [5.0, -1.0, 2.0, 2.0])
 
-    clip = _clip([[1.0, 1.0, 0.0, 0.0], [3.0, 3.0, 0.0, 0.0]], ONE_JOINT)
-    np.testing.assert_array_equal(temporal_mean(clip).posture, [2.0, 2.0, 0.0, 0.0])
-
-    reversed_clip = _clip(clip.frames[::-1], ONE_JOINT)
-    np.testing.assert_array_equal(
-        temporal_mean(clip).posture, temporal_mean(reversed_clip).posture
-    )
+    clip = np.array([[1.0, 1.0, 0.0, 0.0], [3.0, 3.0, 0.0, 0.0]])
+    np.testing.assert_array_equal(temporal_mean(clip), [2.0, 2.0, 0.0, 0.0])
+    np.testing.assert_array_equal(temporal_mean(clip), temporal_mean(clip[::-1]))
 
 
 def test_constant_clip_has_zero_offsets():
-    clip = _clip([[1.0, 2.0, 3.0, 4.0]] * 5, ONE_JOINT)
-    _, offsets = decompose(clip)
-    np.testing.assert_array_equal(offsets.offsets, np.zeros((5, 4)))
+    _, offsets = decompose([[1.0, 2.0, 3.0, 4.0]] * 5)
+    np.testing.assert_array_equal(offsets, np.zeros((5, 4)))
 
 
 # -- chunking ---------------------------------------------------------------------
@@ -114,16 +95,27 @@ def test_chunk_count_is_floor(n, t):
 @settings(max_examples=60, deadline=None)
 def test_decompose_compose_round_trip(seed, t):
     rng = np.random.default_rng(seed)
-    clip = MotionClip(rng.normal(scale=3.0, size=(t, 4)), joint_spec=ONE_JOINT)
-    mean, offsets = decompose(clip)
-    back = compose(mean, offsets, fps=clip.fps, joint_spec=ONE_JOINT)
-    assert np.abs(back.frames - clip.frames).max() < 1e-9
-    assert np.abs(offsets.offsets.sum(axis=0)).max() < 1e-6 * t
+    clip = rng.normal(scale=3.0, size=(t, 4))
+    posture, offsets = decompose(clip)
+    back = compose(posture, offsets)
+    assert np.abs(back - clip).max() < 1e-9
+    assert np.abs(offsets.sum(axis=0)).max() < 1e-6 * t
+
+
+def test_decompose_stack_equals_each_clip():
+    clips = np.random.default_rng(2).normal(size=(5, 7, 4))
+    posture, offsets = decompose(clips)
+    for clip, clip_posture, clip_offsets in zip(clips, posture, offsets):
+        alone_posture, alone_offsets = decompose(clip)
+        assert np.array_equal(clip_posture, alone_posture)
+        assert np.array_equal(clip_offsets, alone_offsets)
 
 
 def test_compose_dimension_mismatch():
     with pytest.raises(ValueError):
-        compose(MeanPosture([1.0, 2.0]), RhythmOffset(np.zeros((3, 4))))
+        compose([1.0, 2.0], np.zeros((3, 4)))
+    with pytest.raises(ValueError):
+        compose(np.zeros((2, 4)), np.zeros((3, 3, 4)))
 
 
 # -- normalization ------------------------------------------------------------------
@@ -165,31 +157,41 @@ def test_normalize_degenerate_bone(small_spec):
 def test_swap_self_is_identity(clip_factory):
     a = clip_factory(seed=5)
     sa, sb = swap_dynamics(a, a)
-    np.testing.assert_allclose(sa.frames, a.frames, atol=1e-12)
-    np.testing.assert_allclose(sb.frames, a.frames, atol=1e-12)
+    np.testing.assert_allclose(sa, a, atol=1e-12)
+    np.testing.assert_allclose(sb, a, atol=1e-12)
 
 
 def test_swap_constant_clip_takes_other_offsets(small_spec):
     posture = np.array([1.0, 2.0, 0.0, 0.0, -1.0, 0.5])
-    a = MotionClip(np.tile(posture, (4, 1)), joint_spec=small_spec)
-    b = MotionClip(np.random.default_rng(6).normal(size=(4, 6)), joint_spec=small_spec)
+    a = np.tile(posture, (4, 1))
+    b = np.random.default_rng(6).normal(size=(4, small_spec.d_m))
     sa, _ = swap_dynamics(a, b)
     _, b_off = decompose(b)
-    np.testing.assert_allclose(sa.frames, posture + b_off.offsets, atol=1e-12)
+    np.testing.assert_allclose(sa, posture + b_off, atol=1e-12)
 
 
 @given(seed=st.integers(0, 2**32 - 1))
 @settings(max_examples=40, deadline=None)
 def test_swap_involution_and_mean_preservation(seed):
     rng = np.random.default_rng(seed)
-    a = MotionClip(rng.normal(size=(6, 4)), joint_spec=ONE_JOINT)
-    b = MotionClip(rng.normal(size=(6, 4)), joint_spec=ONE_JOINT)
+    a = rng.normal(size=(6, 4))
+    b = rng.normal(size=(6, 4))
     sa, sb = swap_dynamics(a, b)
-    assert np.abs(temporal_mean(sa).posture - temporal_mean(a).posture).max() < 1e-9
-    assert np.abs(temporal_mean(sb).posture - temporal_mean(b).posture).max() < 1e-9
+    assert np.abs(temporal_mean(sa) - temporal_mean(a)).max() < 1e-9
+    assert np.abs(temporal_mean(sb) - temporal_mean(b)).max() < 1e-9
     aa, bb = swap_dynamics(sa, sb)
-    assert np.abs(aa.frames - a.frames).max() < 1e-9
-    assert np.abs(bb.frames - b.frames).max() < 1e-9
+    assert np.abs(aa - a).max() < 1e-9
+    assert np.abs(bb - b).max() < 1e-9
+
+
+def test_swap_stack_equals_each_pair():
+    rng = np.random.default_rng(7)
+    a, b = rng.normal(size=(2, 3, 5, 4))
+    sa, sb = swap_dynamics(a, b)
+    for i in range(3):
+        alone_a, alone_b = swap_dynamics(a[i], b[i])
+        assert np.array_equal(sa[i], alone_a)
+        assert np.array_equal(sb[i], alone_b)
 
 
 def test_swap_shape_mismatch(clip_factory):
@@ -247,37 +249,35 @@ def test_label_requires_hand_joints():
 
 
 def test_label_requires_positive_threshold(clip_factory, small_spec):
-    clip = clip_factory().frames
+    clip = clip_factory()
     with pytest.raises(ValueError):
         label_mode_change(clip, clip, small_spec, 0.0)
 
 
-# -- container validation --------------------------------------------------------------
+# -- frame validation ---------------------------------------------------------------------
 
 
 def test_clip_needs_two_frames(small_spec):
-    with pytest.raises(ValueError):
-        MotionClip(np.zeros((1, 6)), joint_spec=small_spec)
+    with pytest.raises(ValueError, match="at least 2"):
+        chunk_sequence(np.zeros((4, 6)), 1, joint_spec=small_spec)
 
 
 def test_clip_rejects_nan(small_spec):
     frames = np.zeros((4, 6))
     frames[2, 3] = np.nan
-    with pytest.raises(DataError):
-        MotionClip(frames, joint_spec=small_spec)
+    with pytest.raises(DataError, match="non-finite"):
+        chunk_sequence(frames, 2, joint_spec=small_spec)
+    with pytest.raises(DataError, match="non-finite"):
+        normalize_skeleton(frames, small_spec)
     with pytest.raises(DataError, match="non-finite"):
         label_mode_change(np.zeros((1, 4, 6)), frames[None], small_spec, 0.25)
 
 
 def test_clip_width_must_match_spec(small_spec):
-    with pytest.raises(ValueError):
-        MotionClip(np.zeros((4, 8)), joint_spec=small_spec)
-
-
-def test_clip_frames_are_immutable(clip_factory):
-    clip = clip_factory()
-    with pytest.raises(ValueError):
-        clip.frames[0, 0] = 99.0
+    with pytest.raises(ValueError, match="does not match joint spec"):
+        chunk_sequence(np.zeros((4, 8)), 2, joint_spec=small_spec)
+    with pytest.raises(ValueError, match="does not match joint spec"):
+        normalize_skeleton(np.zeros((4, 8)), small_spec)
 
 
 def test_default_joint_spec_shape():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from speechmotion import JointSpec, MotionClip, nn
+from speechmotion import JointSpec, nn
 from speechmotion.model import one_step
 from speechmotion.posemode import PoseModeBranch
 
@@ -110,21 +110,21 @@ def test_encode_decode_deterministic(tiny_pose, clip_factory):
     assert e1.shape == (branch.config.model.d_e,)
     d1 = decode_motion(branch, params, e1)
     d2 = decode_motion(branch, params, e1)
-    np.testing.assert_array_equal(d1.frames, d2.frames)
+    np.testing.assert_array_equal(d1, d2)
 
 
 def test_decode_is_continuous_in_embedding(tiny_pose, clip_factory):
     branch, params = tiny_pose
     e = encode_motion(branch, params, clip_factory(seed=2))
-    base = decode_motion(branch, params, e).frames
+    base = decode_motion(branch, params, e)
     for h in (1e-4, 1e-6):
-        bumped = decode_motion(branch, params, e + h).frames
+        bumped = decode_motion(branch, params, e + h)
         assert np.abs(bumped - base).max() < 1e3 * h  # bounded sensitivity
 
 
 def test_shape_validation(tiny_pose, small_spec):
     branch, params = tiny_pose
-    wrong = MotionClip(np.zeros((6, small_spec.d_m)), joint_spec=small_spec)
+    wrong = np.zeros((6, small_spec.d_m))
     with pytest.raises(ValueError):
         encode_motion(branch, params, wrong)
     with pytest.raises(ValueError):
@@ -209,8 +209,8 @@ def test_loss_reg_zero_for_identity_autoencoder():
     params["pose.f_dec.w0"] = np.eye(8)
     params["pose.f_dec.b0"] = np.zeros(8)
     rng = np.random.default_rng(1)
-    a = MotionClip(rng.normal(size=(2, 4)), joint_spec=spec)
-    b = MotionClip(rng.normal(size=(2, 4)), joint_spec=spec)
+    a = rng.normal(size=(2, 4))
+    b = rng.normal(size=(2, 4))
     assert loss_reg(branch, params, a, b) == 0.0
 
 
@@ -222,7 +222,7 @@ def test_loss_reg_matches_hand_computation(tiny_pose, clip_factory):
     for clip in (b, a):
         e = encode_motion(branch, params, clip)
         recon = decode_motion(branch, params, e)
-        expected += np.abs(recon.frames - clip.frames).mean()
+        expected += np.abs(recon - clip).mean()
     assert abs(got - expected) < 1e-12
 
 
@@ -232,10 +232,10 @@ def test_loss_reg_matches_hand_computation(tiny_pose, clip_factory):
 def _pose_step(branch, params, tiny_rhythm, prev, z):
     """Pose-mode clips of one core step from one previous clip, one row per latent code."""
     rhythm, rhythm_params = tiny_rhythm
-    x_prev = prev.frames.reshape(1, -1)
-    audio = np.zeros((1, prev.t, rhythm.config.mfcc.d_s))
+    x_prev = prev.reshape(1, -1)
+    audio = np.zeros((1, len(prev), rhythm.config.mfcc.d_s))
     pose_flat, _ = one_step(branch.config, {**params, **rhythm_params}, x_prev, z, audio)
-    return pose_flat.reshape(len(z), *prev.frames.shape)
+    return pose_flat.reshape(len(z), *prev.shape)
 
 
 def test_generate_pose_mode_c0_deterministic(tiny_pose, tiny_rhythm, clip_factory):
@@ -255,7 +255,7 @@ def test_generate_pose_mode_matches_component_chain(tiny_pose, tiny_rhythm, clip
     seed = 13
     z_rows = np.random.default_rng(seed).standard_normal((1, branch.config.model.d_z))
     got_pose, got_offsets = one_step(
-        branch.config, {**params, **rhythm_params}, prev.frames.reshape(1, -1), z_rows, audio[None],
+        branch.config, {**params, **rhythm_params}, prev.reshape(1, -1), z_rows, audio[None],
     )
 
     from speechmotion import autodiff as ad
@@ -267,8 +267,8 @@ def test_generate_pose_mode_matches_component_chain(tiny_pose, tiny_rhythm, clip
         nn.param_vars(params), ad.Var(z[None, :]), ad.Var(e_prev[None, :])
     ).data[0]
     expected = decode_motion(branch, params, e_star)
-    np.testing.assert_array_equal(got_pose[0].reshape(prev.frames.shape), expected.frames)
-    np.testing.assert_array_equal(got_offsets[0], rhythm_generate(rhythm, rhythm_params, audio).offsets)
+    np.testing.assert_array_equal(got_pose[0].reshape(prev.shape), expected)
+    np.testing.assert_array_equal(got_offsets[0], rhythm_generate(rhythm, rhythm_params, audio))
 
 
 def test_generate_pose_mode_c1_draws_differ(tiny_pose, tiny_rhythm, clip_factory):

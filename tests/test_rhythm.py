@@ -5,8 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from speechmotion import JointSpec, MotionClip, nn
-from speechmotion.motion import RhythmOffset, decompose
+from speechmotion import JointSpec, decompose, nn
 from speechmotion.rhythm import RhythmBranch
 
 from oracles import loss_rhythm, rhythm_generate
@@ -20,8 +19,8 @@ def test_generate_shape_and_determinism(tiny_rhythm):
     audio = np.random.default_rng(0).normal(size=(4, 3))
     a = rhythm_generate(branch, params, audio)
     b = rhythm_generate(branch, params, audio)
-    assert a.offsets.shape == (4, branch.config.d_m)
-    np.testing.assert_array_equal(a.offsets, b.offsets)
+    assert a.shape == (4, branch.config.d_m)
+    np.testing.assert_array_equal(a, b)
 
 
 def test_generate_rejects_wrong_shape(tiny_rhythm):
@@ -37,7 +36,7 @@ def test_finite_output_for_random_inputs(tiny_rhythm):
     rng = np.random.default_rng(1)
     for _ in range(10):
         out = rhythm_generate(branch, params, rng.normal(scale=10.0, size=(4, 3)))
-        assert np.all(np.isfinite(out.offsets))
+        assert np.all(np.isfinite(out))
 
 
 def test_circular_shift_equivariance_interior():
@@ -49,8 +48,8 @@ def test_circular_shift_equivariance_interior():
     params = nn.init_params(branch.param_shapes(), np.random.default_rng(2))
     x = np.random.default_rng(3).normal(size=(64, 3))
     k = 7
-    out = rhythm_generate(branch, params, x).offsets
-    out_shifted = rhythm_generate(branch, params, np.roll(x, k, axis=0)).offsets
+    out = rhythm_generate(branch, params, x)
+    out_shifted = rhythm_generate(branch, params, np.roll(x, k, axis=0))
     # receptive field reaches (kernel//2)*n_layers = 4 rows past each border
     margin = (config.model.rhythm_kernel // 2) * config.model.rhythm_layers + k
     interior = slice(margin, 64 - margin)
@@ -67,38 +66,32 @@ def test_loss_zero_for_perfect_prediction(clip_factory):
 
 
 def test_loss_zero_prediction_constant_clip(small_spec):
-    gt = MotionClip(np.tile([1.0, 2.0, 3.0, 4.0, 5.0, 6.0], (4, 1)), joint_spec=small_spec)
-    pred = RhythmOffset(np.zeros((4, small_spec.d_m)))
+    gt = np.tile([1.0, 2.0, 3.0, 4.0, 5.0, 6.0], (4, 1))
+    pred = np.zeros((4, small_spec.d_m))
     assert loss_rhythm(pred, gt) == 0.0
 
 
 def test_loss_zero_prediction_two_frame_example():
-    from speechmotion import JointSpec
-
-    spec = JointSpec(names=("nose", "neck"), hand_indices=(0,))
-    gt = MotionClip(np.array([[1.0, 1.0, 1.0, 1.0], [3.0, 3.0, 3.0, 3.0]]), joint_spec=spec)
-    pred = RhythmOffset(np.zeros((2, 4)))
+    gt = np.array([[1.0, 1.0, 1.0, 1.0], [3.0, 3.0, 3.0, 3.0]])
+    pred = np.zeros((2, 4))
     assert abs(loss_rhythm(pred, gt) - 1.0) < 1e-12
 
 
 @given(seed=st.integers(0, 2**32 - 1))
 @settings(max_examples=40, deadline=None)
 def test_loss_invariant_to_constant_posture_shift(seed):
-    from speechmotion import JointSpec
-
-    spec = JointSpec(names=("nose", "neck"), hand_indices=(0,))
     rng = np.random.default_rng(seed)
-    gt = MotionClip(rng.normal(size=(5, 4)), joint_spec=spec)
-    pred = RhythmOffset(rng.normal(size=(5, 4)))
+    gt = rng.normal(size=(5, 4))
+    pred = rng.normal(size=(5, 4))
     shift = rng.normal(scale=10.0, size=4)
-    shifted = MotionClip(gt.frames + shift, joint_spec=spec)
+    shifted = gt + shift
     assert abs(loss_rhythm(pred, gt) - loss_rhythm(pred, shifted)) < 1e-9
 
 
 def test_loss_shape_mismatch(clip_factory):
     gt = clip_factory(seed=5)
     with pytest.raises(ValueError):
-        loss_rhythm(RhythmOffset(np.zeros((3, 6))), gt)
+        loss_rhythm(np.zeros((3, 6)), gt)
 
 
 def test_loss_gradient_matches_finite_differences():

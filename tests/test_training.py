@@ -12,7 +12,6 @@ from speechmotion import (
     DatasetSplit,
     FeatureStats,
     JointSpec,
-    MotionClip,
     NumericError,
     RunConfig,
     SampleSet,
@@ -134,8 +133,8 @@ def test_indicator_semantics_of_vae_term(tiny_pose=None):
         _, breakdown = total_loss(
             sample, config, params, TrainSettings(lambda_rec=0.0, lambda_vae=1.0, lambda_rhythm=0.0, lambda_reg=0.0)
         )
-        e_prev = encode_motion(pose, params, MotionClip(sample.m_prev[0], joint_spec=SPEC))
-        e_cur = encode_motion(pose, params, MotionClip(sample.m_cur[0], joint_spec=SPEC))
+        e_prev = encode_motion(pose, params, sample.m_prev[0])
+        e_cur = encode_motion(pose, params, sample.m_cur[0])
         post = posterior(pose, params, e_cur - e_prev)
         assert abs(breakdown["vae"] - loss_vae(post, c)) < 1e-9
 
