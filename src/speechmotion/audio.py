@@ -6,11 +6,15 @@ filterbank on the power spectrum, log with an absolute floor, orthonormal
 DCT, optional delta coefficients, then nearest-timestamp selection onto the
 motion frame grid.
 
-MFCC extraction works through the frames in blocks of at most
-`_BLOCK_FRAMES`: apart from the input waveform, its memory is one block's
-spectra plus arrays the size of the output, however long the audio. Every
-row goes through the same arithmetic as a whole-waveform pass, so the output
-does not depend on the blocking.
+`extract_mfcc` computes cepstra only at the analysis frames asked for and the
+neighbours their deltas read. `motion_features` asks for the frames the
+motion grid samples: at 15 fps and a 10 ms hop that is about three in four
+frames, and each row equals its row of the all-frames output. Extraction
+works through the frames in blocks of at most `_BLOCK_FRAMES`: apart from
+the input waveform, its memory is one block's spectra plus arrays the size
+of the output, however long the audio. Every row goes through the same
+arithmetic as a whole-waveform pass, so the output does not depend on the
+blocking or on which rows are asked for.
 """
 
 from __future__ import annotations
@@ -38,6 +42,12 @@ POWER_FLOOR = 1e-10
 # small-matrix kernel that rounds differently, and a short last block would
 # change the output of its rows.
 _BLOCK_FRAMES = 2048
+# Fewest frames whose cepstra are computed (or all, if fewer): a selection
+# of fewer frames is padded with the first ones, so that its mel GEMM does
+# not take the small-matrix kernel either.
+_MIN_GEMM_ROWS = _BLOCK_FRAMES // 2
+# Deltas are regression slopes over +/- this many frames, clamped at the edges.
+_DELTA_REACH = 2
 
 
 @dataclass(frozen=True)
@@ -52,7 +62,7 @@ class MfccSettings:
     deltas: bool = True
 
     def __post_init__(self) -> None:
-        if self.sample_rate <= 0 or self.window_s <= 0 or self.hop_s <= 0:
+        if not (self.sample_rate > 0 and self.window_s > 0 and self.hop_s > 0):  # or NaN
             raise ValueError("sample rate, window, and hop must be positive")
         if self.n_mfcc < 1:
             raise ValueError("need at least one DCT coefficient")
@@ -117,17 +127,9 @@ def mel_filterbank(settings: MfccSettings) -> np.ndarray:
     return bank
 
 
-def _deltas(coeffs: np.ndarray, reach: int = 2) -> np.ndarray:
-    # Regression slope over +/- reach frames with clamped edges.
-    padded = np.pad(coeffs, ((reach, reach), (0, 0)), mode="edge")
-    denom = 2.0 * sum(n * n for n in range(1, reach + 1))
-    out = np.zeros_like(coeffs)
-    for n in range(1, reach + 1):
-        out += n * (padded[reach + n : reach + n + len(coeffs)] - padded[reach - n : reach - n + len(coeffs)])
-    return out / denom
-
-
-def extract_mfcc(waveform, sample_rate_hz: int, settings: MfccSettings = MfccSettings()) -> np.ndarray:
+def extract_mfcc(
+    waveform, sample_rate_hz: int, settings: MfccSettings = MfccSettings(), rows=None
+) -> np.ndarray:
     """Mel-frequency cepstra (plus deltas) for a mono waveform.
 
     Args:
@@ -135,13 +137,18 @@ def extract_mfcc(waveform, sample_rate_hz: int, settings: MfccSettings = MfccSet
             the configured rate.
         sample_rate_hz: rate of `waveform` in Hz.
         settings: front-end configuration.
+        rows: the analysis frames to return. None returns all F of them;
+            otherwise a function that receives F once the waveform is
+            accepted and returns the frame indices wanted, each in [0, F).
 
     Returns:
-        (F, settings.d_s) float64 array, one row per analysis frame at the
-        configured hop. Deterministic: equal inputs give bit-equal output.
-        Frames are processed in blocks, so beyond the (resampled) waveform
-        the memory used is one fixed-size block plus output-sized arrays;
-        the blocking does not change the output.
+        (number of rows, settings.d_s) float64 array, one row per selected
+        analysis frame, each bit-equal to its row of the all-frames output:
+        cepstra are computed only at the selected frames and the neighbours
+        their deltas read. Deterministic. Frames are processed in blocks, so
+        beyond the (resampled) waveform the memory used is one fixed-size
+        block plus output-sized arrays; the blocking does not change the
+        output.
 
     Raises:
         DataError: waveform shorter than one analysis window, or not 1-D.
@@ -162,19 +169,61 @@ def extract_mfcc(waveform, sample_rate_hz: int, settings: MfccSettings = MfccSet
         raise DataError(f"waveform of {len(wave)} samples is shorter than one window ({win})")
     frames = sliding_window_view(wave, win)[::hop]
     n_frames = len(frames)
+    wanted = np.arange(n_frames) if rows is None else np.asarray(rows(n_frames), dtype=np.intp)
+    # taps[i] are the frames wanted[i] - reach ... wanted[i] + reach, clamped at the edges
+    reach = _DELTA_REACH if settings.deltas else 0
+    taps = np.clip(wanted[:, None] + np.arange(-reach, reach + 1), 0, n_frames - 1)
+    computed = np.zeros(n_frames, dtype=bool)
+    computed[taps] = True
+    if computed.sum() < _MIN_GEMM_ROWS:
+        computed[:_MIN_GEMM_ROWS] = True
+    needed = np.flatnonzero(computed)
+    at = (np.cumsum(computed) - 1)[taps]  # each tap's row of `cepstra`
+
     window = np.hanning(win)
     bank_t = mel_filterbank(settings).T
     n_mfcc = settings.n_mfcc
-    out = np.empty((n_frames, settings.d_s))
-    n_blocks = -(-n_frames // _BLOCK_FRAMES)
-    edges = [i * n_frames // n_blocks for i in range(n_blocks + 1)]
+    cepstra = np.empty((len(needed), n_mfcc))
+    n_blocks = -(-len(needed) // _BLOCK_FRAMES)
+    edges = [i * len(needed) // n_blocks for i in range(n_blocks + 1)]
     for start, stop in zip(edges[:-1], edges[1:]):
-        power = np.abs(np.fft.rfft(frames[start:stop] * window, axis=1)) ** 2
+        windowed = frames[needed[start:stop]]  # a gathered copy: window it in place
+        windowed *= window
+        power = np.abs(np.fft.rfft(windowed, axis=1)) ** 2
         log_mel = np.log(np.maximum(power @ bank_t, POWER_FLOOR))
-        out[start:stop, :n_mfcc] = dct(log_mel, type=2, norm="ortho", axis=1)[:, :n_mfcc]
+        cepstra[start:stop] = dct(log_mel, type=2, norm="ortho", axis=1)[:, :n_mfcc]
+    out = np.empty((len(wanted), settings.d_s))
+    out[:, :n_mfcc] = cepstra[at[:, reach]]
     if settings.deltas:
-        out[:, n_mfcc:] = _deltas(out[:, :n_mfcc])
+        deltas = np.zeros((len(wanted), n_mfcc))
+        for n in range(1, reach + 1):
+            deltas += n * (cepstra[at[:, reach + n]] - cepstra[at[:, reach - n]])
+        out[:, n_mfcc:] = deltas / (2.0 * sum(n * n for n in range(1, reach + 1)))
     return out
+
+
+def _motion_rows(n_audio: int, audio_hop_s: float, motion_fps: float, n_motion_frames: int) -> np.ndarray:
+    """The audio frame nearest each motion frame, clamped to [0, n_audio): the
+    rows `align_audio_to_motion` reads once `check_coverage` has passed."""
+    times = np.arange(n_motion_frames) / motion_fps
+    return np.clip(np.rint(times / audio_hop_s).astype(int), 0, n_audio - 1)
+
+
+def check_coverage(n_audio: int, audio_hop_s: float, motion_fps: float, n_motion_frames: int) -> None:
+    """The audio timeline must cover the motion timeline to within one hop.
+
+    Raises:
+        ValueError: hop, fps or frame count not positive.
+        DataError: audio too short to cover the motion frames.
+    """
+    if audio_hop_s <= 0 or motion_fps <= 0 or n_motion_frames <= 0:
+        raise ValueError("hop, fps, and frame count must be positive")
+    last_motion_s = (n_motion_frames - 1) / motion_fps
+    covered_s = (n_audio - 1) * audio_hop_s + audio_hop_s
+    if last_motion_s > covered_s:
+        raise DataError(
+            f"audio covers {covered_s:.3f}s but motion runs to {last_motion_s:.3f}s"
+        )
 
 
 def align_audio_to_motion(
@@ -194,18 +243,26 @@ def align_audio_to_motion(
     feats = np.asarray(features, dtype=np.float64)
     if feats.ndim != 2:
         raise ValueError(f"features must be 2-D, got shape {feats.shape}")
-    if audio_hop_s <= 0 or motion_fps <= 0 or n_motion_frames <= 0:
-        raise ValueError("hop, fps, and frame count must be positive")
-    n_audio = feats.shape[0]
-    last_motion_s = (n_motion_frames - 1) / motion_fps
-    covered_s = (n_audio - 1) * audio_hop_s + audio_hop_s
-    if last_motion_s > covered_s:
-        raise DataError(
-            f"audio covers {covered_s:.3f}s but motion runs to {last_motion_s:.3f}s"
-        )
-    times = np.arange(n_motion_frames) / motion_fps
-    idx = np.clip(np.rint(times / audio_hop_s).astype(int), 0, n_audio - 1)
-    return feats[idx]
+    check_coverage(len(feats), audio_hop_s, motion_fps, n_motion_frames)
+    return feats[_motion_rows(len(feats), audio_hop_s, motion_fps, n_motion_frames)]
+
+
+def motion_features(
+    waveform, sample_rate_hz: int, settings: MfccSettings, motion_fps: float, n_motion_frames: int
+) -> tuple[np.ndarray, int]:
+    """MFCC rows on the motion frame grid, and the analysis frame count F.
+
+    The rows equal `align_audio_to_motion(extract_mfcc(waveform, ...),
+    settings.hop_s, motion_fps, n_motion_frames)`, but only the frames they
+    read are computed, and coverage is left to `check_coverage(F, ...)`.
+    """
+    n_audio = []
+
+    def rows(n_frames: int) -> np.ndarray:
+        n_audio.append(n_frames)
+        return _motion_rows(n_frames, settings.hop_s, motion_fps, n_motion_frames)
+
+    return extract_mfcc(waveform, sample_rate_hz, settings, rows), n_audio[0]
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .audio import align_audio_to_motion, extract_mfcc
+from .audio import check_coverage, motion_features
 from .config import RunConfig
 from .data import DatasetSplit
 from .errors import DataError, NumericError
@@ -214,21 +214,20 @@ def cmd_generate(args) -> int:
     ckpt = io.load_checkpoint(_out_path(args.checkpoint))
     config = ckpt.config
     wave, rate = io.load_waveform(args.audio)
-    try:
-        feats = extract_mfcc(wave, rate, config.mfcc)
-    except DataError as exc:
-        raise DataError(f"{args.audio}: {exc}") from None
     duration_s = len(wave) / rate
     # round to the nearest frame so sample-level jitter in the audio length
-    # cannot drop a clip; alignment still checks feature coverage
-    n_frames = int(round(duration_s * config.fps))
-    n_steps = n_frames // config.t_frames
+    # cannot drop a clip; check_coverage still checks the features reach it
+    n_steps = int(round(duration_s * config.fps)) // config.t_frames
+    n_frames = n_steps * config.t_frames
+    try:
+        aligned, n_audio = motion_features(wave, rate, config.mfcc, config.fps, n_frames)
+    except DataError as exc:
+        raise DataError(f"{args.audio}: {exc}") from None
     if n_steps < 1:
         raise DataError(
             f"{args.audio}: audio of {duration_s:.2f}s yields no full clip of {config.t_frames} frames"
         )
-    n_frames = n_steps * config.t_frames
-    aligned = align_audio_to_motion(feats, config.mfcc.hop_s, config.fps, n_frames)
+    check_coverage(n_audio, config.mfcc.hop_s, config.fps, n_frames)
     standardized = ckpt.feature_stats.transform(aligned, args.speaker)
     transcript = io.load_transcript(args.transcript) if args.transcript else None
     schedule = _schedule_for(args, config, n_steps, transcript)

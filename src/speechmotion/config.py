@@ -14,6 +14,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -108,7 +109,7 @@ class RunConfig:
     def __post_init__(self) -> None:
         if self.t_frames < 2:
             raise ValueError("t_frames must be at least 2")
-        if self.fps <= 0:
+        if not self.fps > 0:  # NaN fails this too
             raise ValueError("fps must be positive")
         missing = [h for h in self.hand_joints if h not in self.joint_names]
         if missing:
@@ -235,6 +236,8 @@ def _from_plain(cls, data: dict, path: str):
             if not isinstance(value, (list, tuple)):
                 raise ValueError(f"config key {path}{name} must be a list")
             kwargs[name] = tuple(tuple(v) if isinstance(v, list) else v for v in value)
+        elif isinstance(default, float) and isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(f"config key {path}{name} must be finite, got {value}")
         else:
             kwargs[name] = _typed(default, value)
     return cls(**kwargs)

@@ -1,31 +1,41 @@
 """Sequence generation: mode schedules plus autoregressive clip stacking.
 
-A run of n steps consumes n aligned audio clips and n mode labels. Each step
-embeds the previous pose-mode clip, draws (or zeroes) a latent code under
-the step's label, decodes the next pose-mode clip and computes the rhythm
-branch's offsets for the step's audio. A run's result is these two outputs
-as arrays, kept apart; the motion is their sum. The autoregression feeds
-the pose-mode clip forward, not the composed one, so rhythm never leaks into
-posture. Several seeds run as one batch: the pose-mode chain runs
-once per step for all of them, and the seed-independent rhythm offsets are
-computed once per step and shared. Each seed has its own generator, seeded
-once and consumed only at steps whose label is 1, so a prefix of the
+A run of n steps consumes n aligned audio clips and n mode labels. The
+paper's two streams are independent until they are composed, so they run
+apart. The rhythm stream maps every step's audio to offsets first, in blocks
+of `_RHYTHM_BLOCK` steps, before any pose is drawn. The pose chain then runs
+step by step: it embeds the previous pose-mode clip, draws (or zeroes) a
+latent code under the step's label and decodes the next pose-mode clip. A
+run's result is these two outputs as arrays, kept apart; the motion is their
+sum. The autoregression feeds the pose-mode clip forward, not the composed
+one, so rhythm never leaks into posture. Several seeds run as one batch: the
+pose-mode chain runs once per step for all of them, and the seed-independent
+offsets are computed once and shared. Each seed has its own generator,
+seeded once and consumed only at steps whose label is 1, so a prefix of the
 schedule reproduces a prefix of the output.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
 
+from . import nn
 from .audio import Transcript
 from .config import RunConfig
 from .errors import DataError, NumericError
-from .model import one_step
+from .model import pose_step, rhythm_offsets
 
 _POLICIES = ("keyword", "fixed-interval", "explicit")
+
+# Steps whose offsets one rhythm forward computes. At the paper size, blocks
+# of 12-16 steps ran fastest: one step at a time pays the per-call overhead
+# 16 times over, and all of a long run at once spills the activations out of
+# L2. A step's offsets do not depend on the blocking.
+_RHYTHM_BLOCK = 16
 
 
 @dataclass(frozen=True)
@@ -73,10 +83,13 @@ def mode_schedule(
         wanted = {w.lower() for w in keywords}
         if not wanted:
             raise ValueError("keyword policy needs a non-empty keyword list")
-        labels = []
-        for i in range(n_steps):
-            words = transcript.words_between(i * clip_duration_s, (i + 1) * clip_duration_s)
-            labels.append(int(any(w.lower().strip(".,!?;:") in wanted for w in words)))
+        # step i spans [i*dur, (i+1)*dur), with the bounds computed exactly so
+        edges = [i * clip_duration_s for i in range(n_steps + 1)]
+        labels = [0] * n_steps
+        for word, start, _ in transcript.tokens:
+            i = bisect_right(edges, start) - 1
+            if i < n_steps and word.lower().strip(".,!?;:") in wanted:
+                labels[i] = 1
         return ModeSchedule(tuple(labels), "keyword")
     if policy == "fixed-interval":
         if interval < 1:
@@ -175,23 +188,26 @@ def generate_sequence(
         )
     if not np.isfinite(initial_pose).all():
         raise DataError("initial pose contains non-finite values")
+    n = len(schedule)
+    pv = nn.param_vars(params)
+    offsets = np.concatenate([
+        rhythm_offsets(config, pv, audio[i : i + _RHYTHM_BLOCK])
+        for i in range(0, n, _RHYTHM_BLOCK)
+    ])
+    offsets.flags.writeable = False
     rngs = [np.random.default_rng(seed) for seed in seeds]
     x_prev = initial_pose.reshape(1, -1)
-    z_steps, pose_steps, offset_steps = [], [], []
-    for i, c in enumerate(schedule.labels):
+    z_steps, pose_steps = [], []
+    for c in schedule.labels:
         if c:
             z = np.stack([rng.standard_normal(d_z) for rng in rngs])
         else:
             z = np.zeros((len(seeds), d_z))
-        x_prev, offsets = one_step(config, params, x_prev, z, audio[i : i + 1])
+        x_prev = pose_step(config, pv, x_prev, z)
         z_steps.append(z)
         pose_steps.append(x_prev)
-        offset_steps.append(offsets[0])
-    n = len(schedule)
     z = np.stack(z_steps, axis=1)
     pose_clips = np.stack(pose_steps, axis=1).reshape(len(seeds), n, t, -1)
-    offsets = np.stack(offset_steps)
-    offsets.flags.writeable = False
     finite = np.isfinite(pose_clips).all(axis=(0, 2, 3)) & np.isfinite(offsets).all(axis=(1, 2))
     if not finite.all():
         raise NumericError(

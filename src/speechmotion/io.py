@@ -103,15 +103,17 @@ def save_landmarks(
 ) -> None:
     """Write a landmarks/1 file.
 
-    Raises:
-        NumericError naming the file, before anything is written: frames
-        with non-finite values, which `load_landmarks` would reject.
+    Raises, naming the file, before anything is written, what
+    `load_landmarks` would reject: NumericError for frames with non-finite
+    values, ValueError for an fps that is not finite and positive.
     """
     frames = np.asarray(frames, dtype=np.float64)
     if frames.ndim != 2 or frames.shape[1] != joint_spec.d_m:
         raise ValueError(f"frames shape {frames.shape} does not fit the joint spec")
     if not np.all(np.isfinite(frames)):
         raise NumericError(f"{path}: refusing to write non-finite frames")
+    if not (np.isfinite(fps) and fps > 0):
+        raise ValueError(f"{path}: refusing to write fps {fps}; it must be finite and positive")
     np.savez(
         path,
         format="landmarks/1",

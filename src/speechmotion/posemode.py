@@ -11,7 +11,7 @@ posture holds), c = 1 samples z (a free posture switch).
 The branch is sized by a RunConfig alone: the clip shape (`t_frames`,
 `d_m`) and `config.model`'s widths. Every method runs on the
 autodiff tape with a batch dimension. Callers hold the model as
-`(config, params)`: `training._batch_loss` and `model.one_step` build the
+`(config, params)`: `training._batch_loss` and `model.pose_step` build the
 branch from the config they are given, and `model.param_shapes` joins its
 layout with the rhythm branch's.
 """

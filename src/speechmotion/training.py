@@ -29,7 +29,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import nn
-from .audio import FeatureStats, align_audio_to_motion, extract_mfcc
+from .audio import FeatureStats, check_coverage, motion_features
 from .config import RunConfig
 from .data import Checkpoint, DatasetSplit, SampleSet
 from .errors import DataError, NumericError
@@ -66,8 +66,8 @@ def _segment_samples(lm_path: Path, audio_path: Path, config: RunConfig) -> Samp
 
     wave, rate = load_waveform(audio_path)
     try:
-        feats = extract_mfcc(wave, rate, config.mfcc)
-        aligned = align_audio_to_motion(feats, config.mfcc.hop_s, config.fps, len(normalized))
+        aligned, n_audio = motion_features(wave, rate, config.mfcc, config.fps, len(normalized))
+        check_coverage(n_audio, config.mfcc.hop_s, config.fps, len(normalized))
     except DataError as exc:
         raise DataError(f"{audio_path}: {exc}") from None
 

@@ -19,7 +19,7 @@ from speechmotion import (
     extract_mfcc,
     mel_filterbank,
 )
-from speechmotion.audio import _BLOCK_FRAMES
+from speechmotion.audio import _BLOCK_FRAMES, check_coverage, motion_features
 
 SETTINGS = MfccSettings()
 
@@ -139,6 +139,80 @@ def test_memory_grows_only_with_output():
             tracemalloc.stop()
     mb_per_s = (peaks[240] - peaks[60]) / 1e6 / 180
     assert mb_per_s < 0.15, f"traced peak grows {mb_per_s:.3f} MB per second of audio"
+
+
+def test_selected_rows_equal_their_all_frames_rows():
+    rng = np.random.default_rng(4)
+    wave = 0.2 * rng.normal(size=_samples_for_frames(2 * _BLOCK_FRAMES + 100))
+    full = extract_mfcc(wave, 16000, SETTINGS)
+    picks = [len(full) - 1, 0, 5, 5, _BLOCK_FRAMES, 1]  # unsorted, repeated, both edges
+    got = extract_mfcc(wave, 16000, SETTINGS, rows=lambda n_frames: picks)
+    assert np.array_equal(got, full[picks])
+
+
+# -- motion-rate features ------------------------------------------------------------------
+
+
+def _wave(seconds, rate, seed=9):
+    t = np.arange(int(seconds * rate)) / rate
+    noise = np.random.default_rng(seed).normal(size=len(t))
+    return 0.3 * np.sin(2 * np.pi * 180 * t) * (1 + np.sin(2 * np.pi * 3 * t)) + 0.05 * noise
+
+
+@pytest.mark.parametrize(
+    "seconds, rate, fps, settings",
+    [
+        (3.0, 16000, 15.0, SETTINGS),  # shorter than one MFCC block
+        (50.0, 16000, 15.0, SETTINGS),  # several MFCC blocks
+        (50.0, 22050, 15.0, SETTINGS),  # resampled
+        (12.0, 16000, 25.0, SETTINGS),
+        (12.0, 16000, 30.0, SETTINGS),
+        (12.0, 16000, 15.0, MfccSettings(deltas=False)),
+    ],
+    ids=["short", "blocks", "22.05kHz", "25fps", "30fps", "no-deltas"],
+)
+def test_motion_features_equal_aligned_all_frames(seconds, rate, fps, settings):
+    wave = _wave(seconds, rate)
+    full = extract_mfcc(wave, rate, settings)
+    # every motion frame the audio covers
+    n_motion = int(np.floor((len(full) * settings.hop_s) * fps)) + 1
+    got, n_audio = motion_features(wave, rate, settings, fps, n_motion)
+    assert n_audio == len(full)
+    check_coverage(n_audio, settings.hop_s, fps, n_motion)
+    expected = align_audio_to_motion(full, settings.hop_s, fps, n_motion)
+    assert np.array_equal(got, expected)
+
+
+@pytest.mark.parametrize("fps", [15.0, 25.0, 30.0])
+@pytest.mark.parametrize("spare", [0, 1])
+def test_motion_features_clamp_at_first_and_last_frames(fps, spare):
+    # the audio ends `spare` frames after the one the last motion frame reads,
+    # so that row's deltas clamp at the last frame as the first row's do at frame 0
+    n_motion = 100
+    last = int(np.rint((n_motion - 1) / fps / SETTINGS.hop_s))
+    wave = 0.2 * np.random.default_rng(6).normal(size=_samples_for_frames(last + 1 + spare))
+    full = extract_mfcc(wave, 16000, SETTINGS)
+    got, n_audio = motion_features(wave, 16000, SETTINGS, fps, n_motion)
+    check_coverage(n_audio, SETTINGS.hop_s, fps, n_motion)
+    assert np.array_equal(got, align_audio_to_motion(full, SETTINGS.hop_s, fps, n_motion))
+    assert np.array_equal(got[0], full[0])
+    assert np.array_equal(got[-1], full[-1 - spare])
+
+
+@pytest.mark.parametrize("n_motion", [1, 2, 40])
+def test_few_motion_frames_over_a_long_input(n_motion):
+    # a handful of rows out of thousands of frames
+    wave = _wave(50.0, 16000)
+    full = extract_mfcc(wave, 16000, SETTINGS)
+    got, _ = motion_features(wave, 16000, SETTINGS, 15.0, n_motion)
+    assert np.array_equal(got, align_audio_to_motion(full, SETTINGS.hop_s, 15.0, n_motion))
+
+
+def test_motion_features_errors_come_from_extraction():
+    with pytest.raises(DataError, match="shorter than one window"):
+        motion_features(np.zeros(SETTINGS.window_samples - 1), 16000, SETTINGS, 15.0, 10)
+    with pytest.raises(DataError, match="mono 1-D"):
+        motion_features(np.zeros((100, 2)), 16000, SETTINGS, 15.0, 10)
 
 
 def test_no_delta_variant_width():

@@ -427,6 +427,60 @@ def test_checkpoint_with_retired_keys_generates_the_same_motion(tmp_path):
             assert json.loads(str(a["meta"])) == json.loads(str(b["meta"]))
 
 
+@pytest.mark.parametrize("n_samples, message", [
+    # too short for a window and for a clip: extraction's check comes first
+    (300, "waveform of 300 samples is shorter than one window (400)"),
+    (8000, "audio of 0.50s yields no full clip of 16 frames"),
+])
+def test_short_audio_generate_names_file(workspace, tmp_path, capsys, n_samples, message):
+    audio = tmp_path / "short.wav"
+    io.save_wav(audio, 0.3 * np.sin(np.arange(n_samples) / 8.0), 16000)
+    code = main(["generate", "--checkpoint", str(workspace["checkpoint"]), "--audio", str(audio),
+                 "--out", str(tmp_path / "x.npz")])
+    assert code == 2
+    assert f"data error: {audio}: {message}" in capsys.readouterr().err
+
+
+def test_uncovered_audio_generate_is_data_error(tmp_path, capsys):
+    # a 0.2 s window leaves the last 0.2 s of audio without a frame, and the
+    # last clip of this audio ends 67 ms before its end
+    config = _small_config()
+    config = config.replace(mfcc=dataclasses.replace(config.mfcc, window_s=0.2))
+    rng = np.random.default_rng(4)
+    checkpoint = tmp_path / "wide_window.npz"
+    io.save_checkpoint(checkpoint, Checkpoint(
+        params=nn.init_params(param_shapes(config), rng),
+        config=config,
+        feature_stats=FeatureStats.fit({"a": rng.normal(size=(40, config.mfcc.d_s))}),
+        rest_posture=rng.normal(size=config.d_m),
+        seed=0,
+        epoch=1,
+    ))
+    audio = tmp_path / "a.wav"
+    io.save_wav(audio, 0.3 * np.sin(np.arange(136533) / 8.0), 16000)  # 8 clips of 16 frames
+    code = main(["generate", "--checkpoint", str(checkpoint), "--audio", str(audio),
+                 "--out", str(tmp_path / "x.npz")])
+    assert code == 2
+    assert "audio covers 8.340s but motion runs to 8.467s" in capsys.readouterr().err
+
+
+def test_uncovered_audio_preprocess_skips_naming_file(workspace, tmp_path, capsys):
+    audio_dir = tmp_path / "audio"
+    audio_dir.mkdir()
+    for src in sorted((workspace["toy"] / "audio").glob("*.wav")):
+        (audio_dir / src.name).write_bytes(src.read_bytes())
+    short = audio_dir / "spk0_seg00.wav"
+    samples, rate = io.load_waveform(short)
+    io.save_wav(short, samples[: 3 * rate], rate)
+    code = main(["preprocess", "--config", str(workspace["config"]), "--landmarks",
+                 str(workspace["toy"] / "landmarks"), "--audio", str(audio_dir),
+                 "--out", str(tmp_path / "out")])
+    assert code == 0
+    skipped = [line for line in capsys.readouterr().err.splitlines() if line.startswith("skipped:")]
+    assert len(skipped) == 1
+    assert skipped[0].endswith(f"{short}: audio covers 2.980s but motion runs to 5.267s")
+
+
 def test_bad_labels_exit_1(workspace, tmp_path):
     code = main(
         [
@@ -724,8 +778,10 @@ def test_zero_bone_swap_demo_input_names_file(workspace, tmp_path, capsys):
 def _fps_landmarks(fps):
     """A writer of the toy landmarks with their fps set to `fps`."""
     def write(workspace, path):
-        frames, _, spec, meta = io.load_landmarks(workspace["toy"] / "landmarks" / "spk0_seg00.npz")
-        io.save_landmarks(path, frames, fps, spec, meta)
+        # save_landmarks refuses a bad fps, so write the landmarks/1 keys directly
+        with np.load(workspace["toy"] / "landmarks" / "spk0_seg00.npz") as npz:
+            arrays = dict(npz)
+        np.savez(path, **{**arrays, "fps": np.float64(fps)})
 
     return write
 

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from speechmotion import (
     DataError,
@@ -15,6 +17,7 @@ from speechmotion import (
 )
 from speechmotion import autodiff as ad
 from speechmotion import nn
+from speechmotion.generation import _RHYTHM_BLOCK
 from speechmotion.model import param_shapes
 from speechmotion.posemode import PoseModeBranch
 from speechmotion.rhythm import RhythmBranch
@@ -50,6 +53,40 @@ def test_keyword_no_matches_is_all_zero():
     tr = Transcript((("hello", 1.0, 1.2),))
     sched = mode_schedule(tr, 3, "keyword", clip_duration_s=CLIP_S, keywords=("now",))
     assert sched.labels == (0, 0, 0)
+
+
+def _scan_keyword_labels(transcript, n_steps, dur, keywords):
+    # the per-step scan: every step looks at every token
+    return tuple(
+        int(any(w.lower().strip(".,!?;:") in keywords
+                for w in transcript.words_between(i * dur, (i + 1) * dur)))
+        for i in range(n_steps)
+    )
+
+
+@given(
+    dur=st.sampled_from([CLIP_S, 16 / 15.0, 0.1, 1.0, 2.5, 1 / 3]),
+    n_steps=st.integers(1, 12),
+    # (step, fraction of a clip, word): fraction 0 puts a start exactly on a clip boundary
+    tokens=st.lists(st.tuples(st.integers(0, 14), st.sampled_from([0.0, 0.0, 0.3, 0.999999, 1.0]),
+                              st.sampled_from(["so", "Now,", "hello", "then!", "uh"])),
+                    max_size=20),
+)
+@settings(max_examples=200, deadline=None)
+def test_keyword_schedule_equals_per_step_scan(dur, n_steps, tokens):
+    # starts are i * dur as the scan computes them, or nudged a fraction of a clip off it
+    starts = sorted((i * dur if f == 0.0 else (i + f) * dur, w) for i, f, w in tokens)
+    tr = Transcript(tuple((w, s, s + 0.1) for s, w in starts))
+    keywords = ("so", "now", "then")
+    got = mode_schedule(tr, n_steps, "keyword", clip_duration_s=dur, keywords=keywords)
+    assert got.labels == _scan_keyword_labels(tr, n_steps, dur, set(keywords))
+
+
+def test_keyword_on_a_clip_boundary_opens_the_later_clip():
+    dur = 16 / 15.0
+    tr = Transcript((("so", 3 * dur, 3 * dur + 0.1),))
+    sched = mode_schedule(tr, 5, "keyword", clip_duration_s=dur, keywords=("so",))
+    assert sched.labels == (0, 0, 0, 1, 0)
 
 
 def test_keyword_requires_transcript():
@@ -306,3 +343,39 @@ def test_batched_rows_before_first_draw_identical_across_seeds(batch_setup, n_se
         np.testing.assert_array_equal(r.motion[:before], results[0].motion[:before])
     if n_seeds > 1:
         assert np.abs(results[1].motion[before:] - results[0].motion[before:]).max() > 0
+
+
+# -- the rhythm stream in blocks ------------------------------------------------------------
+
+# a schedule that runs into a third rhythm block
+LONG = tuple(int(i % 5 == 3) for i in range(2 * _RHYTHM_BLOCK + 3))
+
+
+@pytest.fixture(scope="module")
+def long_setup(batch_setup):
+    config, params, initial, _ = batch_setup
+    rng = np.random.default_rng(22)
+    clips = rng.normal(size=(len(LONG), config.t_frames, config.mfcc.d_s))
+    return config, params, initial, clips
+
+
+@pytest.mark.parametrize("n_steps", [_RHYTHM_BLOCK - 1, _RHYTHM_BLOCK, _RHYTHM_BLOCK + 1,
+                                     2 * _RHYTHM_BLOCK + 1])
+def test_prefix_bit_identical_across_rhythm_blocks(long_setup, n_steps):
+    config, params, initial, clips = long_setup
+    full = generate_sequence(initial, clips, ModeSchedule(LONG, "explicit"), config, params,
+                             seeds=[3, 4])
+    prefix = generate_sequence(initial, clips[:n_steps], ModeSchedule(LONG[:n_steps], "explicit"),
+                               config, params, seeds=[3, 4])
+    for a, b in zip(full, prefix):
+        assert np.array_equal(a.motion[: n_steps * config.t_frames], b.motion)
+        assert np.array_equal(a.offsets[:n_steps], b.offsets)
+
+
+def test_offsets_equal_one_clip_forward_across_block_boundaries(long_setup):
+    config, params, initial, clips = long_setup
+    (result,) = generate_sequence(initial, clips, ModeSchedule(LONG, "explicit"), config, params)
+    rhythm = RhythmBranch(config)
+    for i in (0, _RHYTHM_BLOCK - 1, _RHYTHM_BLOCK, 2 * _RHYTHM_BLOCK - 1, 2 * _RHYTHM_BLOCK,
+              len(LONG) - 1):
+        assert np.array_equal(result.offsets[i], rhythm_generate(rhythm, params, clips[i])), i

@@ -49,9 +49,21 @@ def test_save_landmarks_refuses_non_finite_frames(tmp_path):
 
 
 @pytest.mark.parametrize("fps", [np.nan, np.inf, 0.0, -15.0])
+def test_save_landmarks_refuses_fps_not_finite_and_positive(tmp_path, fps):
+    path = tmp_path / "bad.npz"
+    with pytest.raises(ValueError, match=rf"bad\.npz: refusing to write fps {fps}"):
+        io.save_landmarks(path, np.zeros((4, 6)), fps, SPEC)
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("fps", [np.nan, np.inf, 0.0, -15.0])
 def test_landmarks_with_fps_not_finite_and_positive_names_file(tmp_path, fps):
+    # save_landmarks refuses such an fps, so write the landmarks/1 keys directly
     path = tmp_path / "seg.npz"
-    io.save_landmarks(path, np.zeros((4, 6)), fps, SPEC)
+    io.save_landmarks(path, np.zeros((4, 6)), 15.0, SPEC)
+    with np.load(path) as npz:
+        arrays = dict(npz)
+    np.savez(path, **{**arrays, "fps": np.float64(fps)})
     with pytest.raises(DataError, match=rf"seg\.npz: fps must be finite and positive, got {fps}"):
         io.load_landmarks(path)
 
