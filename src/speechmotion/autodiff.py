@@ -63,6 +63,11 @@ class Var:
                 if id(parent) not in seen:
                     stack.append((parent, False))
         self.grad = np.ones(())
+        # A gradient's first arrival is stored as it is, since it may be a view
+        # of (or the very array of) another node's gradient. The second arrival
+        # allocates the sum, which only this walk references, so later arrivals
+        # add into it in place.
+        owned: set[int] = set()
         # Pop in reverse topological order, so that `order` holds no node past
         # its turn: a consumed node frees once its last reader is consumed too.
         while order:
@@ -73,7 +78,13 @@ class Var:
                 for parent, g in zip(node._parents, node._vjp(node.grad)):
                     if g is None or type(parent) is _Constant:
                         continue
-                    parent.grad = g if parent.grad is None else parent.grad + g
+                    if parent.grad is None:
+                        parent.grad = g
+                    elif id(parent) in owned:
+                        parent.grad += g
+                    else:
+                        parent.grad = parent.grad + g
+                        owned.add(id(parent))
             node.grad = node._vjp = node._parents = None
 
     # -- operators -----------------------------------------------------

@@ -14,6 +14,7 @@ Exit codes: 0 success, 1 usage error, 2 data error, 3 numeric failure.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import json
 import os
 import sys
@@ -227,7 +228,10 @@ def cmd_generate(args) -> int:
         raise DataError(
             f"{args.audio}: audio of {duration_s:.2f}s yields no full clip of {config.t_frames} frames"
         )
-    check_coverage(n_audio, config.mfcc.hop_s, config.fps, n_frames)
+    try:
+        check_coverage(n_audio, config.mfcc.hop_s, config.fps, n_frames)
+    except DataError as exc:
+        raise DataError(f"{args.audio}: {exc}") from None
     standardized = ckpt.feature_stats.transform(aligned, args.speaker)
     transcript = io.load_transcript(args.transcript) if args.transcript else None
     schedule = _schedule_for(args, config, n_steps, transcript)
@@ -387,7 +391,33 @@ def _build_parser() -> _Parser:
     return parser
 
 
+# glibc's mallopt parameters (malloc.h)
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+
+
+def _keep_freed_heap() -> None:
+    """Keep freed heap pages in the process instead of returning them to the kernel.
+
+    A paper-size training step allocates and frees tens of MB of arrays. With
+    glibc's defaults their pages go back to the kernel and fault in again on
+    the next step, thousands of minor faults per step. Serving arrays below
+    32 MiB from the heap and trimming it only past 128 MiB free avoids that.
+    The numbers computed are the same either way. Does nothing where libc has
+    no mallopt (not glibc).
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+    mallopt(_M_TRIM_THRESHOLD, 128 << 20)
+
+
 def main(argv=None) -> int:
+    _keep_freed_heap()
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

@@ -235,9 +235,24 @@ def _from_plain(cls, data: dict, path: str):
         elif isinstance(default, tuple):
             if not isinstance(value, (list, tuple)):
                 raise ValueError(f"config key {path}{name} must be a list")
-            kwargs[name] = tuple(tuple(v) if isinstance(v, list) else v for v in value)
-        elif isinstance(default, float) and isinstance(value, float) and not math.isfinite(value):
-            raise ValueError(f"config key {path}{name} must be finite, got {value}")
+            item = default[0] if default else None
+            kwargs[name] = tuple(
+                tuple(v) if isinstance(v, list) else _number(item, v, f"{path}{name}") for v in value
+            )
         else:
-            kwargs[name] = _typed(default, value)
+            kwargs[name] = _typed(default, _number(default, value, f"{path}{name}"))
     return cls(**kwargs)
+
+
+def _number(default, value, key: str):
+    """A JSON float given for a numeric setting must be finite, and whole where
+    the setting is an int (`t_frames=16.0` is 16)."""
+    if type(default) not in (int, float) or not isinstance(value, float):
+        return value
+    if not math.isfinite(value):
+        raise ValueError(f"config key {key} must be finite, got {value}")
+    if type(default) is int:
+        if not value.is_integer():
+            raise ValueError(f"config key {key} must be a whole number, got {value}")
+        return int(value)
+    return value

@@ -310,7 +310,9 @@ def conv1d_same(x: ad.Var, w: ad.Var, b: ad.Var) -> ad.Var:
 def backward(root: ad.Var) -> None:
     """The reverse-topological walk of `Var.backward`, leaving the graph intact.
 
-    Every reached node, intermediates included, keeps its `.grad`.
+    Every reached node, intermediates included, keeps its `.grad`. Fan-in
+    accumulates out of place: each arrival after the first allocates
+    `parent.grad + g`.
     """
     order: list[ad.Var] = []
     seen: set[int] = set()

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from oracles import WholeArrayAdam
+from oracles import backward as backward_oracle
 from oracles import conv1d_same as conv1d_same_oracle
 from speechmotion import autodiff as ad
 from speechmotion import nn
@@ -182,6 +183,58 @@ def test_reuse_accumulates_gradient():
     out = ad.sum(ad.add(ad.mul(x, x), x))  # d/dx (x^2 + x) = 2x + 1
     out.backward()
     np.testing.assert_allclose(x.grad, 2 * x.data + 1, atol=1e-12)
+
+
+def _fan_in_graph(x0, y0, z0):
+    """A scalar over leaves reached several times each, through ops whose VJPs
+    hand on `g` itself, the same `g` twice, or views of it."""
+    x, y, z = ad.Var(x0), ad.Var(y0), ad.Var(z0)
+    a = ad.add(x, x)  # the same g to both parents
+    b = ad.add(x, y)  # x takes g itself, y a broadcast sum
+    c = ad.concat([ad.reshape(x, (2, 6)), ad.reshape(b, (2, 6)), z], axis=0)  # views of g
+    d = ad.mul(ad.sum(x, axis=0), y)
+    root = (ad.sum(ad.tanh(a)) + ad.sum(ad.tanh(c)) + ad.sum(d) + ad.mean(ad.exp(b))
+            + ad.mean(x) + ad.sum(ad.mul(z, z)))
+    return root, (x, y, z)
+
+
+def _nodes(root):
+    nodes, stack, seen = [], [root], set()
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            nodes.append(node)
+            stack.extend(node._parents)
+    return nodes
+
+
+def test_in_place_fan_in_matches_out_of_place_walk_without_aliasing():
+    operands = [RNG.normal(size=s) for s in ((3, 4), (4,), (2, 6))]
+    root, leaves = _fan_in_graph(*operands)
+    arrivals = []  # every VJP's input g, with a copy taken before the VJP ran
+
+    def recording(vjp):
+        def wrapped(g):
+            arrivals.append((g, np.array(g, copy=True)))
+            return vjp(g)
+        return wrapped
+
+    for node in _nodes(root):
+        if node._vjp is not None:
+            node._vjp = recording(node._vjp)
+    root.backward()
+    want_root, want_leaves = _fan_in_graph(*operands)
+    backward_oracle(want_root)
+
+    for got, want in zip(leaves, want_leaves):
+        assert np.array_equal(got.grad, want.grad)
+    for i, first in enumerate(leaves):
+        for second in leaves[i + 1 :]:
+            assert not np.shares_memory(first.grad, second.grad)
+    assert len(arrivals) > 10
+    for g, before in arrivals:
+        assert np.array_equal(g, before)
 
 
 def test_backward_frees_intermediate_activations():

@@ -2,11 +2,13 @@
 
 import dataclasses
 import json
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from speechmotion import Checkpoint, FeatureStats, JointSpec, RunConfig, io, nn
+from speechmotion import Checkpoint, FeatureStats, JointSpec, RunConfig, cli, io, nn
 from speechmotion.cli import main
 from speechmotion.config import plain_hash
 from speechmotion.model import param_shapes
@@ -265,13 +267,24 @@ def test_set_override_changes_output(tmp_path):
 
 def test_set_number_hashes_alike_typed_as_int_or_float(tmp_path, capsys):
     hashes = []
-    for fps in ("15", "15.0"):
+    for setting in ("fps=15", "fps=15.0", "t_frames=16.0"):
         code = main(["make-toy", "--set", "t_frames=16", "--set", "toy.speakers=1",
-                     "--set", "toy.segments_per_speaker=1", "--set", f"fps={fps}",
-                     "--out", str(tmp_path / fps)])
+                     "--set", "toy.segments_per_speaker=1", "--set", setting,
+                     "--out", str(tmp_path / setting)])
         assert code == 0
-        hashes.append(json.loads((tmp_path / fps / "toy_script.json").read_text())["config_hash"])
-    assert hashes[0] == hashes[1]
+        hashes.append(json.loads((tmp_path / setting / "toy_script.json").read_text())["config_hash"])
+    assert hashes[0] == hashes[1] == hashes[2]
+
+
+@pytest.mark.parametrize("value, problem", [("NaN", "must be finite, got nan"),
+                                            ("16.5", "must be a whole number, got 16.5")])
+def test_int_setting_takes_only_whole_numbers(tmp_path, capsys, value, problem):
+    out = tmp_path / "toy"
+    code = main(["make-toy", "--set", f"t_frames={value}", "--set", "toy.speakers=1",
+                 "--set", "toy.segments_per_speaker=2", "--out", str(out)])
+    assert code == 1
+    assert f"config key t_frames {problem}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_output_root_env(tmp_path, monkeypatch):
@@ -461,7 +474,9 @@ def test_uncovered_audio_generate_is_data_error(tmp_path, capsys):
     code = main(["generate", "--checkpoint", str(checkpoint), "--audio", str(audio),
                  "--out", str(tmp_path / "x.npz")])
     assert code == 2
-    assert "audio covers 8.340s but motion runs to 8.467s" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "audio covers 8.340s but motion runs to 8.467s" in err
+    assert str(audio) in err
 
 
 def test_uncovered_audio_preprocess_skips_naming_file(workspace, tmp_path, capsys):
@@ -878,10 +893,47 @@ def test_non_finite_generation_exit_3(workspace, tmp_path, capsys):
     assert "non-finite motion at step 0" in capsys.readouterr().err
 
 
-def test_module_entry_point(tmp_path):
-    import subprocess
-    import sys
+# `train` through the Python API alone: the process keeps glibc's default allocator
+_LIBRARY_TRAIN = """
+import sys
+from pathlib import Path
+from speechmotion import DatasetSplit, RunConfig, io, train
+config, data, out = RunConfig.load(sys.argv[1]), Path(sys.argv[2]), Path(sys.argv[3])
+splits = [io.load_split(data / f"{name}.npz", config) for name in ("train", "val", "test")]
+split = DatasetSplit(*splits, feature_stats=io.load_stats(data / "stats.npz"))
+out.mkdir()
+result = train(split, config, log_path=out / "train_log.jsonl", progress=False)
+io.save_checkpoint(out / "checkpoint_final.npz", result.final)
+io.save_checkpoint(out / "checkpoint_best.npz", result.best)
+"""
 
+
+def test_cli_allocator_setting_leaves_training_output_unchanged(workspace, tmp_path):
+    config, data = str(workspace["config"]), str(workspace["data"])
+    for command in (
+        ["-m", "speechmotion", "train", "--config", config, "--data", data,
+         "--out", str(tmp_path / "cli"), "--quiet"],
+        ["-c", _LIBRARY_TRAIN, config, data, str(tmp_path / "library")],
+    ):
+        proc = subprocess.run([sys.executable, *command], capture_output=True, text=True,
+                              timeout=600)
+        assert proc.returncode == 0, proc.stderr
+    for name in ("checkpoint_final.npz", "checkpoint_best.npz", "train_log.jsonl"):
+        assert (tmp_path / "cli" / name).read_bytes() == (tmp_path / "library" / name).read_bytes()
+
+
+def _no_libc(name):
+    raise OSError("no C library")
+
+
+@pytest.mark.parametrize("cdll", [lambda name: object(), _no_libc], ids=["no-mallopt", "no-libc"])
+def test_keep_freed_heap_without_mallopt_does_nothing(monkeypatch, capsys, cdll):
+    monkeypatch.setattr(cli.ctypes, "CDLL", cdll)
+    cli._keep_freed_heap()
+    assert capsys.readouterr() == ("", "")
+
+
+def test_module_entry_point(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "speechmotion", "--help"],
         capture_output=True,
