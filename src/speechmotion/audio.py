@@ -282,6 +282,19 @@ class FeatureStats:
 
     _STD_FLOOR = 1e-6
 
+    def __post_init__(self) -> None:
+        """means and stds (S, D_S), pooled_mean and pooled_std (D_S,), for
+        S >= 1 speakers and D_S >= 1 coefficients, all finite; else DataError."""
+        n, width = len(self.speakers), np.shape(self.pooled_mean)
+        if not n or len(width) != 1 or not width[0]:
+            raise DataError(f"need speakers and a 1-D pooled_mean, got {n} and shape {width}")
+        for name, shape in (("pooled_std", width), ("means", (n, *width)), ("stds", (n, *width))):
+            if np.shape(getattr(self, name)) != shape:
+                raise DataError(f"{name} has shape {np.shape(getattr(self, name))}, expected {shape}")
+        for name in ("means", "stds", "pooled_mean", "pooled_std"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise DataError(f"{name} contains non-finite values")
+
     @classmethod
     def fit(cls, frames_by_speaker: dict[str, np.ndarray]) -> "FeatureStats":
         if not frames_by_speaker:

@@ -277,8 +277,6 @@ def cmd_evaluate(args) -> int:
     data_dir = _out_path(args.data)
     path = data_dir / f"{args.split}.npz"
     samples = io.load_split(path, ckpt.config)
-    if not samples:
-        raise DataError(f"{path}: split is empty")
     report = evaluate_checkpoint(ckpt, samples, seed=args.seed or 0, meta={"split": args.split})
     payload = report.to_dict()
     out = _out_path(args.out)

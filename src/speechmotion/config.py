@@ -245,14 +245,14 @@ def _from_plain(cls, data: dict, path: str):
 
 
 def _number(default, value, key: str):
-    """A JSON float given for a numeric setting must be finite, and whole where
-    the setting is an int (`t_frames=16.0` is 16)."""
-    if type(default) not in (int, float) or not isinstance(value, float):
+    """A numeric setting takes a JSON number, not a bool or a string: finite,
+    and whole where the setting is an int (`t_frames=16.0` is 16)."""
+    if type(default) not in (int, float):
         return value
+    if type(value) not in (int, float):
+        raise ValueError(f"config key {key} must be a number, got {json.dumps(value)}")
     if not math.isfinite(value):
         raise ValueError(f"config key {key} must be finite, got {value}")
-    if type(default) is int:
-        if not value.is_integer():
-            raise ValueError(f"config key {key} must be a whole number, got {value}")
-        return int(value)
-    return value
+    if type(default) is int and not float(value).is_integer():
+        raise ValueError(f"config key {key} must be a whole number, got {value}")
+    return int(value) if type(default) is int else value

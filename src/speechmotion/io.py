@@ -1,28 +1,23 @@
 """Versioned on-disk containers.
 
-Every numeric container is a plain .npz (no pickling) with a `format` field
-naming the layout and its version; every writer embeds a JSON `meta` blob
-carrying at least the seed and config hash of the run that produced the
-file. Round-trips are lossless: float64 in, bit-equal float64 out.
-
-Formats (documented here and in the README):
-  landmarks/1   frames (N, D) float64, fps, joint_names, hand_indices, meta
-  waveform/1    samples (N,) float64 in [-1, 1], sample_rate, meta
-  split/1       m_prev, m_cur (N, T, D), s_cur (N, T, D_S), c, speaker,
-                segment (N,), sample_rate, fps, joint_names, hand_indices,
-                meta: one dataset split, read back as a SampleSet
-  checkpoint/1  param.<branch>.* arrays, stats.*, config, meta
-  report/1      JSON metric report with per-speaker rows (not an npz)
-Transcripts are text: one `word start_s end_s` row per line, '#' comments.
-WAV audio is mono 16-bit PCM via scipy.
+Every numeric container is a plain .npz (no pickling) whose `format` field
+names its layout and version; every writer embeds a JSON `meta` with the
+seed and config hash of the run. Round-trips are bit-exact. `_FORMATS`
+declares each npz format's fields once; a loader reads them with `_read`,
+builds what the file holds and checks it against the config with `_fit`, so
+every bad file is a DataError naming the file and the field. report/1 is
+JSON; transcripts are `word start_s end_s` rows; WAV is mono 16-bit PCM.
 """
 
 from __future__ import annotations
 
 import json
+from dataclasses import dataclass
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
+from numpy.lib.npyio import NpzFile
 from scipy.io import wavfile
 
 from .audio import FeatureStats, Transcript
@@ -37,70 +32,179 @@ def _meta_json(meta: dict | None) -> str:
     return json.dumps(meta or {}, sort_keys=True)
 
 
-def _check_format(npz, expected: str, path) -> None:
-    found = str(npz["format"]) if "format" in npz else "<missing>"
-    if found != expected:
-        raise DataError(f"{path}: format {found!r}, expected {expected!r}")
+@dataclass(frozen=True)
+class _Field:
+    """One npz field: kind "str", "int", "float" (ints accepted; finite) or
+    "json" (a JSON object; `keys` types the entries read); one symbol or size
+    per axis, none empty; if it must be positive; the field it indexes; the
+    config setting it must equal and what messages call that; what messages
+    call it, if not its key. No writer stores numbers as text, so a numeric
+    field holding a string is refused."""
+
+    kind: str
+    shape: tuple = ()
+    positive: bool = False
+    within: str | None = None
+    config: tuple[str, str] | None = None
+    label: str | None = None
+    keys: dict | None = None
 
 
-class _Container:
-    """The fields of a file: an open npz, or the JSON meta object stored in
-    one. A field that is missing, or that does not convert to the type asked
-    for, raises DataError naming the file and the field."""
+_KINDS = {"str": "U", "json": "U", "int": "iu", "float": "iuf"}
+# Shape symbols N rows, T clip frames, J joints, D = 2J, D_S, S speakers, H hands; those a config fixes:
+_SIZES = {"T": "clip frames", "J": "joints", "D": "motion width", "D_S": "audio width"}
+_META = _Field("json")
+_STATS = {
+    "stats.speakers": _Field("str", ("S",)),
+    "stats.means": _Field("float", ("S", "D_S")),
+    "stats.stds": _Field("float", ("S", "D_S")),
+    "stats.pooled_mean": _Field("float", ("D_S",)),
+    "stats.pooled_std": _Field("float", ("D_S",)),
+}
+_FORMATS = {
+    "landmarks/1": {
+        "joint_names": _Field("str", ("J",)),
+        "hand_indices": _Field("int", ("H",), within="joint_names"),
+        "frames": _Field("float", ("N", "D")),
+        "fps": _Field("float", positive=True),
+        "meta": _META,
+    },
+    "waveform/1": {"samples": _Field("float", ("N",)), "sample_rate": _Field("int", positive=True), "meta": _META},
+    "split/1": {
+        "m_prev": _Field("float", ("N", "T", "D")),
+        "m_cur": _Field("float", ("N", "T", "D")),
+        "s_cur": _Field("float", ("N", "T", "D_S")),
+        "c": _Field("int", ("N",)),
+        "speaker": _Field("str", ("N",)),
+        "segment": _Field("str", ("N",)),
+        "sample_rate": _Field("int", config=("mfcc.sample_rate", "audio sample rate")),
+        "fps": _Field("float", config=("fps", "fps")),
+        "joint_names": _Field("str", ("J",), config=("joint_names", "joint names")),
+        "hand_indices": _Field("int", ("H",), within="joint_names", config=("hand_joints", "hand joints")),
+        "meta": _META,
+    },
+    "stats/1": {**_STATS, "meta": _META},
+    # plus one float field param.<key> per entry of its stored config's layout
+    "checkpoint/1": {
+        "config": _Field("str"),
+        "rest_posture": _Field("float", ("D",), label="rest posture"),
+        **_STATS,
+        "meta": _Field("json", keys={"seed": (int,), "epoch": (int,), "config_hash": (str,),
+                                     "val_lvd": (float, int, type(None))}),
+    },
+}
 
-    def __init__(self, fields, path, prefix: str = ""):
-        self._fields, self._path, self._prefix = fields, path, prefix
-        self.files = list(fields)
 
-    def __contains__(self, key: str) -> bool:
-        return key in self._fields
-
-    def __getitem__(self, key: str):
-        try:
-            return self._fields[key]
-        except KeyError:
-            raise DataError(f"{self._path}: container has no field '{self._prefix}{key}'") from None
-
-    def scalar(self, key: str, kind: type):
-        """Field `key` as one `kind` (float, int, ...)."""
-        value = self[key]
-        try:
-            return kind(value)
-        except (TypeError, ValueError):
-            raise DataError(
-                f"{self._path}: field '{self._prefix}{key}' holds {value!r}, not one {kind.__name__}"
-            ) from None
-
-    def meta(self) -> dict:
-        """The JSON object in field `meta`."""
-        try:
-            meta = json.loads(str(self["meta"]))
-        except json.JSONDecodeError as exc:
-            raise DataError(f"{self._path}: field 'meta' is not valid JSON ({exc})") from None
-        if not isinstance(meta, dict):
-            raise DataError(f"{self._path}: field 'meta' is not a JSON object")
-        return meta
-
-
-def _load_npz(path) -> _Container:
+def _read(path, fmt: str, layout=None) -> dict:
+    """The fields format `fmt`, then `layout(fields)`, declare, each read
+    once and checked alone (see `_field`); a field not declared is refused.
+    0-d fields come back as Python values (a dict for json), floats as float64."""
     try:
-        return _Container(np.load(path, allow_pickle=False), path)
+        npz = np.load(path, allow_pickle=False)
     except FileNotFoundError:
         raise DataError(f"{path}: no such file") from None
     except (ValueError, OSError) as exc:
         raise DataError(f"{path}: not a readable npz container ({exc})") from None
+    if not isinstance(npz, NpzFile):
+        raise DataError(f"{path}: not an npz container")
+    with npz:
+        fields = {}
+        for key, field in {"format": _Field("str"), **_FORMATS[fmt]}.items():
+            fields[key] = _field(path, npz, key, field, fields)
+            if key == "format" and fields[key] != fmt:
+                raise DataError(f"{path}: field 'format' holds {fields[key]!r}, expected {fmt!r}")
+        for key, field in (layout(fields) if layout else {}).items():
+            fields[key] = _field(path, npz, key, field, fields)
+        extra = sorted(set(npz.files) - set(fields))
+    if extra:
+        raise DataError(f"{path}: field '{extra[0]}' is not part of {fmt}")
+    return fields
+
+
+def _field(path, npz: NpzFile, key: str, field: _Field, fields: dict):
+    """Present, of its kind and rank with no empty axis, then positive,
+    finite and in range as declared; else DataError naming file and field."""
+    name = field.label or key
+    if key not in npz.files:
+        raise DataError(f"{path}: container has no field '{key}'")
+    try:
+        value = npz[key]
+    except ValueError as exc:  # an object array, which would need unpickling
+        raise DataError(f"{path}: field '{key}' is not a plain array ({exc})") from None
+    if value.dtype.kind not in _KINDS[field.kind]:
+        shown = repr(value.item()) if value.ndim == 0 else f"an array of {value.dtype}"
+        raise DataError(f"{path}: field '{key}' holds {shown}, not {field.kind}")
+    if value.ndim != len(field.shape):
+        raise DataError(f"{path}: {name} has shape {value.shape}, expected ({', '.join(map(str, field.shape))})")
+    if 0 in value.shape:
+        raise DataError(f"{path}: {name} is empty (shape {value.shape})")
+    if field.kind == "float":
+        value = float(value) if value.ndim == 0 else np.asarray(value, dtype=np.float64)
+    elif value.ndim == 0:
+        value = value.item()
+    if field.kind == "json":
+        try:
+            value = json.loads(value)
+        except json.JSONDecodeError as exc:
+            raise DataError(f"{path}: field '{key}' is not valid JSON ({exc})") from None
+        if not isinstance(value, dict):
+            raise DataError(f"{path}: field '{key}' is not a JSON object")
+        for entry, types in (field.keys or {}).items():
+            if entry not in value:
+                raise DataError(f"{path}: container has no field '{key}.{entry}'")
+            if type(value[entry]) not in types:
+                raise DataError(f"{path}: field '{key}.{entry}' holds {value[entry]!r}, not one {types[0].__name__}")
+    if field.positive and not (np.isfinite(value) and value > 0):
+        raise DataError(f"{path}: {name} must be finite and positive, got {value}")
+    if field.kind == "float" and not np.all(np.isfinite(value)):
+        raise DataError(f"{path}: {name} contains non-finite values")
+    n = len(fields.get(field.within, ()))
+    if field.within and not np.all((value >= 0) & (value < n)):
+        raise DataError(f"{path}: field '{key}' holds {value.tolist()!r}, not indices of its {n} {field.within}")
+    return value
+
+
+def _fit(path, fmt: str, fields: dict, built, config: RunConfig | None = None, layout=None):
+    """`built`, once the fields' shapes agree: each symbol has one size
+    across them (the config's T, J, D and D_S where `config` is given), and
+    each field declaring a setting equals the config's. Else DataError
+    naming the file and the field."""
+    noun = fmt.split("/")[0]
+    given = {} if config is None else {"T": config.t_frames, "J": len(config.joint_names), "D": config.d_m,
+                                       "D_S": config.mfcc.d_s}
+    sizes = dict(given)
+    for key, field in {**_FORMATS[fmt], **(layout or {})}.items():
+        name, shape = field.label or key, np.shape(fields[key])
+        for axis, size in zip(field.shape, shape):
+            want = axis if isinstance(axis, int) else sizes.setdefault(axis, size)
+            if axis == "J":  # two coordinates per joint
+                sizes.setdefault("D", 2 * size)
+            if size != want and axis in given:
+                raise DataError(f"{path}: {noun} has {_SIZES[axis]} {size}, the config needs {want} ({name})")
+            if size != want:
+                expected = ", ".join(str(sizes.get(a, a)) for a in field.shape)
+                raise DataError(f"{path}: {name} has shape {shape}, expected ({expected})")
+        if field.config and config is not None:
+            setting, what = field.config
+            found = fields[field.within][fields[key]] if field.within else fields[key]
+            found = tuple(found.tolist()) if isinstance(found, np.ndarray) else found
+            if found != (needed := attrgetter(setting)(config)):
+                raise DataError(f"{path}: {noun} has {what} {found}, the config needs {needed}")
+    return built
+
+
+def _built(path, make, *args):
+    """make(*args), its ValueError (DataError included) as a DataError naming the file."""
+    try:
+        return make(*args)
+    except ValueError as exc:
+        raise DataError(f"{path}: {exc}") from None
 
 
 # -- landmark sequences -------------------------------------------------
 
 
-def save_landmarks(
-    path,
-    frames: np.ndarray,
-    fps: float,
-    joint_spec: JointSpec,
-    meta: dict | None = None,
-) -> None:
+def save_landmarks(path, frames: np.ndarray, fps: float, joint_spec: JointSpec, meta: dict | None = None) -> None:
     """Write a landmarks/1 file.
 
     Raises, naming the file, before anything is written, what
@@ -125,56 +229,25 @@ def save_landmarks(
     )
 
 
-def _joints(npz, path) -> tuple[tuple[str, ...], tuple[int, ...]]:
-    """The file's joint names and hand indices, each index one of its joints."""
-    names, hands = tuple(str(n) for n in npz["joint_names"]), npz["hand_indices"]
-    try:
-        hand_indices = tuple(int(i) for i in hands)
-        if not all(0 <= i < len(names) for i in hand_indices):
-            raise ValueError
-    except (TypeError, ValueError):
-        raise DataError(
-            f"{path}: field 'hand_indices' holds {hands.tolist()!r},"
-            f" not indices of its {len(names)} joints"
-        ) from None
-    return names, hand_indices
-
-
 def load_landmarks(path) -> tuple[np.ndarray, float, JointSpec, dict]:
-    """Read a landmarks/1 file.
-
-    Raises:
-        DataError naming the file: joint names or hand indices that make no
-        joint spec, frames that do not fit its joint spec, non-finite frame
-        values, or an fps that is not finite and positive.
-    """
-    npz = _load_npz(path)
-    _check_format(npz, "landmarks/1", path)
-    names, hand_indices = _joints(npz, path)
+    """Read a landmarks/1 file: its frames, fps, joint spec and meta.
+    DataError naming the file and the field for a bad field (`_read`),
+    joint names and hand indices that make no joint spec, or frames whose
+    width is not two columns per joint."""
+    fields = _read(path, "landmarks/1")
+    names = tuple(fields["joint_names"].tolist())
     try:
-        spec = JointSpec(names=names, hand_indices=hand_indices)
+        spec = JointSpec(names=names, hand_indices=tuple(fields["hand_indices"].tolist()))
     except ValueError as exc:
         raise DataError(f"{path}: field 'joint_names' holds {list(names)!r}: {exc}") from None
-    frames = np.asarray(npz["frames"], dtype=np.float64)
-    if frames.ndim != 2 or frames.shape[1] != spec.d_m:
-        raise DataError(f"{path}: frames shape {frames.shape} does not fit its joint spec")
-    if not np.all(np.isfinite(frames)):
-        raise DataError(f"{path}: frames contain non-finite values")
-    fps = npz.scalar("fps", float)
-    if not (np.isfinite(fps) and fps > 0):
-        raise DataError(f"{path}: fps must be finite and positive, got {fps}")
-    return frames, fps, spec, npz.meta()
+    return _fit(path, "landmarks/1", fields, (fields["frames"], fields["fps"], spec, fields["meta"]))
 
 
 def load_normalized_landmarks(path, config: RunConfig) -> tuple[np.ndarray, dict]:
-    """A landmarks/1 file that must fit `config`: its frames through
-    `normalize_skeleton`, and its meta.
-
-    Raises:
-        DataError naming the file: whatever `load_landmarks` rejects, joint
-        names, hand joints or an fps other than the config's, or a reference
-        bone too short to scale by.
-    """
+    """A landmarks/1 file's frames through `normalize_skeleton`, and its
+    meta; DataError naming the file for what `load_landmarks` rejects, joint
+    names, hand joints or an fps other than `config`'s, or a reference bone
+    too short to scale by."""
     frames, fps, spec, meta = load_landmarks(path)
     if spec.names != tuple(config.joint_names):
         raise DataError(f"{path}: joint names do not match the configured skeleton")
@@ -183,46 +256,32 @@ def load_normalized_landmarks(path, config: RunConfig) -> tuple[np.ndarray, dict
         raise DataError(f"{path}: hand joints {hands} do not match configured {list(config.hand_joints)}")
     if abs(fps - config.fps) > 1e-9:
         raise DataError(f"{path}: fps {fps} does not match configured {config.fps}")
-    try:
-        return normalize_skeleton(frames, spec), meta
-    except DataError as exc:
-        raise DataError(f"{path}: {exc}") from None
+    return _built(path, normalize_skeleton, frames, spec), meta
 
 
 # -- waveforms -----------------------------------------------------------
 
 
 def load_waveform(path) -> tuple[np.ndarray, int]:
-    """Read audio from a waveform/1 npz or a mono 16-bit PCM WAV file.
-
-    Raises:
-        DataError naming the file: unreadable, not mono, non-finite npz
-        samples, or a sample rate that is not positive.
-    """
+    """Audio from a waveform/1 npz or a mono 16-bit PCM WAV file; DataError
+    naming the file for a bad npz field or an unreadable or other WAV."""
     path = Path(path)
-    if path.suffix.lower() == ".wav":
-        try:
-            rate, data = wavfile.read(path)
-        except FileNotFoundError:
-            raise DataError(f"{path}: no such file") from None
-        except ValueError as exc:
-            raise DataError(f"{path}: unreadable WAV ({exc})") from None
-        if data.ndim != 1:
-            raise DataError(f"{path}: expected mono audio, got shape {data.shape}")
-        if data.dtype != np.int16:
-            raise DataError(f"{path}: expected 16-bit PCM, got {data.dtype}")
-        samples, rate = data.astype(np.float64) / 32768.0, int(rate)
-    else:
-        npz = _load_npz(path)
-        _check_format(npz, "waveform/1", path)
-        samples, rate = np.asarray(npz["samples"], dtype=np.float64), npz.scalar("sample_rate", int)
-        if samples.ndim != 1:
-            raise DataError(f"{path}: expected mono 1-D samples, got shape {samples.shape}")
-        if not np.all(np.isfinite(samples)):
-            raise DataError(f"{path}: samples contain non-finite values")
+    if path.suffix.lower() != ".wav":
+        fields = _read(path, "waveform/1")
+        return fields["samples"], fields["sample_rate"]
+    try:
+        rate, data = wavfile.read(path)
+    except FileNotFoundError:
+        raise DataError(f"{path}: no such file") from None
+    except ValueError as exc:
+        raise DataError(f"{path}: unreadable WAV ({exc})") from None
+    if data.ndim != 1:
+        raise DataError(f"{path}: expected mono audio, got shape {data.shape}")
+    if data.dtype != np.int16:
+        raise DataError(f"{path}: expected 16-bit PCM, got {data.dtype}")
     if rate <= 0:
         raise DataError(f"{path}: sample rate must be positive, got {rate}")
-    return samples, rate
+    return data.astype(np.float64) / 32768.0, int(rate)
 
 
 def save_wav(path, samples: np.ndarray, sample_rate: int) -> None:
@@ -252,7 +311,7 @@ def load_transcript(path) -> Transcript:
             tokens.append((word, float(start_s), float(end_s)))
         except ValueError:
             raise DataError(f"{path}:{lineno}: bad timestamps in {raw!r}") from None
-    return Transcript(tuple(tokens))
+    return _built(path, Transcript, tuple(tokens))
 
 
 def save_transcript(path, transcript: Transcript) -> None:
@@ -288,53 +347,21 @@ def save_split(path, samples: SampleSet, config: RunConfig, meta: dict | None = 
 
 def load_split(path, config: RunConfig) -> SampleSet:
     """Read a split/1 file written under a config that `config` can use.
-
-    Raises:
-        DataError naming the file: arrays whose rows or frames disagree, a
-        mode label other than 0 or 1, non-finite values, hand indices that
-        are not indices of its joints, or clips, audio, joints, hand joints
-        or frame rate that do not fit `config`.
-    """
-    npz = _load_npz(path)
-    _check_format(npz, "split/1", path)
-    arrays = [npz[key] for key in ("m_prev", "m_cur", "s_cur", "c", "speaker", "segment")]
-    try:
-        samples = SampleSet(*arrays)
-    except ValueError as exc:
-        raise DataError(f"{path}: {exc}") from None
-    names, hand_indices = _joints(npz, path)
-    for what, found, needed in (
-        ("clip frames", samples.m_cur.shape[1], config.t_frames),
-        ("joint names", names, tuple(config.joint_names)),
-        ("hand joints", tuple(names[i] for i in hand_indices), tuple(config.hand_joints)),
-        ("motion width", samples.m_cur.shape[2], config.d_m),
-        ("audio width", samples.audio.shape[2], config.mfcc.d_s),
-        ("fps", npz.scalar("fps", float), config.fps),
-        ("audio sample rate", npz.scalar("sample_rate", int), config.mfcc.sample_rate),
-    ):
-        if found != needed:
-            raise DataError(f"{path}: split has {what} {found}, the config needs {needed}")
-    return samples
+    DataError naming the file for a bad field (`_read`), rows or frames that
+    disagree or a mode label other than 0 or 1 (`SampleSet`), or clips,
+    audio, joints, hand joints or frame rate that do not fit `config`."""
+    fields = _read(path, "split/1")
+    arrays = (fields[key] for key in ("m_prev", "m_cur", "s_cur", "c", "speaker", "segment"))
+    return _fit(path, "split/1", fields, _built(path, SampleSet, *arrays), config)
 
 
-def _stats_arrays(stats: FeatureStats) -> dict[str, np.ndarray]:
-    return {
-        "stats.speakers": np.array(stats.speakers),
-        "stats.means": stats.means,
-        "stats.stds": stats.stds,
-        "stats.pooled_mean": stats.pooled_mean,
-        "stats.pooled_std": stats.pooled_std,
-    }
+def _stats_arrays(stats: FeatureStats) -> dict:
+    return {key: getattr(stats, key.removeprefix("stats.")) for key in _STATS}
 
 
-def _stats_from(npz) -> FeatureStats:
-    return FeatureStats(
-        speakers=tuple(str(s) for s in npz["stats.speakers"]),
-        means=np.asarray(npz["stats.means"], dtype=np.float64),
-        stds=np.asarray(npz["stats.stds"], dtype=np.float64),
-        pooled_mean=np.asarray(npz["stats.pooled_mean"], dtype=np.float64),
-        pooled_std=np.asarray(npz["stats.pooled_std"], dtype=np.float64),
-    )
+def _stats_from(path, fields: dict) -> FeatureStats:
+    speakers, *arrays = (fields[key] for key in _STATS)
+    return _built(path, FeatureStats, tuple(speakers.tolist()), *arrays)
 
 
 def save_stats(path, stats: FeatureStats, meta: dict | None = None) -> None:
@@ -342,33 +369,11 @@ def save_stats(path, stats: FeatureStats, meta: dict | None = None) -> None:
 
 
 def load_stats(path) -> FeatureStats:
-    npz = _load_npz(path)
-    _check_format(npz, "stats/1", path)
-    return _stats_from(npz)
+    """Read a stats/1 file; DataError naming the file for a bad field."""
+    return _stats_from(path, _read(path, "stats/1"))
 
 
 # -- checkpoints -------------------------------------------------------------
-
-
-def _check_params(path, params: dict[str, np.ndarray], config: RunConfig) -> None:
-    """Keys and shapes must be those of the stored config's layout; values finite."""
-    layout = param_shapes(config)
-    missing = sorted(layout.keys() - params.keys())
-    if missing:
-        raise DataError(f"{path}: checkpoint lacks parameter(s) {', '.join(missing)}")
-    extra = sorted(params.keys() - layout.keys())
-    if extra:
-        raise DataError(
-            f"{path}: checkpoint has parameter(s) {', '.join(extra)} its config does not define"
-        )
-    for key, expected in layout.items():
-        if params[key].shape != expected:
-            raise DataError(
-                f"{path}: parameter {key} has shape {params[key].shape},"
-                f" its config needs {expected}"
-            )
-        if not np.all(np.isfinite(params[key])):
-            raise DataError(f"{path}: parameter {key} contains non-finite values")
 
 
 def save_checkpoint(path, ckpt: Checkpoint) -> None:
@@ -390,54 +395,37 @@ def save_checkpoint(path, ckpt: Checkpoint) -> None:
     )
 
 
-def load_checkpoint(path) -> Checkpoint:
-    """Read a checkpoint/1 file; meta keys it does not read are ignored.
+def _param_fields(config: RunConfig) -> dict:
+    return {f"param.{key}": _Field("float", shape) for key, shape in param_shapes(config).items()}
 
-    Raises:
-        DataError naming the file: a missing field or meta field, a meta
-        value of the wrong type, a stored config that does not validate or
-        whose hash (of the dict as written) is not the one recorded in meta,
-        a parameter missing from it, one its config does not define, a shape
-        that does not fit the config, a non-finite value, or a rest posture
-        that is not one finite frame of the config's width.
-    """
-    npz = _load_npz(path)
-    _check_format(npz, "checkpoint/1", path)
-    text = str(npz["config"])
+
+def _stored_config(path, fields: dict) -> dict:
+    """The parameter fields of the stored config's layout, once the config
+    validates and hashes as written to meta.config_hash; it replaces the
+    JSON text in `fields`."""
     try:
-        stored = json.loads(text)
-        config = RunConfig.from_dict(stored)
+        stored = json.loads(fields["config"])
+        fields["config"] = RunConfig.from_dict(stored)
     except (TypeError, ValueError) as exc:
         raise DataError(f"{path}: stored config is invalid: {exc}") from None
-    meta = _Container(npz.meta(), path, "meta.")
-    recorded, actual = meta["config_hash"], plain_hash(stored)
+    recorded, actual = fields["meta"]["config_hash"], plain_hash(stored)
     if recorded != actual:
-        raise DataError(
-            f"{path}: meta.config_hash {recorded} does not match {actual},"
-            " the hash of its stored config"
-        )
-    params = {
-        key.removeprefix("param."): np.asarray(npz[key], dtype=np.float64)
-        for key in npz.files
-        if key.startswith("param.")
-    }
-    _check_params(path, params, config)
-    rest_posture = np.asarray(npz["rest_posture"], dtype=np.float64)
-    if rest_posture.shape != (config.d_m,):
-        raise DataError(
-            f"{path}: rest posture has shape {rest_posture.shape}, its config needs ({config.d_m},)"
-        )
-    if not np.all(np.isfinite(rest_posture)):
-        raise DataError(f"{path}: rest posture contains non-finite values")
-    return Checkpoint(
-        params=params,
-        config=config,
-        feature_stats=_stats_from(npz),
-        rest_posture=rest_posture,
-        seed=meta.scalar("seed", int),
-        epoch=meta.scalar("epoch", int),
-        val_lvd=None if meta["val_lvd"] is None else meta.scalar("val_lvd", float),
-    )
+        raise DataError(f"{path}: meta.config_hash {recorded} does not match {actual}, the hash of its stored config")
+    return _param_fields(fields["config"])
+
+
+def load_checkpoint(path) -> Checkpoint:
+    """Read a checkpoint/1 file; meta keys it does not read are ignored.
+    DataError naming the file and the field for a bad field (`_read`), a
+    stored config that does not validate or whose hash is not meta's, or a
+    parameter, rest posture or stats block that does not fit that config."""
+    fields = _read(path, "checkpoint/1", lambda fields: _stored_config(path, fields))
+    config, meta, layout = fields["config"], fields["meta"], _param_fields(fields["config"])
+    params = {key.removeprefix("param."): fields[key] for key in layout}
+    val_lvd = None if meta["val_lvd"] is None else float(meta["val_lvd"])
+    ckpt = Checkpoint(params, config, _stats_from(path, fields), fields["rest_posture"],
+                      meta["seed"], meta["epoch"], val_lvd)
+    return _fit(path, "checkpoint/1", fields, ckpt, config, layout)
 
 
 # -- reports and sidecars ------------------------------------------------------

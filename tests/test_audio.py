@@ -5,6 +5,8 @@ plain loops and an explicit cosine-transform matrix, sharing only the
 framing convention with the implementation under test.
 """
 
+import dataclasses
+import re
 import tracemalloc
 
 import numpy as np
@@ -317,6 +319,20 @@ def test_feature_stats_constant_coefficient_not_rescaled():
 def test_feature_stats_empty_is_data_error():
     with pytest.raises(DataError):
         FeatureStats.fit({})
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"speakers": ()}, "need speakers and a 1-D pooled_mean, got 0"),
+    ({"pooled_mean": np.float64(0.0)}, "need speakers and a 1-D pooled_mean, got 2 and shape ()"),
+    ({"means": np.zeros((3, 4))}, "means has shape (3, 4), expected (2, 4)"),
+    ({"pooled_std": np.zeros(5)}, "pooled_std has shape (5,), expected (4,)"),
+    ({"stds": np.full((2, 4), np.inf)}, "stds contains non-finite values"),
+])
+def test_feature_stats_check_their_shapes_and_values(change, message):
+    rng = np.random.default_rng(0)
+    stats = FeatureStats.fit({"a": rng.normal(size=(9, 4)), "b": rng.normal(size=(7, 4))})
+    with pytest.raises(DataError, match=re.escape(message)):
+        dataclasses.replace(stats, **change)
 
 
 # -- containers and transcripts ----------------------------------------------------------------

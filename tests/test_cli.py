@@ -2,8 +2,11 @@
 
 import dataclasses
 import json
+import re
+import shutil
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -276,14 +279,21 @@ def test_set_number_hashes_alike_typed_as_int_or_float(tmp_path, capsys):
     assert hashes[0] == hashes[1] == hashes[2]
 
 
+# a value for t_frames, or a whole setting, and what the usage error says of its key
 @pytest.mark.parametrize("value, problem", [("NaN", "must be finite, got nan"),
-                                            ("16.5", "must be a whole number, got 16.5")])
+                                            ("16.5", "must be a whole number, got 16.5"),
+                                            ("true", "must be a number, got true"),
+                                            ("train.epochs=abc", 'must be a number, got "abc"'),
+                                            ("mfcc.sample_rate=true", "must be a number, got true"),
+                                            ("train.lr=true", "must be a number, got true"),
+                                            ("model.enc_hidden=[true]", "must be a number, got true")])
 def test_int_setting_takes_only_whole_numbers(tmp_path, capsys, value, problem):
+    setting = value if "=" in value else f"t_frames={value}"
     out = tmp_path / "toy"
-    code = main(["make-toy", "--set", f"t_frames={value}", "--set", "toy.speakers=1",
+    code = main(["make-toy", "--set", setting, "--set", "toy.speakers=1",
                  "--set", "toy.segments_per_speaker=2", "--out", str(out)])
     assert code == 1
-    assert f"config key t_frames {problem}" in capsys.readouterr().err
+    assert f"config key {setting.split('=')[0]} {problem}" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -853,6 +863,98 @@ def test_bad_initial_pose_names_file(workspace, tmp_path, capsys, case):
                  str(workspace["audio"]), "--initial-pose", str(bad), "--out", str(tmp_path / "x.npz")])
     assert code == 2
     assert str(bad) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text, message", [
+    ("so nan 1.0\n", "bad token timing for 'so': [nan, 1.0]"),
+    ("now 2.0 2.5\nso 1.0 1.2\n", "transcript tokens are not sorted by start time"),
+])
+def test_bad_transcript_generate_names_file(workspace, tmp_path, capsys, text, message):
+    transcript = tmp_path / "words.txt"
+    transcript.write_text(text)
+    code = main(["generate", "--checkpoint", str(workspace["checkpoint"]), "--audio", str(workspace["audio"]),
+                 "--policy", "keyword", "--transcript", str(transcript), "--out", str(tmp_path / "x.npz")])
+    assert code == 2
+    assert f"data error: {transcript}: {message}" in capsys.readouterr().err
+
+
+# -- every bad field of every npz format, derived from the formats io declares ------------
+
+
+def _mutations(field) -> list[str]:
+    names = ["drop", "0d_string", "0d_nan", "0d_number", "extra_axis", "zero_rows"]
+    return names + (["non_finite"] if field.kind == "float" and field.shape else [])
+
+
+def _mutated(value: np.ndarray, mutation: str):
+    if mutation == "0d_string":  # a number as text, which no writer stores
+        return np.array(str(value.item()) if value.ndim == 0 and value.dtype.kind in "iuf" else "1")
+    if mutation == "non_finite":
+        bad = value.copy()
+        bad.flat[-1] = np.nan
+        return bad
+    return {"0d_nan": np.float64(np.nan), "0d_number": np.float64(-1.0), "extra_axis": value[None],
+            "zero_rows": value[:0] if value.ndim else np.zeros(0, dtype=value.dtype)}[mutation]
+
+
+def _field_cases():
+    layout = param_shapes(_small_config())
+    for fmt, table in io._FORMATS.items():
+        fields = {"format": io._Field("str"), **table}
+        if fmt == "checkpoint/1":  # the first field of the stored config's layout
+            key = next(iter(layout))
+            fields[f"param.{key}"] = io._Field("float", layout[key])
+        for key, field in fields.items():
+            for mutation in _mutations(field):
+                yield pytest.param(fmt, key, field.label or key, mutation, id=f"{fmt}-{key}-{mutation}")
+
+
+def _readers(workspace, tmp_path, fmt):
+    """A good file of format `fmt`, where to write it broken, and every command that reads it."""
+    data, out = tmp_path / "data", str(tmp_path / "out")
+    shutil.copytree(workspace["data"], data)
+
+    def generate(checkpoint=workspace["checkpoint"], audio=workspace["audio"]):
+        return ["generate", "--checkpoint", str(checkpoint), "--audio", str(audio), "--out", f"{out}.npz"]
+
+    def evaluate(checkpoint=workspace["checkpoint"]):
+        return ["evaluate", "--checkpoint", str(checkpoint), "--data", str(data), "--out", f"{out}.json"]
+
+    train = ["train", "--config", str(workspace["config"]), "--data", str(data), "--out", out, "--quiet"]
+    if fmt == "landmarks/1":
+        good, bad = workspace["toy"] / "landmarks" / "spk0_seg01.npz", tmp_path / "pose.npz"
+        return good, bad, [[*generate(), "--initial-pose", str(bad)],
+                           ["swap-demo", "--a", str(bad), "--b", str(good), "--out", out]]
+    if fmt == "waveform/1":
+        good, bad = tmp_path / "good.npz", tmp_path / "audio.npz"
+        _write_waveform_npz(good, *io.load_waveform(workspace["audio"]))
+        return good, bad, [generate(audio=bad)]
+    if fmt == "checkpoint/1":
+        bad = tmp_path / "checkpoint.npz"
+        return workspace["checkpoint"], bad, [generate(checkpoint=bad), evaluate(checkpoint=bad)]
+    if fmt == "stats/1":
+        return workspace["data"] / "stats.npz", data / "stats.npz", [train]
+    return workspace["data"] / "test.npz", data / "test.npz", [evaluate(), train]
+
+
+@pytest.mark.parametrize("fmt, key, name, mutation", _field_cases())
+def test_every_bad_field_is_data_error_naming_file_and_field(workspace, tmp_path, capsys, fmt, key, name,
+                                                              mutation):
+    good, bad, commands = _readers(workspace, tmp_path, fmt)
+    arrays = dict(np.load(good, allow_pickle=False))
+    value = arrays.pop(key)
+    if mutation != "drop":
+        arrays[key] = _mutated(value, mutation)
+    np.savez(bad, **arrays)
+    for command in commands:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy warning before the error
+            code = main(command)
+        lines = capsys.readouterr().err.splitlines()
+        assert code == 2, (command[0], lines)
+        assert len(lines) == 1 and lines[0].startswith(f"data error: {bad}: "), (command[0], lines)
+        named = (re.search(rf"(?<![\w.]){re.escape(n)}(?!\w)", lines[0]) for n in (key, name))
+        assert any(named), (command[0], lines)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow is the point

@@ -169,6 +169,12 @@ def test_split_with_non_finite_values_names_file(tmp_path):
         io.load_split(path, SPLIT_CONFIG)
 
 
+def test_split_with_an_object_array_names_file_and_field(tmp_path):
+    path = _rewrite_split(tmp_path, speaker=np.array(["spk0", 1], dtype=object))
+    with pytest.raises(DataError, match=r"bad\.npz: field 'speaker' is not a plain array"):
+        io.load_split(path, SPLIT_CONFIG)
+
+
 def test_split_with_label_other_than_0_or_1_names_file(tmp_path):
     path = _rewrite_split(tmp_path, c=np.array([0, 1, 2, 0, 1]))
     with pytest.raises(DataError, match=r"bad\.npz: mode label must be 0 or 1, got 2"):
@@ -510,7 +516,8 @@ def test_config_numbers_take_the_type_of_their_field():
     assert type(as_int.fps) is float
     assert as_int.config_hash() == as_float.config_hash() == RunConfig().config_hash()
     assert RunConfig.from_dict({"train": {"lambda_rhythm": 0}}).train.lambda_rhythm == 0.0
-    assert RunConfig.from_dict({"mode_threshold": True}).mode_threshold is True
+    with pytest.raises(ValueError, match="config key mode_threshold must be a number, got true"):
+        RunConfig.from_dict({"mode_threshold": True})
     assert type(RunConfig.from_dict({"t_frames": 16}).t_frames) is int
 
 
