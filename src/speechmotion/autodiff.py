@@ -270,8 +270,6 @@ def conv1d_same(x: Var, w: Var, b: Var) -> Var:
     short-clip shapes (T 16, C_out >= 64) unlike the per-sample form.
     """
     k = w.data.shape[0]
-    if k % 2 == 0:
-        raise ValueError("kernel size must be odd for same padding")
     pad = (k - 1) // 2
     n, t, c_in = x.data.shape
     c_out = w.data.shape[2]

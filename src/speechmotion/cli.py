@@ -191,8 +191,7 @@ def _schedule_for(args, config: RunConfig, n_steps: int, transcript) -> ModeSche
         if set(text) - {"0", "1"}:
             raise _UsageError(f"--labels must be 0/1 digits or zeros/ones, got {args.labels!r}")
         return mode_schedule(None, n_steps, "explicit", explicit=[int(ch) for ch in text])
-    policy = args.policy or "fixed-interval"
-    if policy == "keyword":
+    if args.policy == "keyword":
         if transcript is None:
             raise _UsageError("--policy keyword needs --transcript")
         return mode_schedule(
@@ -202,9 +201,7 @@ def _schedule_for(args, config: RunConfig, n_steps: int, transcript) -> ModeSche
             clip_duration_s=config.t_frames / config.fps,
             keywords=config.generate.keywords,
         )
-    if policy == "fixed-interval":
-        return mode_schedule(None, n_steps, "fixed-interval", interval=args.interval)
-    raise _UsageError(f"unknown policy {policy!r}")
+    return mode_schedule(None, n_steps, "fixed-interval", interval=args.interval)
 
 
 def cmd_generate(args) -> int:
@@ -222,13 +219,8 @@ def cmd_generate(args) -> int:
     n_frames = n_steps * config.t_frames
     try:
         aligned, n_audio = motion_features(wave, rate, config.mfcc, config.fps, n_frames)
-    except DataError as exc:
-        raise DataError(f"{args.audio}: {exc}") from None
-    if n_steps < 1:
-        raise DataError(
-            f"{args.audio}: audio of {duration_s:.2f}s yields no full clip of {config.t_frames} frames"
-        )
-    try:
+        if n_steps < 1:
+            raise DataError(f"audio of {duration_s:.2f}s yields no full clip of {config.t_frames} frames")
         check_coverage(n_audio, config.mfcc.hop_s, config.fps, n_frames)
     except DataError as exc:
         raise DataError(f"{args.audio}: {exc}") from None

@@ -16,12 +16,19 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, field, fields
+from functools import cached_property
 from pathlib import Path
 
 from .audio import MfccSettings
-from .motion import DEFAULT_JOINTS, DEFAULT_MODE_THRESHOLD
+from .motion import DEFAULT_JOINTS, DEFAULT_MODE_THRESHOLD, JointSpec
 
 DEFAULT_KEYWORDS = ("so", "now", "but", "next", "first", "then", "okay", "well")
+
+
+def _at_least(settings, prefix: str, **least: int) -> None:
+    for name, low in least.items():
+        if getattr(settings, name) < low:
+            raise ValueError(f"{prefix}{name} must be at least {low}, got {getattr(settings, name)}")
 
 
 @dataclass(frozen=True)
@@ -40,6 +47,8 @@ class ModelSettings:
         sizes = (self.d_e, self.d_z, self.rhythm_hidden, self.rhythm_layers, self.rhythm_kernel)
         if min(*sizes, *self.enc_hidden, *self.latent_hidden) < 1:
             raise ValueError("all model sizes must be positive")
+        if self.rhythm_kernel % 2 == 0:
+            raise ValueError(f"model.rhythm_kernel must be odd for same padding, got {self.rhythm_kernel}")
 
 
 @dataclass(frozen=True)
@@ -60,8 +69,7 @@ class TrainSettings:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.batch_size < 1 or self.epochs < 1:
-            raise ValueError("batch size and epochs must be positive")
+        _at_least(self, "train.", batch_size=1, epochs=1)
         for name in ("lambda_rec", "lambda_vae", "lambda_rhythm", "lambda_reg", "kl_anneal_frac"):
             if getattr(self, name) < 0:
                 raise ValueError(f"train.{name} must be non-negative, got {getattr(self, name)}")
@@ -82,6 +90,9 @@ class EvalSettings:
     diversity_samples: int = 64
     quality_epochs: int = 200
 
+    def __post_init__(self) -> None:
+        _at_least(self, "evaluate.", diversity_samples=2, quality_epochs=1)
+
 
 @dataclass(frozen=True)
 class ToySettings:
@@ -90,6 +101,9 @@ class ToySettings:
     speakers: int = 2
     segments_per_speaker: int = 6
     clips_per_segment: int = 9
+
+    def __post_init__(self) -> None:
+        _at_least(self, "toy.", speakers=1, segments_per_speaker=1, clips_per_segment=1)
 
 
 @dataclass(frozen=True)
@@ -107,18 +121,20 @@ class RunConfig:
     toy: ToySettings = field(default_factory=ToySettings)
 
     def __post_init__(self) -> None:
-        if self.t_frames < 2:
-            raise ValueError("t_frames must be at least 2")
-        if not self.fps > 0:  # NaN fails this too
-            raise ValueError("fps must be positive")
+        _at_least(self, "", t_frames=2)
+        for name in ("fps", "mode_threshold"):
+            if not getattr(self, name) > 0:  # NaN fails this too
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
         missing = [h for h in self.hand_joints if h not in self.joint_names]
         if missing:
             raise ValueError(f"hand joints {missing} not in joint names")
+        try:
+            self.joint_spec  # built, checked and cached once
+        except ValueError as exc:
+            raise ValueError(f"config key joint_names: {exc}") from None
 
-    @property
-    def joint_spec(self):
-        from .motion import JointSpec
-
+    @cached_property
+    def joint_spec(self) -> JointSpec:
         return JointSpec(
             names=tuple(self.joint_names),
             hand_indices=tuple(self.joint_names.index(h) for h in self.hand_joints),
@@ -140,14 +156,12 @@ class RunConfig:
 
     @classmethod
     def load(cls, path: str | Path) -> "RunConfig":
+        """A JSON file's config; a ValueError naming the file if it does not validate."""
         with open(path) as fh:
             try:
-                data = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{path}: not valid JSON ({exc})") from None
-        if not isinstance(data, dict):
-            raise ValueError(f"{path}: top level must be a JSON object")
-        return cls.from_dict(data)
+                return cls.from_dict(json.load(fh))
+            except ValueError as exc:  # a json.JSONDecodeError too
+                raise ValueError(f"{path}: {exc}") from None
 
     def save(self, path: str | Path) -> None:
         Path(path).write_text(json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n")
@@ -219,7 +233,7 @@ def _to_plain(obj):
 
 def _from_plain(cls, data: dict, path: str):
     if not isinstance(data, dict):
-        raise ValueError(f"config section {path or '<root>'} must be an object")
+        raise ValueError(f"config section {path[:-1] or '<root>'} must be an object")
     data = _drop_retired(data, path)
     known = {f.name: f for f in fields(cls)}
     unknown = sorted(set(data) - set(known))

@@ -40,8 +40,6 @@ def sample_diversity(
     """Mean over a standardized set's rows of the diversity of repeated
     latent draws (c = 1) for the row's previous clip and audio; row i draws
     its codes from the generator seeded with seed + i."""
-    if n_samples < 2:
-        raise ValueError("need at least two draws")
     values = []
     for i, (prev, audio) in enumerate(zip(samples.m_prev, samples.audio)):
         z = np.random.default_rng(seed + i).standard_normal((n_samples, config.model.d_z))

@@ -41,13 +41,11 @@ def init_params(
 class MLP:
     """Fully connected stack; tanh between layers, linear output.
 
-    sizes = (n_in, h1, ..., n_out). A two-element `sizes` is a single linear
-    map with no nonlinearity anywhere.
+    sizes = (n_in, h1, ..., n_out), all positive (`ModelSettings` checks).
+    A two-element `sizes` is a single linear map with no nonlinearity anywhere.
     """
 
     def __init__(self, sizes: Sequence[int]):
-        if len(sizes) < 2 or any(s <= 0 for s in sizes):
-            raise ValueError(f"bad layer sizes {sizes!r}")
         self.sizes = tuple(int(s) for s in sizes)
 
     def param_shapes(self) -> dict[str, tuple[int, ...]]:
@@ -70,15 +68,11 @@ class TemporalConv:
     """Stack of same-padded 1-D convolutions, each followed by tanh, plus a
     per-frame linear head.
 
-    Maps (B, T, c_in) to (B, T, c_out); the receptive field grows by
-    kernel - 1 frames per conv layer.
+    Maps (B, T, c_in) to (B, T, c_out). Each of n_layers >= 1 convs, with an odd
+    kernel (as `ModelSettings` checks), widens the receptive field by kernel - 1.
     """
 
     def __init__(self, c_in: int, c_out: int, hidden: int, n_layers: int, kernel: int = 5):
-        if n_layers < 1:
-            raise ValueError("need at least one conv layer")
-        if kernel < 1 or kernel % 2 == 0:
-            raise ValueError("kernel must be a positive odd size")
         self.c_in, self.c_out, self.hidden = c_in, c_out, hidden
         self.n_layers, self.kernel = n_layers, kernel
 

@@ -254,6 +254,22 @@ def test_non_mono_waveform_is_data_error():
         extract_mfcc(np.zeros((100, 2)), 16000, SETTINGS)
 
 
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: MfccSettings(sample_rate=0), ValueError, "sample rate, window, and hop must be positive"),
+    (lambda: MfccSettings(window_s=float("nan")), ValueError, "sample rate, window, and hop must be positive"),
+    (lambda: MfccSettings(hop_s=0.0), ValueError, "sample rate, window, and hop must be positive"),
+    (lambda: MfccSettings(n_mfcc=41), ValueError, "cannot keep more DCT coefficients than mel bands"),
+    (lambda: extract_mfcc(np.full(1000, np.nan), 16000, SETTINGS), DataError, "waveform contains non-finite"),
+    (lambda: extract_mfcc(np.zeros(1000), 0, SETTINGS), ValueError, "sample_rate_hz must be positive"),
+    (lambda: check_coverage(10, 0.0, 15.0, 5), ValueError, "hop, fps, and frame count must be positive"),
+    (lambda: check_coverage(10, 0.01, 15.0, 0), ValueError, "hop, fps, and frame count must be positive"),
+    (lambda: align_audio_to_motion(np.zeros(10), 0.01, 15.0, 5), ValueError, "features must be 2-D"),
+])
+def test_bad_front_end_arguments_say_what_is_wrong(call, error, message):
+    with pytest.raises(error, match=re.escape(message)):
+        call()
+
+
 def test_mel_filterbank_shape_and_coverage():
     bank = mel_filterbank(SETTINGS)
     assert bank.shape == (SETTINGS.n_mels, SETTINGS.window_samples // 2 + 1)

@@ -11,7 +11,7 @@ import warnings
 import numpy as np
 import pytest
 
-from speechmotion import Checkpoint, FeatureStats, JointSpec, RunConfig, cli, io, nn
+from speechmotion import Checkpoint, DataError, FeatureStats, JointSpec, RunConfig, cli, evaluate_checkpoint, io, nn
 from speechmotion.cli import main
 from speechmotion.config import plain_hash
 from speechmotion.model import param_shapes
@@ -395,6 +395,44 @@ def test_bad_setting_is_usage_error_naming_it(tmp_path, capsys, setting, source)
     assert BAD_SETTINGS[setting] in capsys.readouterr().err
 
 
+# settings out of the range the layers below need, and the usage error naming the key
+CONFIG_TIME_SETTINGS = [
+    (["model.rhythm_kernel=4"], "model.rhythm_kernel must be odd"),
+    (['joint_names=["a","b"]', 'hand_joints=["a"]'], "config key joint_names: joint 'neck' not in joint names"),
+    (["toy.speakers=0"], "toy.speakers must be at least 1, got 0"),
+    (["toy.segments_per_speaker=0"], "toy.segments_per_speaker must be at least 1, got 0"),
+    (["toy.clips_per_segment=0"], "toy.clips_per_segment must be at least 1, got 0"),
+    (["evaluate.diversity_samples=1"], "evaluate.diversity_samples must be at least 2, got 1"),
+    (["evaluate.quality_epochs=0"], "evaluate.quality_epochs must be at least 1, got 0"),
+]
+
+
+@pytest.mark.parametrize("command", ["make-toy", "preprocess", "train", "swap-demo"])
+@pytest.mark.parametrize("sets, message", CONFIG_TIME_SETTINGS)
+def test_config_time_setting_is_usage_error_before_any_output(tmp_path, capsys, sets, message, command):
+    flags = [arg for item in sets for arg in ("--set", item)]
+    inputs = {"make-toy": [], "preprocess": ["--landmarks", "lm", "--audio", "au"],
+              "train": ["--data", str(tmp_path)], "swap-demo": ["--a", "a.npz", "--b", "b.npz"]}
+    out = tmp_path / "out"
+    assert main([command, *flags, *inputs[command], "--out", str(out)]) == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_stored_config_out_of_range_is_data_error_naming_checkpoint(workspace, tmp_path, capsys):
+    with np.load(workspace["checkpoint"]) as npz:
+        arrays = dict(npz)
+    tree = json.loads(str(arrays["config"]))
+    tree["model"]["rhythm_kernel"] = 4
+    arrays["config"] = np.array(json.dumps(tree, sort_keys=True))
+    arrays["meta"] = np.array(json.dumps({**json.loads(str(arrays["meta"])), "config_hash": plain_hash(tree)}))
+    path = tmp_path / "even_kernel.npz"
+    np.savez(path, **arrays)
+    assert main(["generate", "--checkpoint", str(path), "--audio", str(workspace["audio"]),
+                 "--out", str(tmp_path / "g.npz")]) == 2
+    assert f"{path}: stored config is invalid: model.rhythm_kernel must be odd" in capsys.readouterr().err
+
+
 def test_retired_keys_at_their_one_value_leave_the_config_alone(tmp_path):
     hashes = []
     for name, retired in (("plain", []), ("retired", RETIRED_SETTINGS)):
@@ -554,6 +592,66 @@ def test_data_errors_exit_2(tmp_path):
         )
         == 2
     )
+
+
+def test_set_without_equals_names_the_flag(tmp_path, capsys):
+    assert main(["make-toy", "--set", "t_frames", "--out", str(tmp_path / "toy")]) == 1
+    assert "--set expects key=value, got 't_frames'" in capsys.readouterr().err
+    assert not (tmp_path / "toy").exists()
+
+
+def test_preprocess_without_landmarks_names_directory(tmp_path, capsys):
+    assert main(["preprocess", "--landmarks", str(tmp_path), "--audio", str(tmp_path),
+                 "--out", str(tmp_path / "out")]) == 2
+    assert f"no .npz landmark files under {tmp_path}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_train_without_train_split_names_directory(workspace, tmp_path, capsys):
+    shutil.copy(workspace["data"] / "stats.npz", tmp_path)
+    assert main(["train", "--config", str(workspace["config"]), "--data", str(tmp_path),
+                 "--out", str(tmp_path / "run")]) == 2
+    assert f"{tmp_path}: missing train.npz (run preprocess first)" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+def _resaved_landmarks(workspace, path, rows=slice(None), fps=None, names=None):
+    frames, file_fps, spec, meta = io.load_landmarks(workspace["toy"] / "landmarks" / "spk0_seg01.npz")
+    if names is not None:
+        spec = JointSpec(names=names, hand_indices=spec.hand_indices)
+    io.save_landmarks(path, frames[rows], file_fps if fps is None else fps, spec, meta)
+    return path
+
+
+def test_initial_pose_shorter_than_a_clip_names_file(workspace, tmp_path, capsys):
+    short = _resaved_landmarks(workspace, tmp_path / "short.npz", rows=slice(15))  # clips are 16 frames
+    assert main(["generate", "--checkpoint", str(workspace["checkpoint"]), "--audio", str(workspace["audio"]),
+                 "--initial-pose", str(short), "--out", str(tmp_path / "g.npz")]) == 2
+    assert f"{short}: too short for one clip" in capsys.readouterr().err
+    assert not (tmp_path / "g.npz").exists()
+
+
+def test_keyword_policy_without_transcript_is_usage_error(workspace, tmp_path, capsys):
+    assert main(["generate", "--checkpoint", str(workspace["checkpoint"]), "--audio", str(workspace["audio"]),
+                 "--policy", "keyword", "--out", str(tmp_path / "g.npz")]) == 1
+    assert "--policy keyword needs --transcript" in capsys.readouterr().err
+    assert not (tmp_path / "g.npz").exists()
+
+
+@pytest.mark.parametrize("case, message", [
+    ("joints", "swap-demo inputs use different joint sets"),
+    ("fps", "swap-demo inputs disagree on fps: 15.0 vs 30.0"),
+    ("one_frame", "swap-demo needs at least two overlapping frames"),
+])
+def test_swap_demo_inputs_that_do_not_pair_are_data_errors(workspace, tmp_path, capsys, case, message):
+    a = workspace["toy"] / "landmarks" / "spk0_seg00.npz"
+    renamed = (*RunConfig().joint_names[:-1], "left_thumb")
+    b = {"joints": lambda p: _resaved_landmarks(workspace, p, names=renamed),
+         "fps": lambda p: _resaved_landmarks(workspace, p, fps=30.0),
+         "one_frame": lambda p: _resaved_landmarks(workspace, p, rows=slice(1))}[case](tmp_path / "b.npz")
+    assert main(["swap-demo", "--a", str(a), "--b", str(b), "--out", str(tmp_path / "swap")]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "swap").exists()
 
 
 def _write_waveform_npz(path, samples, sample_rate):
@@ -724,6 +822,13 @@ def test_evaluate_checkpoint_of_other_clip_length_names_file(workspace, tmp_path
     err = capsys.readouterr().err
     assert str(workspace["data"] / "test.npz") in err
     assert "clip frames 16, the config needs 64" in err
+
+
+def test_evaluate_no_samples_is_data_error(workspace):
+    ckpt = io.load_checkpoint(workspace["checkpoint"])
+    empty = io.load_split(workspace["data"] / "test.npz", ckpt.config)[:0]
+    with pytest.raises(DataError, match="no samples to evaluate"):
+        evaluate_checkpoint(ckpt, empty)
 
 
 def _nan_landmarks(workspace, path):

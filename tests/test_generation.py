@@ -122,6 +122,29 @@ def test_schedule_validation():
         ModeSchedule((0, 1), "vibes")
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: mode_schedule(None, 0, "fixed-interval"), "n_steps must be positive"),
+    (lambda: mode_schedule(None, 3, "keyword", clip_duration_s=CLIP_S, keywords=("so",)),
+     "keyword policy needs a transcript"),
+    (lambda: mode_schedule(Transcript(()), 3, "keyword", keywords=("so",)),
+     "keyword policy needs a positive clip duration"),
+    (lambda: mode_schedule(Transcript(()), 3, "keyword", clip_duration_s=-1.0, keywords=("so",)),
+     "keyword policy needs a positive clip duration"),
+    (lambda: mode_schedule(Transcript(()), 3, "keyword", clip_duration_s=CLIP_S),
+     "keyword policy needs a non-empty keyword list"),
+    (lambda: mode_schedule(None, 3, "fixed-interval", interval=0), "interval must be at least 1"),
+    (lambda: mode_schedule(None, 3, "explicit"), "explicit policy needs labels"),
+    (lambda: mode_schedule(None, 3, "explicit", explicit=[1, 0]), "explicit labels have length 2, expected 3"),
+    (lambda: mode_schedule(None, 3, "random"), "unknown policy 'random'"),
+    (lambda: ModeSchedule((0, 2, 1), "explicit"), "schedule labels must all be 0 or 1"),
+    (lambda: ModeSchedule((0, 1), "vibes"), "provenance must be one of"),
+])
+def test_bad_schedule_arguments_say_what_is_wrong(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value).startswith(message)
+
+
 # -- generation loop -------------------------------------------------------------------
 
 
@@ -379,3 +402,15 @@ def test_offsets_equal_one_clip_forward_across_block_boundaries(long_setup):
     for i in (0, _RHYTHM_BLOCK - 1, _RHYTHM_BLOCK, 2 * _RHYTHM_BLOCK - 1, 2 * _RHYTHM_BLOCK,
               len(LONG) - 1):
         assert np.array_equal(result.offsets[i], rhythm_generate(rhythm, params, clips[i])), i
+
+
+@pytest.mark.parametrize("labels, n_clips, seeds, error, message", [
+    ((), 0, [0], DataError, "generation needs at least one audio clip"),
+    ((0, 1), 3, [0], ValueError, "schedule length 2 does not match 3 audio clips"),
+    ((0, 1, 0), 3, [], ValueError, "generation needs at least one seed"),
+])
+def test_bad_generation_arguments_say_what_is_wrong(gen_setup, labels, n_clips, seeds, error, message):
+    config, params, initial, clips = gen_setup
+    with pytest.raises(error, match=message):
+        generate_sequence(initial, clips[:n_clips], ModeSchedule(labels, "explicit"), config, params,
+                          seeds=seeds)

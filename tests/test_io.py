@@ -2,9 +2,12 @@
 
 import dataclasses
 import json
+import re
+import struct
 
 import numpy as np
 import pytest
+from scipy.io import wavfile
 
 from speechmotion import (
     Checkpoint,
@@ -45,6 +48,14 @@ def test_save_landmarks_refuses_non_finite_frames(tmp_path):
     with pytest.raises(NumericError) as exc:
         io.save_landmarks(path, frames, 15.0, SPEC)
     assert str(path) in str(exc.value)
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("shape", [(4, 5), (4,), (2, 4, 6)])
+def test_save_landmarks_refuses_frames_that_do_not_fit_the_joint_spec(tmp_path, shape):
+    path = tmp_path / "bad.npz"
+    with pytest.raises(ValueError, match=re.escape(f"frames shape {shape} does not fit the joint spec")):
+        io.save_landmarks(path, np.zeros(shape), 15.0, SPEC)
     assert not path.exists()
 
 
@@ -103,6 +114,45 @@ def test_wav_rejects_stereo(tmp_path):
         io.load_waveform(path)
 
 
+def _wav_bytes(rate: int) -> bytes:
+    """A mono 16-bit PCM WAV file of eight silent samples at any sample rate,
+    0 included, which scipy's writer would refuse."""
+    fmt = struct.pack("<HHIIHH", 1, 1, rate, 2 * rate, 2, 16)
+    body = b"WAVEfmt " + struct.pack("<I", len(fmt)) + fmt + b"data" + struct.pack("<I", 16) + bytes(16)
+    return b"RIFF" + struct.pack("<I", len(body)) + body
+
+
+@pytest.mark.parametrize("write, problem", [
+    (lambda path: path.write_bytes(b"RIFF....not a wave file"), "unreadable WAV"),
+    (lambda path: wavfile.write(path, 16000, np.zeros((100, 2), dtype=np.int16)),
+     "expected mono audio, got shape (100, 2)"),
+    (lambda path: wavfile.write(path, 16000, np.zeros(100, dtype=np.float32)), "expected 16-bit PCM, got float32"),
+    (lambda path: path.write_bytes(_wav_bytes(0)), "sample rate must be positive, got 0"),
+    (lambda path: None, "no such file"),
+])
+def test_bad_wav_names_file(tmp_path, write, problem):
+    path = tmp_path / "a.wav"
+    write(path)
+    with pytest.raises(DataError) as info:
+        io.load_waveform(path)
+    assert str(info.value).startswith(f"{path}: {problem}")
+
+
+@pytest.mark.parametrize("text, problem", [
+    (None, ": no such file"),
+    ("so 1.0\n", ":1: expected 'word start end', got 'so 1.0'"),
+    ("so 1.0 late\n", ":1: bad timestamps in 'so 1.0 late'"),
+    ("so 2.0 1.0\n", ": bad token timing for 'so': [2.0, 1.0]"),
+])
+def test_bad_transcript_names_file(tmp_path, text, problem):
+    path = tmp_path / "t.txt"
+    if text is not None:
+        path.write_text(text)
+    with pytest.raises(DataError) as info:
+        io.load_transcript(path)
+    assert str(info.value).startswith(f"{path}{problem}")
+
+
 def test_transcript_round_trip_and_comments(tmp_path):
     path = tmp_path / "t.txt"
     path.write_text("# header comment\nso 1.0 1.2\nnow 2.5 2.75\n\n")
@@ -137,6 +187,25 @@ def _samples(n=5):
         speaker=[f"spk{i % 2}" for i in range(n)],
         segment=[f"seg{i}" for i in range(n)],
     )
+
+
+@pytest.mark.parametrize("spec, message", [
+    (JointSpec(names=("nose", "neck", "left_palm"), hand_indices=(2,)),
+     "joint names do not match the configured skeleton"),
+    (JointSpec(names=SPEC.names, hand_indices=(0,)), "hand joints ['nose'] do not match configured ['right_palm']"),
+])
+def test_landmarks_of_another_skeleton_name_file(tmp_path, spec, message):
+    path = tmp_path / "seg.npz"
+    io.save_landmarks(path, np.random.default_rng(0).normal(size=(8, 6)), 15.0, spec)
+    with pytest.raises(DataError, match=re.escape(f"{path}: {message}")):
+        io.load_normalized_landmarks(path, SPLIT_CONFIG)
+
+
+def test_save_split_refuses_an_empty_set(tmp_path):
+    path = tmp_path / "train.npz"
+    with pytest.raises(ValueError, match="refusing to write an empty split"):
+        io.save_split(path, _samples()[:0], SPLIT_CONFIG)
+    assert not path.exists()
 
 
 def test_split_round_trip(tmp_path):
@@ -441,6 +510,31 @@ def test_meta_that_is_not_a_json_object_names_file(tmp_path, kind, meta):
         load(path)
 
 
+@pytest.mark.parametrize("meta, problem", [("{not json", "is not valid JSON"), ("[1, 2]", "is not a JSON object")])
+def test_meta_that_is_not_a_json_object_says_which(tmp_path, meta, problem):
+    path = tmp_path / "bad.npz"
+    np.savez(path, format="waveform/1", samples=np.zeros(4), sample_rate=np.int64(16000), meta=meta)
+    with pytest.raises(DataError, match=f"{path}: field 'meta' {problem}"):
+        io.load_waveform(path)
+
+
+def _write_npy(path):
+    with open(path, "wb") as fh:  # np.save on a path would append .npy
+        np.save(fh, np.zeros(3))
+
+
+@pytest.mark.parametrize("write, problem", [
+    (lambda path: path.write_bytes(b"not a zip archive"), "not a readable npz container"),
+    (_write_npy, "not an npz container"),
+    (lambda path: None, "no such file"),
+])
+def test_file_that_is_no_npz_container_names_file(tmp_path, write, problem):
+    path = tmp_path / "stats.npz"
+    write(path)
+    with pytest.raises(DataError, match=f"{path}: {problem}"):
+        io.load_stats(path)
+
+
 def _checkpoint_with_meta(tmp_path, edit):
     path = tmp_path / "ck.npz"
     io.save_checkpoint(path, _checkpoint())
@@ -581,3 +675,47 @@ def test_config_load_rejects_bad_json(tmp_path):
     path.write_text("[1, 2, 3]")
     with pytest.raises(ValueError):
         RunConfig.load(path)
+
+
+def test_config_load_errors_name_the_file(tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_text("{not json")
+    with pytest.raises(ValueError, match=f"{path}: Expecting property name"):
+        RunConfig.load(path)
+    path.write_text("[1, 2, 3]")
+    with pytest.raises(ValueError, match=re.escape(f"{path}: config section <root> must be an object")):
+        RunConfig.load(path)
+    path.write_text('{"train": {"epochs": 0}}')
+    with pytest.raises(ValueError, match=f"{path}: train.epochs must be at least 1, got 0"):
+        RunConfig.load(path)
+
+
+# a setting out of its range or of the wrong shape, and the start of the message that names it
+BAD_TREES = [
+    ({"model": 5}, "config section model must be an object"),
+    ({"model": {"enc_hidden": 5}}, "config key model.enc_hidden must be a list"),
+    ({"t_frames": 1}, "t_frames must be at least 2"),
+    ({"fps": 0}, "fps must be positive"),
+    ({"fps": -15}, "fps must be positive, got -15.0"),
+    ({"mode_threshold": 0}, "mode_threshold must be positive, got 0.0"),
+    ({"hand_joints": ["thumb"]}, "hand joints ['thumb'] not in joint names"),
+    ({"joint_names": ["a", "b"], "hand_joints": ["a"]},
+     "config key joint_names: joint 'neck' not in joint names"),
+    ({"joint_names": ["neck", "nose", "neck"], "hand_joints": []},
+     "config key joint_names: joint names must be unique"),
+    ({"model": {"rhythm_kernel": 4}}, "model.rhythm_kernel must be odd for same padding, got 4"),
+    ({"train": {"epochs": 0}}, "train.epochs must be at least 1, got 0"),
+    ({"train": {"batch_size": 0}}, "train.batch_size must be at least 1, got 0"),
+    ({"evaluate": {"diversity_samples": 1}}, "evaluate.diversity_samples must be at least 2, got 1"),
+    ({"evaluate": {"quality_epochs": 0}}, "evaluate.quality_epochs must be at least 1, got 0"),
+    ({"toy": {"speakers": 0}}, "toy.speakers must be at least 1, got 0"),
+    ({"toy": {"segments_per_speaker": 0}}, "toy.segments_per_speaker must be at least 1, got 0"),
+    ({"toy": {"clips_per_segment": 0}}, "toy.clips_per_segment must be at least 1, got 0"),
+]
+
+
+@pytest.mark.parametrize("tree, message", BAD_TREES)
+def test_config_rejects_bad_settings_naming_them(tree, message):
+    with pytest.raises(ValueError) as info:
+        RunConfig.from_dict(tree)
+    assert str(info.value).startswith(message)

@@ -297,3 +297,20 @@ def test_report_to_dict_structure():
     assert d["meta"]["seed"] == 0
     assert d["per_speaker"][0]["speaker_id"] == "a"
     assert "overall" in d
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: lvd(np.zeros((3, 2)), np.zeros((3, 3))), ValueError, "sequence shapes differ: (3, 2) vs (3, 3)"),
+    (lambda: lvd(np.zeros(3), np.zeros(3)), ValueError, "generated must be >= 2-D (..., frames, coords)"),
+    (lambda: lvd(np.zeros((1, 2)), np.zeros((1, 2))), ValueError, "generated needs at least 2 frames, got 1"),
+    (lambda: diversity(np.zeros((4, 3))), ValueError, "clips must be 3-D (..., frames, coords)"),
+    (lambda: diversity(np.zeros((1, 4, 3))), ValueError, "diversity needs at least two sequences"),
+    (lambda: baseline_last_step(np.zeros((3, 2)), -1), ValueError, "horizon must be non-negative"),
+    (lambda: quality_score(np.zeros((3, 4, 2)), np.zeros((3, 4, 2))), DataError,
+     "quality_score needs at least 4 sequences per class"),
+    (lambda: MetricReport(rows=()).overall(), DataError, "metric report has no samples"),
+])
+def test_bad_metric_arguments_say_what_is_wrong(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert str(info.value).startswith(message)

@@ -291,3 +291,37 @@ def test_joint_spec_validation():
         JointSpec(names=("nose", "nose"), hand_indices=())
     with pytest.raises(ValueError):
         JointSpec(names=("nose", "neck"), hand_indices=(7,))
+
+
+SPEC3 = JointSpec(names=("nose", "neck", "right_palm"), hand_indices=(2,))
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: JointSpec(names=("nose", "nose"), hand_indices=()), ValueError, "joint names must be unique"),
+    (lambda: JointSpec(names=("nose", "neck"), hand_indices=(7,)), ValueError, "hand index 7 out of range"),
+    (lambda: JointSpec(names=("nose", "head"), hand_indices=()), ValueError, "joint 'neck' not in joint names"),
+    (lambda: JointSpec(names=("nose", "neck"), hand_indices=(), scale_pair=("neck", "neck")), ValueError,
+     "scale pair must name two distinct joints"),
+    (lambda: chunk_sequence(np.zeros(6), 2, joint_spec=SPEC3), ValueError,
+     "expected a 2-D frame array, got shape (6,)"),
+    (lambda: chunk_sequence(np.zeros((3, 6)), 4, joint_spec=SPEC3), DataError,
+     "sequence of 3 frames is shorter than one clip (4)"),
+    (lambda: normalize_skeleton(np.zeros((3, 6)), SPEC3), DataError, "degenerate reference bone neck->nose"),
+    (lambda: compose([1.0, 2.0], np.zeros((3, 4))), ValueError,
+     "posture shape (2,) does not fit offsets of shape (3, 4)"),
+    (lambda: swap_dynamics(np.zeros((4, 6)), np.zeros((6, 6))), ValueError, "clip shapes differ: (4, 6) vs (6, 6)"),
+    (lambda: label_mode_change(np.zeros((1, 4, 6)), np.zeros((1, 4, 6)), SPEC3, 0.0), ValueError,
+     "threshold must be positive"),
+    (lambda: label_mode_change(np.zeros((1, 4, 6)), np.zeros((2, 4, 6)), SPEC3), ValueError,
+     "clip shapes differ: (1, 4, 6) vs (2, 4, 6)"),
+    (lambda: label_mode_change(np.zeros((1, 4, 8)), np.zeros((1, 4, 8)), SPEC3), ValueError,
+     "clips of shape (1, 4, 8) do not fit the joint spec (6 wide)"),
+    (lambda: label_mode_change(np.zeros(6), np.zeros(6), SPEC3), ValueError,
+     "clips of shape (6,) do not fit the joint spec (6 wide)"),
+    (lambda: label_mode_change(np.zeros((4, 4)), np.zeros((4, 4)), JointSpec(("nose", "neck"), ())), DataError,
+     "joint spec defines no hand joints to label with"),
+])
+def test_bad_motion_arguments_say_what_is_wrong(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert str(info.value).startswith(message)

@@ -1,5 +1,6 @@
 """Objective assembly, dataset splitting, and the optimization loop."""
 
+import dataclasses
 import hashlib
 import json
 
@@ -445,6 +446,13 @@ def test_train_reproducible_and_logs(toy_corpus, tmp_path):
     assert {"epoch", "total", "rec", "vae", "rhythm", "reg", "val_lvd"} <= set(lines[0])
     assert r1.final.epoch == config.train.epochs
     assert r1.best.val_lvd is not None
+
+
+def test_train_on_an_empty_training_split_is_data_error(toy_corpus):
+    _, config, landmarks, audio = toy_corpus
+    split, _ = build_dataset(landmarks, audio, config)
+    with pytest.raises(DataError, match="training split is empty"):
+        train(dataclasses.replace(split, train=split.train[:0]), config)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow is the point
