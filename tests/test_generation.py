@@ -90,7 +90,7 @@ def test_keyword_on_a_clip_boundary_opens_the_later_clip():
 
 
 def test_keyword_requires_transcript():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^keyword policy needs a transcript"):
         mode_schedule(None, 3, "keyword", clip_duration_s=CLIP_S, keywords=("now",))
 
 
@@ -106,26 +106,24 @@ def test_explicit_passthrough_and_length_check():
     sched = mode_schedule(None, 3, "explicit", explicit=[1, 0, 1])
     assert sched.labels == (1, 0, 1)
     assert sched.provenance == "explicit"
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^explicit labels have length 2, expected 3"):
         mode_schedule(None, 3, "explicit", explicit=[1, 0])
 
 
 def test_unknown_policy():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^unknown policy 'random'"):
         mode_schedule(None, 3, "random")
 
 
 def test_schedule_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^schedule labels must all be 0 or 1"):
         ModeSchedule((0, 2, 1), "explicit")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^provenance must be one of"):
         ModeSchedule((0, 1), "vibes")
 
 
 @pytest.mark.parametrize("call, message", [
     (lambda: mode_schedule(None, 0, "fixed-interval"), "n_steps must be positive"),
-    (lambda: mode_schedule(None, 3, "keyword", clip_duration_s=CLIP_S, keywords=("so",)),
-     "keyword policy needs a transcript"),
     (lambda: mode_schedule(Transcript(()), 3, "keyword", keywords=("so",)),
      "keyword policy needs a positive clip duration"),
     (lambda: mode_schedule(Transcript(()), 3, "keyword", clip_duration_s=-1.0, keywords=("so",)),
@@ -134,10 +132,6 @@ def test_schedule_validation():
      "keyword policy needs a non-empty keyword list"),
     (lambda: mode_schedule(None, 3, "fixed-interval", interval=0), "interval must be at least 1"),
     (lambda: mode_schedule(None, 3, "explicit"), "explicit policy needs labels"),
-    (lambda: mode_schedule(None, 3, "explicit", explicit=[1, 0]), "explicit labels have length 2, expected 3"),
-    (lambda: mode_schedule(None, 3, "random"), "unknown policy 'random'"),
-    (lambda: ModeSchedule((0, 2, 1), "explicit"), "schedule labels must all be 0 or 1"),
-    (lambda: ModeSchedule((0, 1), "vibes"), "provenance must be one of"),
 ])
 def test_bad_schedule_arguments_say_what_is_wrong(call, message):
     with pytest.raises(ValueError) as info:

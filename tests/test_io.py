@@ -497,8 +497,11 @@ def test_container_with_a_mistyped_field_names_file_and_field(tmp_path, kind, fi
         load(path)
 
 
-@pytest.mark.parametrize("kind", ["landmarks", "checkpoint"])
-@pytest.mark.parametrize("meta", ["{not json", "[1, 2]"])
+META_PROBLEMS = {"{not json": "is not valid JSON", "[1, 2]": "is not a JSON object"}
+
+
+@pytest.mark.parametrize("kind", ["landmarks", "checkpoint", "waveform"])
+@pytest.mark.parametrize("meta", list(META_PROBLEMS))
 def test_meta_that_is_not_a_json_object_names_file(tmp_path, kind, meta):
     good = tmp_path / "good.npz"
     load = _write(kind, good)
@@ -506,16 +509,8 @@ def test_meta_that_is_not_a_json_object_names_file(tmp_path, kind, meta):
     arrays["meta"] = meta
     path = tmp_path / "bad.npz"
     np.savez(path, **arrays)
-    with pytest.raises(DataError, match=f"{path}: field 'meta' is not"):
+    with pytest.raises(DataError, match=f"{path}: field 'meta' {META_PROBLEMS[meta]}"):
         load(path)
-
-
-@pytest.mark.parametrize("meta, problem", [("{not json", "is not valid JSON"), ("[1, 2]", "is not a JSON object")])
-def test_meta_that_is_not_a_json_object_says_which(tmp_path, meta, problem):
-    path = tmp_path / "bad.npz"
-    np.savez(path, format="waveform/1", samples=np.zeros(4), sample_rate=np.int64(16000), meta=meta)
-    with pytest.raises(DataError, match=f"{path}: field 'meta' {problem}"):
-        io.load_waveform(path)
 
 
 def _write_npy(path):
@@ -673,7 +668,7 @@ def test_config_with_retired_keys_at_their_one_value_loads():
 def test_config_load_rejects_bad_json(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("[1, 2, 3]")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=re.escape(f"{path}: config section <root> must be an object")):
         RunConfig.load(path)
 
 
@@ -681,9 +676,6 @@ def test_config_load_errors_name_the_file(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{not json")
     with pytest.raises(ValueError, match=f"{path}: Expecting property name"):
-        RunConfig.load(path)
-    path.write_text("[1, 2, 3]")
-    with pytest.raises(ValueError, match=re.escape(f"{path}: config section <root> must be an object")):
         RunConfig.load(path)
     path.write_text('{"train": {"epochs": 0}}')
     with pytest.raises(ValueError, match=f"{path}: train.epochs must be at least 1, got 0"):

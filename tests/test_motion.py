@@ -287,9 +287,9 @@ def test_default_joint_spec_shape():
 
 
 def test_joint_spec_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^joint names must be unique"):
         JointSpec(names=("nose", "nose"), hand_indices=())
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^hand index 7 out of range"):
         JointSpec(names=("nose", "neck"), hand_indices=(7,))
 
 
@@ -297,8 +297,6 @@ SPEC3 = JointSpec(names=("nose", "neck", "right_palm"), hand_indices=(2,))
 
 
 @pytest.mark.parametrize("call, error, message", [
-    (lambda: JointSpec(names=("nose", "nose"), hand_indices=()), ValueError, "joint names must be unique"),
-    (lambda: JointSpec(names=("nose", "neck"), hand_indices=(7,)), ValueError, "hand index 7 out of range"),
     (lambda: JointSpec(names=("nose", "head"), hand_indices=()), ValueError, "joint 'neck' not in joint names"),
     (lambda: JointSpec(names=("nose", "neck"), hand_indices=(), scale_pair=("neck", "neck")), ValueError,
      "scale pair must name two distinct joints"),

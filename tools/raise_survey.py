@@ -148,7 +148,7 @@ def survey(raises: list[Raise], jobs: int) -> set[tuple[str, str, str]]:
 
 
 def load_list() -> list[dict]:
-    return json.loads(SURVIVORS.read_text())["survivors"] if SURVIVORS.exists() else []
+    return json.loads(SURVIVORS.read_text()) if SURVIVORS.exists() else []
 
 
 def counts(raises: list[Raise], survivors: set) -> dict[str, str]:
@@ -159,12 +159,9 @@ def counts(raises: list[Raise], survivors: set) -> dict[str, str]:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--jobs", type=int, default=len(os.sched_getaffinity(0)),
-                        help="parallel suite runs (capped at the CPUs this process may use)")
     parser.add_argument("--write", action="store_true", help="rewrite the list from this survey")
     parser.add_argument("--self-check", action="store_true", help="two runs instead of the survey")
     args = parser.parse_args(argv)
-    jobs = max(1, min(args.jobs, len(os.sched_getaffinity(0))))
     raises = find_raises()
     listed = load_list()
     listed_keys = {(e["module"], e["function"], e["message"]) for e in listed}
@@ -184,7 +181,7 @@ def main(argv=None) -> int:
                       f" {'passes' if passed else 'fails'}, expected it to {'pass' if expect_pass else 'fail'}")
         return 1 if failures else 0
 
-    survivors = survey(raises, jobs)
+    survivors = survey(raises, len(os.sched_getaffinity(0)))
     print(f"{len(survivors)} of {len(raises)} raises survive; by module: "
           + ", ".join(f"{m} {c}" for m, c in counts(raises, survivors).items()))
     new = [r for r in raises if r.key in survivors and r.key not in listed_keys]
@@ -197,7 +194,7 @@ def main(argv=None) -> int:
         reasons = {(e["module"], e["function"], e["message"]): e["reason"] for e in listed}
         entries = [{"module": r.module, "function": r.function, "message": r.message,
                     "reason": reasons.get(r.key, "TODO")} for r in raises if r.key in survivors]
-        SURVIVORS.write_text(json.dumps({"raises": len(raises), "survivors": entries}, indent=2) + "\n")
+        SURVIVORS.write_text(json.dumps(entries, indent=2) + "\n")
         print(f"wrote {SURVIVORS.relative_to(ROOT)}")
     return 1 if new or gone else 0
 
