@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 
-from speechmotion import RunConfig, diversity, mode_schedule
+from speechmotion import RunConfig, diversity, interval_schedule
 from speechmotion.evaluation import evaluate_checkpoint
 from speechmotion.generation import generate_sequence
 from speechmotion.toydata import make_toy_dataset
@@ -45,15 +45,16 @@ steps = split.test[:4]
 audio = steps.standardized(ckpt.feature_stats).audio
 initial = steps.m_prev[0]
 
-# a zero schedule keeps the base posture; no randomness is consumed
-hold = mode_schedule(None, len(audio), "explicit", explicit=[0] * len(audio))
+# a schedule is one 0/1 mode label per step; an all-zero one keeps the base
+# posture, and no randomness is consumed
+hold = (0,) * len(audio)
 a, b = generate_sequence(initial, audio, hold, config, ckpt.params, seeds=[1, 2])
 print("zero schedule, seeds 1 vs 2 identical:", np.array_equal(a.motion, b.motion))
 
 # mode changes draw a fresh latent per step; different seeds diverge.
 # All 8 seeds run as one batch, each with its own generator.
-lively = mode_schedule(None, len(audio), "fixed-interval", interval=2)
-print("fixed-interval labels:", lively.labels)
+lively = interval_schedule(len(audio), 2)
+print("fixed-interval labels:", lively)
 runs = np.stack([
     r.motion
     for r in generate_sequence(initial, audio, lively, config, ckpt.params, seeds=range(8))

@@ -9,7 +9,6 @@ two branch outputs reassembles a full clip.
 
 from .audio import (
     FeatureStats,
-    MfccSettings,
     Transcript,
     align_audio_to_motion,
     extract_mfcc,
@@ -18,6 +17,7 @@ from .audio import (
 from .config import (
     EvalSettings,
     GenerateSettings,
+    MfccSettings,
     ModelSettings,
     RunConfig,
     ToySettings,
@@ -28,9 +28,9 @@ from .errors import DataError, NumericError
 from .evaluation import evaluate_checkpoint, sample_diversity
 from .generation import (
     GenerationResult,
-    ModeSchedule,
     generate_sequence,
-    mode_schedule,
+    interval_schedule,
+    keyword_schedule,
 )
 from .metrics import (
     MetricReport,
@@ -73,7 +73,6 @@ __all__ = [
     "JointSpec",
     "MetricReport",
     "MfccSettings",
-    "ModeSchedule",
     "ModelSettings",
     "NumericError",
     "PoseModeBranch",
@@ -96,11 +95,12 @@ __all__ = [
     "evaluate_checkpoint",
     "extract_mfcc",
     "generate_sequence",
+    "interval_schedule",
+    "keyword_schedule",
     "label_mode_change",
     "lvd",
     "make_toy_dataset",
     "mel_filterbank",
-    "mode_schedule",
     "normalize_skeleton",
     "quality_score",
     "sample_diversity",

@@ -27,6 +27,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from scipy.fft import dct
 from scipy.signal import resample_poly
 
+from .config import MfccSettings
 from .errors import DataError
 
 # Absolute floor applied to mel-band power before the log. Silence therefore
@@ -51,38 +52,6 @@ _DELTA_REACH = 2
 
 
 @dataclass(frozen=True)
-class MfccSettings:
-    """Knobs of the MFCC front end; d_s is the resulting row width."""
-
-    sample_rate: int = 16000
-    window_s: float = 0.025
-    hop_s: float = 0.010
-    n_mels: int = 40
-    n_mfcc: int = 13
-    deltas: bool = True
-
-    def __post_init__(self) -> None:
-        if not (self.sample_rate > 0 and self.window_s > 0 and self.hop_s > 0):  # or NaN
-            raise ValueError("sample rate, window, and hop must be positive")
-        if self.n_mfcc < 1:
-            raise ValueError("need at least one DCT coefficient")
-        if self.n_mfcc > self.n_mels:
-            raise ValueError("cannot keep more DCT coefficients than mel bands")
-
-    @property
-    def d_s(self) -> int:
-        return self.n_mfcc * (2 if self.deltas else 1)
-
-    @property
-    def window_samples(self) -> int:
-        return int(round(self.window_s * self.sample_rate))
-
-    @property
-    def hop_samples(self) -> int:
-        return int(round(self.hop_s * self.sample_rate))
-
-
-@dataclass(frozen=True)
 class Transcript:
     """Word timeline: (word, start_s, end_s) tuples with non-decreasing starts."""
 
@@ -98,10 +67,6 @@ class Transcript:
             if start < last_start:
                 raise DataError("transcript tokens are not sorted by start time")
             last_start = start
-
-    def words_between(self, start_s: float, end_s: float) -> list[str]:
-        """Words whose start time falls inside [start_s, end_s)."""
-        return [w for w, s, _ in self.tokens if start_s <= s < end_s]
 
 
 def mel_filterbank(settings: MfccSettings) -> np.ndarray:

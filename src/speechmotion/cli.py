@@ -28,7 +28,7 @@ from .config import RunConfig
 from .data import DatasetSplit
 from .errors import DataError, NumericError
 from .evaluation import evaluate_checkpoint
-from .generation import ModeSchedule, generate_sequence, mode_schedule
+from .generation import generate_sequence, interval_schedule, keyword_schedule
 from .metrics import diversity
 from .motion import normalize_skeleton, swap_dynamics, temporal_mean
 from .toydata import make_toy_dataset
@@ -181,7 +181,8 @@ def _initial_pose(args, ckpt) -> np.ndarray:
     return np.tile(ckpt.rest_posture, (config.t_frames, 1))
 
 
-def _schedule_for(args, config: RunConfig, n_steps: int, transcript) -> ModeSchedule:
+def _schedule_for(args, config: RunConfig, n_steps: int, transcript) -> tuple[tuple[int, ...], str]:
+    """The run's mode labels and the policy that chose them."""
     if args.labels:
         text = args.labels
         if text == "zeros":
@@ -190,18 +191,13 @@ def _schedule_for(args, config: RunConfig, n_steps: int, transcript) -> ModeSche
             text = "1" * n_steps
         if set(text) - {"0", "1"}:
             raise _UsageError(f"--labels must be 0/1 digits or zeros/ones, got {args.labels!r}")
-        return mode_schedule(None, n_steps, "explicit", explicit=[int(ch) for ch in text])
+        return tuple(int(ch) for ch in text), "explicit"
     if args.policy == "keyword":
         if transcript is None:
             raise _UsageError("--policy keyword needs --transcript")
-        return mode_schedule(
-            transcript,
-            n_steps,
-            "keyword",
-            clip_duration_s=config.t_frames / config.fps,
-            keywords=config.generate.keywords,
-        )
-    return mode_schedule(None, n_steps, "fixed-interval", interval=args.interval)
+        clip_s = config.t_frames / config.fps
+        return keyword_schedule(transcript, n_steps, clip_s, config.generate.keywords), "keyword"
+    return interval_schedule(n_steps, args.interval), "fixed-interval"
 
 
 def cmd_generate(args) -> int:
@@ -226,7 +222,7 @@ def cmd_generate(args) -> int:
         raise DataError(f"{args.audio}: {exc}") from None
     standardized = ckpt.feature_stats.transform(aligned, args.speaker)
     transcript = io.load_transcript(args.transcript) if args.transcript else None
-    schedule = _schedule_for(args, config, n_steps, transcript)
+    schedule, provenance = _schedule_for(args, config, n_steps, transcript)
     initial = _initial_pose(args, ckpt)
 
     out = _out_path(args.out)
@@ -245,15 +241,15 @@ def cmd_generate(args) -> int:
         meta = _meta(
             config,
             result.seed,
-            schedule=list(schedule.labels),
-            schedule_provenance=schedule.provenance,
+            schedule=list(schedule),
+            schedule_provenance=provenance,
             checkpoint_epoch=ckpt.epoch,
         )
         target = out / f"motion_seed{result.seed}.npz" if len(seeds) > 1 else out
         io.save_landmarks(target, result.motion, config.fps, config.joint_spec, meta)
         sidecar = Path(str(target).removesuffix(".npz") + ".meta.json")
         io.save_json(sidecar, {"format": "generation-meta/1", **meta})
-    msg = f"generated {n_steps} step(s) x {len(seeds)} seed(s); schedule {schedule.provenance}"
+    msg = f"generated {n_steps} step(s) x {len(seeds)} seed(s); schedule {provenance}"
     if len(seeds) > 1:
         spread = diversity(np.stack([r.motion for r in results]))
         io.save_json(out / "batch_summary.json",
@@ -269,7 +265,7 @@ def cmd_evaluate(args) -> int:
     data_dir = _out_path(args.data)
     path = data_dir / f"{args.split}.npz"
     samples = io.load_split(path, ckpt.config)
-    report = evaluate_checkpoint(ckpt, samples, seed=args.seed or 0, meta={"split": args.split})
+    report = evaluate_checkpoint(ckpt, samples, seed=args.seed, meta={"split": args.split})
     payload = report.to_dict()
     out = _out_path(args.out)
     io.save_json(out, payload)
@@ -324,6 +320,12 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="speechmotion", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def seed(text: str) -> int:
+        value = int(text)
+        if value < 0:
+            raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
+        return value
+
     def common(p):
         p.add_argument("--config", help="JSON config file mirroring RunConfig")
         p.add_argument("--set", action="append", metavar="KEY=VALUE",
@@ -332,7 +334,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("make-toy", help="write the synthetic corpus")
     common(p)
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=seed, default=None)
     p.set_defaults(func=cmd_make_toy)
 
     p = sub.add_parser("preprocess", help="build dataset splits from raw files")
@@ -357,7 +359,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--policy", choices=["keyword", "fixed-interval"])
     p.add_argument("--interval", type=int, default=4)
     p.add_argument("--labels", help="explicit 0/1 schedule string, or zeros/ones")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=seed, default=0)
     p.add_argument("--num-seeds", type=int, default=1)
     p.add_argument("--speaker", default=None, help="speaker id for feature standardization")
     p.add_argument("--initial-pose", help="landmark file seeding the first clip")
@@ -368,7 +370,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--data", required=True, help="directory written by preprocess")
     p.add_argument("--split", choices=["train", "val", "test"], default="test")
     p.add_argument("--out", required=True, help="report JSON path")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=seed, default=0)
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("swap-demo", help="swap rhythmic offsets between two landmark files")

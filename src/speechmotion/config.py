@@ -19,16 +19,53 @@ from dataclasses import dataclass, field, fields
 from functools import cached_property
 from pathlib import Path
 
-from .audio import MfccSettings
 from .motion import DEFAULT_JOINTS, DEFAULT_MODE_THRESHOLD, JointSpec
 
 DEFAULT_KEYWORDS = ("so", "now", "but", "next", "first", "then", "okay", "well")
 
 
 def _at_least(settings, prefix: str, **least: int) -> None:
+    """Each named setting, or each entry of a tuple setting, is at least its bound."""
     for name, low in least.items():
-        if getattr(settings, name) < low:
-            raise ValueError(f"{prefix}{name} must be at least {low}, got {getattr(settings, name)}")
+        value = getattr(settings, name)
+        if min(value if isinstance(value, tuple) else (value,), default=low) < low:
+            raise ValueError(f"{prefix}{name} must be at least {low}, got {value}")
+
+
+def _positive(settings, prefix: str, *names: str) -> None:
+    for name in names:
+        if not getattr(settings, name) > 0:  # NaN fails this too
+            raise ValueError(f"{prefix}{name} must be positive, got {getattr(settings, name)}")
+
+
+@dataclass(frozen=True)
+class MfccSettings:
+    """Knobs of the MFCC front end; d_s is the resulting row width."""
+
+    sample_rate: int = 16000
+    window_s: float = 0.025
+    hop_s: float = 0.010
+    n_mels: int = 40
+    n_mfcc: int = 13
+    deltas: bool = True
+
+    def __post_init__(self) -> None:
+        _positive(self, "mfcc.", "sample_rate", "window_s", "hop_s")
+        _at_least(self, "mfcc.", n_mfcc=1)
+        if self.n_mfcc > self.n_mels:
+            raise ValueError(f"mfcc.n_mfcc must be at most mfcc.n_mels ({self.n_mels}), got {self.n_mfcc}")
+
+    @property
+    def d_s(self) -> int:
+        return self.n_mfcc * (2 if self.deltas else 1)
+
+    @property
+    def window_samples(self) -> int:
+        return int(round(self.window_s * self.sample_rate))
+
+    @property
+    def hop_samples(self) -> int:
+        return int(round(self.hop_s * self.sample_rate))
 
 
 @dataclass(frozen=True)
@@ -44,9 +81,8 @@ class ModelSettings:
     rhythm_kernel: int = 5
 
     def __post_init__(self) -> None:
-        sizes = (self.d_e, self.d_z, self.rhythm_hidden, self.rhythm_layers, self.rhythm_kernel)
-        if min(*sizes, *self.enc_hidden, *self.latent_hidden) < 1:
-            raise ValueError("all model sizes must be positive")
+        _at_least(self, "model.", d_e=1, d_z=1, enc_hidden=1, latent_hidden=1, rhythm_hidden=1,
+                  rhythm_layers=1, rhythm_kernel=1)
         if self.rhythm_kernel % 2 == 0:
             raise ValueError(f"model.rhythm_kernel must be odd for same padding, got {self.rhythm_kernel}")
 
@@ -69,7 +105,7 @@ class TrainSettings:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        _at_least(self, "train.", batch_size=1, epochs=1)
+        _at_least(self, "train.", batch_size=1, epochs=1, seed=0)
         for name in ("lambda_rec", "lambda_vae", "lambda_rhythm", "lambda_reg", "kl_anneal_frac"):
             if getattr(self, name) < 0:
                 raise ValueError(f"train.{name} must be non-negative, got {getattr(self, name)}")
@@ -82,7 +118,17 @@ class TrainSettings:
 
 @dataclass(frozen=True)
 class GenerateSettings:
+    """Words that raise a mode change under the keyword schedule; the toy
+    corpus plants them in its transcripts, one word to a token."""
+
     keywords: tuple[str, ...] = DEFAULT_KEYWORDS
+
+    def __post_init__(self) -> None:
+        if not self.keywords or any(not isinstance(w, str) or w.split() != [w] for w in self.keywords):
+            raise ValueError(
+                "generate.keywords must be one or more words without whitespace,"
+                f" got {json.dumps(list(self.keywords))}"
+            )
 
 
 @dataclass(frozen=True)
@@ -122,9 +168,7 @@ class RunConfig:
 
     def __post_init__(self) -> None:
         _at_least(self, "", t_frames=2)
-        for name in ("fps", "mode_threshold"):
-            if not getattr(self, name) > 0:  # NaN fails this too
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+        _positive(self, "", "fps", "mode_threshold")
         missing = [h for h in self.hand_joints if h not in self.joint_names]
         if missing:
             raise ValueError(f"hand joints {missing} not in joint names")

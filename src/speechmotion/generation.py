@@ -1,18 +1,20 @@
 """Sequence generation: mode schedules plus autoregressive clip stacking.
 
-A run of n steps consumes n aligned audio clips and n mode labels. The
-paper's two streams are independent until they are composed, so they run
-apart. The rhythm stream maps every step's audio to offsets first, in blocks
-of `_RHYTHM_BLOCK` steps, before any pose is drawn. The pose chain then runs
-step by step: it embeds the previous pose-mode clip, draws (or zeroes) a
-latent code under the step's label and decodes the next pose-mode clip. A
-run's result is these two outputs as arrays, kept apart; the motion is their
-sum. The autoregression feeds the pose-mode clip forward, not the composed
-one, so rhythm never leaks into posture. Several seeds run as one batch: the
-pose-mode chain runs once per step for all of them, and the seed-independent
-offsets are computed once and shared. Each seed has its own generator,
-seeded once and consumed only at steps whose label is 1, so a prefix of the
-schedule reproduces a prefix of the output.
+A run of n steps consumes n aligned audio clips and a schedule of n 0/1 mode
+labels: `keyword_schedule` or `interval_schedule` builds one, or the caller
+gives the labels outright. The paper's two streams are independent until
+they are composed, so they run apart. The rhythm stream maps every step's
+audio to offsets first, in blocks of `_RHYTHM_BLOCK` steps, before any pose
+is drawn. The pose chain then runs step by step: it embeds the previous
+pose-mode clip, draws (or zeroes) a latent code under the step's label and
+decodes the next pose-mode clip. A run's result is these two outputs as
+arrays, kept apart; the motion is their sum. The autoregression feeds the
+pose-mode clip forward, not the composed one, so rhythm never leaks into
+posture. Several seeds run as one batch: the pose-mode chain runs once per
+step for all of them, and the seed-independent offsets are computed once and
+shared. Each seed has its own generator, seeded once and consumed only at
+steps whose label is 1, so a prefix of the schedule reproduces a prefix of
+the output.
 """
 
 from __future__ import annotations
@@ -29,8 +31,6 @@ from .config import RunConfig
 from .errors import DataError, NumericError
 from .model import pose_step, rhythm_offsets
 
-_POLICIES = ("keyword", "fixed-interval", "explicit")
-
 # Steps whose offsets one rhythm forward computes. At the paper size, blocks
 # of 12-16 steps ran fastest: one step at a time pays the per-call overhead
 # 16 times over, and all of a long run at once spills the activations out of
@@ -38,71 +38,29 @@ _POLICIES = ("keyword", "fixed-interval", "explicit")
 _RHYTHM_BLOCK = 16
 
 
-@dataclass(frozen=True)
-class ModeSchedule:
-    """Binary mode labels per generation step and where they came from."""
+def keyword_schedule(
+    transcript: Transcript, n_steps: int, clip_duration_s: float, keywords: Sequence[str]
+) -> tuple[int, ...]:
+    """Label 1 for every step whose span [i*dur, (i+1)*dur) holds the start
+    of a keyword token, matched ignoring case and surrounding punctuation."""
+    if not clip_duration_s > 0:  # NaN fails this too
+        raise ValueError(f"clip_duration_s must be positive, got {clip_duration_s}")
+    wanted = {w.lower() for w in keywords}
+    # step i spans [i*dur, (i+1)*dur), with the bounds computed exactly so
+    edges = [i * clip_duration_s for i in range(n_steps + 1)]
+    labels = [0] * n_steps
+    for word, start, _ in transcript.tokens:
+        i = bisect_right(edges, start) - 1
+        if i < n_steps and word.lower().strip(".,!?;:") in wanted:
+            labels[i] = 1
+    return tuple(labels)
 
-    labels: tuple[int, ...]
-    provenance: str
 
-    def __post_init__(self) -> None:
-        if any(c not in (0, 1) for c in self.labels):
-            raise ValueError("schedule labels must all be 0 or 1")
-        if self.provenance not in _POLICIES:
-            raise ValueError(f"provenance must be one of {_POLICIES}")
-
-    def __len__(self) -> int:
-        return len(self.labels)
-
-
-def mode_schedule(
-    transcript: Transcript | None,
-    n_steps: int,
-    policy: str,
-    *,
-    clip_duration_s: float | None = None,
-    keywords=(),
-    interval: int = 4,
-    explicit=None,
-) -> ModeSchedule:
-    """Build the per-step mode labels for a run of n_steps clips.
-
-    keyword: label 1 for every step whose time span [i*dur, (i+1)*dur)
-        contains the start of a keyword token.
-    fixed-interval: label 1 on every interval-th step (steps i with
-        (i + 1) % interval == 0).
-    explicit: labels given outright; must match n_steps.
-    """
-    if n_steps < 1:
-        raise ValueError("n_steps must be positive")
-    if policy == "keyword":
-        if transcript is None:
-            raise ValueError("keyword policy needs a transcript")
-        if clip_duration_s is None or clip_duration_s <= 0:
-            raise ValueError("keyword policy needs a positive clip duration")
-        wanted = {w.lower() for w in keywords}
-        if not wanted:
-            raise ValueError("keyword policy needs a non-empty keyword list")
-        # step i spans [i*dur, (i+1)*dur), with the bounds computed exactly so
-        edges = [i * clip_duration_s for i in range(n_steps + 1)]
-        labels = [0] * n_steps
-        for word, start, _ in transcript.tokens:
-            i = bisect_right(edges, start) - 1
-            if i < n_steps and word.lower().strip(".,!?;:") in wanted:
-                labels[i] = 1
-        return ModeSchedule(tuple(labels), "keyword")
-    if policy == "fixed-interval":
-        if interval < 1:
-            raise ValueError("interval must be at least 1")
-        return ModeSchedule(tuple(int((i + 1) % interval == 0) for i in range(n_steps)), "fixed-interval")
-    if policy == "explicit":
-        if explicit is None:
-            raise ValueError("explicit policy needs labels")
-        labels = tuple(int(c) for c in explicit)
-        if len(labels) != n_steps:
-            raise ValueError(f"explicit labels have length {len(labels)}, expected {n_steps}")
-        return ModeSchedule(labels, "explicit")
-    raise ValueError(f"unknown policy {policy!r}; expected one of {_POLICIES}")
+def interval_schedule(n_steps: int, interval: int) -> tuple[int, ...]:
+    """Label 1 on every interval-th step: steps i with (i + 1) % interval == 0."""
+    if interval < 1:
+        raise ValueError(f"interval must be at least 1, got {interval}")
+    return tuple(int((i + 1) % interval == 0) for i in range(n_steps))
 
 
 @dataclass(frozen=True)
@@ -134,7 +92,7 @@ class GenerationResult:
 def generate_sequence(
     initial_pose: np.ndarray,
     audio: np.ndarray,
-    schedule: ModeSchedule,
+    schedule: Sequence[int],
     config: RunConfig,
     params: Mapping[str, np.ndarray],
     *,
@@ -145,7 +103,7 @@ def generate_sequence(
     Args:
         initial_pose: (T, D) frames standing in for the step-0 "previous motion".
         audio: (n_steps, T, D_S) standardized features, one clip per step.
-        schedule: mode labels, one per step.
+        schedule: the mode label (0 or 1) of every step.
         config: the run configuration sizing both branches.
         params: both branches' weights.
         seeds: one generator per seed, each drawing that seed's latent codes.
@@ -165,9 +123,12 @@ def generate_sequence(
     audio = np.asarray(audio, dtype=np.float64)
     if not len(audio):
         raise DataError("generation needs at least one audio clip")
-    if len(audio) != len(schedule):
+    if any(c not in (0, 1) for c in schedule):
+        raise ValueError("schedule labels must all be 0 or 1")
+    labels = tuple(int(c) for c in schedule)
+    if len(audio) != len(labels):
         raise ValueError(
-            f"schedule length {len(schedule)} does not match {len(audio)} audio clips"
+            f"schedule length {len(labels)} does not match {len(audio)} audio clips"
         )
     seeds = list(seeds)
     if not seeds:
@@ -188,7 +149,7 @@ def generate_sequence(
         )
     if not np.isfinite(initial_pose).all():
         raise DataError("initial pose contains non-finite values")
-    n = len(schedule)
+    n = len(labels)
     pv = nn.param_vars(params)
     offsets = np.concatenate([
         rhythm_offsets(config, pv, audio[i : i + _RHYTHM_BLOCK])
@@ -198,7 +159,7 @@ def generate_sequence(
     rngs = [np.random.default_rng(seed) for seed in seeds]
     x_prev = initial_pose.reshape(1, -1)
     z_steps, pose_steps = [], []
-    for c in schedule.labels:
+    for c in labels:
         if c:
             z = np.stack([rng.standard_normal(d_z) for rng in rngs])
         else:
@@ -214,6 +175,6 @@ def generate_sequence(
             f"generation produced non-finite motion at step {int(np.argmin(finite))} of {n}"
         )
     return [
-        GenerationResult(seed, schedule.labels, z[i], pose_clips[i], offsets)
+        GenerationResult(seed, labels, z[i], pose_clips[i], offsets)
         for i, seed in enumerate(seeds)
     ]

@@ -15,7 +15,6 @@ import pytest
 
 from speechmotion import (
     JointSpec,
-    ModeSchedule,
     RunConfig,
     SampleSet,
     baseline_mean_velocity,
@@ -232,7 +231,7 @@ def test_criterion_4_zero_code_determinism():
     t0 = time.perf_counter()
     config, params, initial, audio = _tiny_generation_setup()
 
-    zeros = ModeSchedule(labels=(0, 0, 0), provenance="explicit")
+    zeros = (0, 0, 0)
     runs = [
         generate_sequence(initial, audio, zeros, config, params, seeds=[s])[0]
         for s in (0, 0, 12345)
@@ -240,7 +239,7 @@ def test_criterion_4_zero_code_determinism():
     same_seed = np.array_equal(runs[0].motion, runs[1].motion)
     seed_free = np.array_equal(runs[0].motion, runs[2].motion)  # no draws on c=0
 
-    ones = ModeSchedule(labels=(1, 1, 1), provenance="explicit")
+    ones = (1, 1, 1)
     motions = [
         r.motion
         for r in generate_sequence(initial, audio, ones, config, params, seeds=range(64))
@@ -260,7 +259,7 @@ def test_criterion_4_zero_code_determinism():
 
 def test_criterion_5_branch_decoupling():
     config, params, initial, audio = _tiny_generation_setup()
-    schedule = ModeSchedule(labels=(0, 1, 1), provenance="explicit")
+    schedule = (0, 1, 1)
     zeroed = {k: np.zeros_like(v) if k.startswith("rhythm.") else v for k, v in params.items()}
     (with_rhythm,) = generate_sequence(initial, audio, schedule, config, params, seeds=[5])
     (without_rhythm,) = generate_sequence(initial, audio, schedule, config, zeroed, seeds=[5])

@@ -9,15 +9,15 @@ import speechmotion
 PUBLIC = {
     "Checkpoint", "DataError", "DatasetSplit", "DEFAULT_JOINTS",
     "DEFAULT_MODE_THRESHOLD", "EvalSettings", "FeatureStats", "GenerateSettings",
-    "GenerationResult", "JointSpec", "MetricReport", "MfccSettings", "ModeSchedule",
-    "ModelSettings", "NumericError", "PoseModeBranch", "RhythmBranch",
-    "RunConfig", "SampleSet", "SpeakerMetrics", "ToySettings", "TrainResult", "TrainSettings",
+    "GenerationResult", "JointSpec", "MetricReport", "MfccSettings", "ModelSettings",
+    "NumericError", "PoseModeBranch", "RhythmBranch", "RunConfig", "SampleSet",
+    "SpeakerMetrics", "ToySettings", "TrainResult", "TrainSettings",
     "Transcript", "align_audio_to_motion", "baseline_last_step",
     "baseline_mean_velocity", "build_dataset", "chunk_sequence", "compose",
     "decompose", "diversity", "evaluate_checkpoint", "extract_mfcc", "generate_sequence",
-    "label_mode_change", "lvd", "make_toy_dataset", "mel_filterbank", "mode_schedule",
-    "normalize_skeleton", "quality_score", "sample_diversity", "swap_dynamics",
-    "temporal_mean", "train", "validation_lvd",
+    "interval_schedule", "keyword_schedule", "label_mode_change", "lvd", "make_toy_dataset",
+    "mel_filterbank", "normalize_skeleton", "quality_score", "sample_diversity",
+    "swap_dynamics", "temporal_mean", "train", "validation_lvd",
 }
 
 

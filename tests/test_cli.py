@@ -404,6 +404,11 @@ CONFIG_TIME_SETTINGS = [
     (["toy.clips_per_segment=0"], "toy.clips_per_segment must be at least 1, got 0"),
     (["evaluate.diversity_samples=1"], "evaluate.diversity_samples must be at least 2, got 1"),
     (["evaluate.quality_epochs=0"], "evaluate.quality_epochs must be at least 1, got 0"),
+    (["train.seed=-3"], "train.seed must be at least 0, got -3"),
+    (["generate.keywords=[]"], "generate.keywords must be one or more words without whitespace, got []"),
+    (['generate.keywords=[""]'], 'generate.keywords must be one or more words without whitespace, got [""]'),
+    (['generate.keywords=["a b"]'],
+     'generate.keywords must be one or more words without whitespace, got ["a b"]'),
 ]
 
 
@@ -416,6 +421,18 @@ def test_config_time_setting_is_usage_error_before_any_output(tmp_path, capsys, 
     out = tmp_path / "out"
     assert main([command, *flags, *inputs[command], "--out", str(out)]) == 1
     assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, inputs", [
+    ("make-toy", []),
+    ("generate", ["--checkpoint", "x.npz", "--audio", "x.wav"]),
+    ("evaluate", ["--checkpoint", "x.npz", "--data", "data"]),
+])
+def test_negative_seed_is_usage_error_before_any_output(tmp_path, capsys, command, inputs):
+    out = tmp_path / "out"
+    assert main([command, *inputs, "--seed", "-1", "--out", str(out)]) == 1
+    assert "argument --seed: must be non-negative, got -1" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -720,7 +737,7 @@ def _write_bad_checkpoint(source, path, case) -> str:
         arrays["config"], key = json.dumps(tree), "t_frames must be at least 2"
     elif case == "d_z":
         tree["model"]["d_z"] = 0
-        arrays["config"], key = json.dumps(tree), "all model sizes must be positive"
+        arrays["config"], key = json.dumps(tree), "model.d_z must be at least 1, got 0"
     elif case in RETIRED_VALUES:
         section, name, value = RETIRED_VALUES[case]
         tree[section][name] = value

@@ -8,12 +8,12 @@ from hypothesis import strategies as st
 from speechmotion import (
     DataError,
     JointSpec,
-    ModeSchedule,
     NumericError,
     Transcript,
     diversity,
     generate_sequence,
-    mode_schedule,
+    interval_schedule,
+    keyword_schedule,
 )
 from speechmotion import autodiff as ad
 from speechmotion import nn
@@ -31,35 +31,26 @@ CLIP_S = 64 / 15.0  # duration of one default clip
 # -- schedules ----------------------------------------------------------------------
 
 
-def test_empty_keyword_list_rejected():
-    tr = Transcript((("so", 1.0, 1.2),))
-    with pytest.raises(ValueError):
-        mode_schedule(tr, 3, "keyword", clip_duration_s=CLIP_S, keywords=())
-
-
 def test_keyword_in_first_clip_span():
     tr = Transcript((("now", 3.2, 3.4),))
-    sched = mode_schedule(tr, 2, "keyword", clip_duration_s=CLIP_S, keywords=("now",))
-    assert sched.labels == (1, 0)  # 3.2 s falls inside [0, 4.267) s
+    assert keyword_schedule(tr, 2, CLIP_S, ("now",)) == (1, 0)  # 3.2 s falls inside [0, 4.267) s
 
 
 def test_keyword_matching_ignores_case_and_punctuation():
     tr = Transcript((("So,", 0.5, 0.7), ("NOW!", 5.0, 5.2)))
-    sched = mode_schedule(tr, 2, "keyword", clip_duration_s=CLIP_S, keywords=("so", "now"))
-    assert sched.labels == (1, 1)
+    assert keyword_schedule(tr, 2, CLIP_S, ("so", "now")) == (1, 1)
 
 
 def test_keyword_no_matches_is_all_zero():
     tr = Transcript((("hello", 1.0, 1.2),))
-    sched = mode_schedule(tr, 3, "keyword", clip_duration_s=CLIP_S, keywords=("now",))
-    assert sched.labels == (0, 0, 0)
+    assert keyword_schedule(tr, 3, CLIP_S, ("now",)) == (0, 0, 0)
 
 
 def _scan_keyword_labels(transcript, n_steps, dur, keywords):
-    # the per-step scan: every step looks at every token
+    # the per-step scan: every step looks at every token starting in [i*dur, (i+1)*dur)
     return tuple(
         int(any(w.lower().strip(".,!?;:") in keywords
-                for w in transcript.words_between(i * dur, (i + 1) * dur)))
+                for w, s, _ in transcript.tokens if i * dur <= s < (i + 1) * dur))
         for i in range(n_steps)
     )
 
@@ -78,60 +69,29 @@ def test_keyword_schedule_equals_per_step_scan(dur, n_steps, tokens):
     starts = sorted((i * dur if f == 0.0 else (i + f) * dur, w) for i, f, w in tokens)
     tr = Transcript(tuple((w, s, s + 0.1) for s, w in starts))
     keywords = ("so", "now", "then")
-    got = mode_schedule(tr, n_steps, "keyword", clip_duration_s=dur, keywords=keywords)
-    assert got.labels == _scan_keyword_labels(tr, n_steps, dur, set(keywords))
+    got = keyword_schedule(tr, n_steps, dur, keywords)
+    assert got == _scan_keyword_labels(tr, n_steps, dur, set(keywords))
 
 
 def test_keyword_on_a_clip_boundary_opens_the_later_clip():
     dur = 16 / 15.0
     tr = Transcript((("so", 3 * dur, 3 * dur + 0.1),))
-    sched = mode_schedule(tr, 5, "keyword", clip_duration_s=dur, keywords=("so",))
-    assert sched.labels == (0, 0, 0, 1, 0)
-
-
-def test_keyword_requires_transcript():
-    with pytest.raises(ValueError, match="^keyword policy needs a transcript"):
-        mode_schedule(None, 3, "keyword", clip_duration_s=CLIP_S, keywords=("now",))
+    assert keyword_schedule(tr, 5, dur, ("so",)) == (0, 0, 0, 1, 0)
 
 
 def test_fixed_interval_example():
-    assert mode_schedule(None, 4, "fixed-interval", interval=2).labels == (0, 1, 0, 1)
+    assert interval_schedule(4, 2) == (0, 1, 0, 1)
 
 
 def test_fixed_interval_every_step():
-    assert mode_schedule(None, 3, "fixed-interval", interval=1).labels == (1, 1, 1)
-
-
-def test_explicit_passthrough_and_length_check():
-    sched = mode_schedule(None, 3, "explicit", explicit=[1, 0, 1])
-    assert sched.labels == (1, 0, 1)
-    assert sched.provenance == "explicit"
-    with pytest.raises(ValueError, match="^explicit labels have length 2, expected 3"):
-        mode_schedule(None, 3, "explicit", explicit=[1, 0])
-
-
-def test_unknown_policy():
-    with pytest.raises(ValueError, match="^unknown policy 'random'"):
-        mode_schedule(None, 3, "random")
-
-
-def test_schedule_validation():
-    with pytest.raises(ValueError, match="^schedule labels must all be 0 or 1"):
-        ModeSchedule((0, 2, 1), "explicit")
-    with pytest.raises(ValueError, match="^provenance must be one of"):
-        ModeSchedule((0, 1), "vibes")
+    assert interval_schedule(3, 1) == (1, 1, 1)
 
 
 @pytest.mark.parametrize("call, message", [
-    (lambda: mode_schedule(None, 0, "fixed-interval"), "n_steps must be positive"),
-    (lambda: mode_schedule(Transcript(()), 3, "keyword", keywords=("so",)),
-     "keyword policy needs a positive clip duration"),
-    (lambda: mode_schedule(Transcript(()), 3, "keyword", clip_duration_s=-1.0, keywords=("so",)),
-     "keyword policy needs a positive clip duration"),
-    (lambda: mode_schedule(Transcript(()), 3, "keyword", clip_duration_s=CLIP_S),
-     "keyword policy needs a non-empty keyword list"),
-    (lambda: mode_schedule(None, 3, "fixed-interval", interval=0), "interval must be at least 1"),
-    (lambda: mode_schedule(None, 3, "explicit"), "explicit policy needs labels"),
+    (lambda: keyword_schedule(Transcript(()), 3, -1.0, ("so",)), "clip_duration_s must be positive, got -1.0"),
+    (lambda: keyword_schedule(Transcript(()), 3, float("nan"), ("so",)),
+     "clip_duration_s must be positive, got nan"),
+    (lambda: interval_schedule(3, 0), "interval must be at least 1, got 0"),
 ])
 def test_bad_schedule_arguments_say_what_is_wrong(call, message):
     with pytest.raises(ValueError) as info:
@@ -152,10 +112,19 @@ def gen_setup(tiny_config, tiny_pose, tiny_rhythm, small_spec):
 
 def _run(setup, labels, seed=0):
     config, params, initial, clips = setup
-    sched = ModeSchedule(tuple(labels), "explicit")
-    return generate_sequence(
-        initial, clips[: len(labels)], sched, config, params, seeds=[seed]
-    )[0]
+    return generate_sequence(initial, clips[: len(labels)], labels, config, params, seeds=[seed])[0]
+
+
+def test_explicit_passthrough(gen_setup):
+    config, params, initial, clips = gen_setup
+    (result,) = generate_sequence(initial, clips, [1, 0, 1], config, params)
+    assert result.labels == (1, 0, 1)
+
+
+def test_schedule_validation(gen_setup):
+    config, params, initial, clips = gen_setup
+    with pytest.raises(ValueError, match="^schedule labels must all be 0 or 1"):
+        generate_sequence(initial, clips, (0, 2, 1), config, params)
 
 
 def test_zero_schedule_bit_identical_and_seed_independent(gen_setup):
@@ -219,7 +188,7 @@ def test_prefix_stability(gen_setup):
 def test_zeroed_rhythm_keeps_pose_clips(gen_setup):
     config, params, initial, clips = gen_setup
     zeroed = {k: np.zeros_like(v) if k.startswith("rhythm.") else v for k, v in params.items()}
-    sched = ModeSchedule((0, 1, 1), "explicit")
+    sched = (0, 1, 1)
     (with_rhythm,) = generate_sequence(initial, clips, sched, config, params, seeds=[4])
     (without,) = generate_sequence(initial, clips, sched, config, zeroed, seeds=[4])
     assert np.abs(with_rhythm.motion - without.motion).max() > 0
@@ -241,7 +210,7 @@ def test_non_finite_step_is_numeric_error_naming_it(tiny_config, tiny_pose, tiny
     rp["rhythm.head.b"][:] = 1e308
     clips = np.stack([np.full((4, 3), a) for a in (-1.0, -1.0, 1.0, -1.0)])
     initial = np.zeros((4, small_spec.d_m))
-    sched = ModeSchedule((0, 1, 0, 1), "explicit")
+    sched = (0, 1, 0, 1)
     with pytest.raises(NumericError, match="non-finite motion at step 2 of 4"):
         generate_sequence(initial, clips, sched, tiny_config, {**pp, **rp}, seeds=[0, 1])
 
@@ -249,38 +218,30 @@ def test_non_finite_step_is_numeric_error_naming_it(tiny_config, tiny_pose, tiny
 def test_empty_audio_is_data_error(gen_setup):
     config, params, initial, _ = gen_setup
     with pytest.raises(DataError):
-        generate_sequence(initial, [], ModeSchedule((), "explicit"), config, params)
+        generate_sequence(initial, [], (), config, params)
 
 
 def test_schedule_length_mismatch(gen_setup):
     config, params, initial, clips = gen_setup
     with pytest.raises(ValueError):
-        generate_sequence(
-            initial, clips, ModeSchedule((0, 1), "explicit"), config, params
-        )
+        generate_sequence(initial, clips, (0, 1), config, params)
 
 
 def test_empty_seed_list_rejected(gen_setup):
     config, params, initial, clips = gen_setup
     with pytest.raises(ValueError):
-        generate_sequence(
-            initial, clips, ModeSchedule((0, 1, 0), "explicit"), config, params,
-            seeds=[],
-        )
+        generate_sequence(initial, clips, (0, 1, 0), config, params, seeds=[])
 
 
 def test_audio_width_mismatch_rejected(gen_setup):
     config, params, initial, _ = gen_setup
     with pytest.raises(ValueError, match="audio features shape"):
-        generate_sequence(
-            initial, np.zeros((1, 4, 5)), ModeSchedule((0,), "explicit"),
-            config, params,
-        )
+        generate_sequence(initial, np.zeros((1, 4, 5)), (0,), config, params)
 
 
 def test_audio_validation(gen_setup):
     config, params, initial, clips = gen_setup
-    sched = ModeSchedule((0, 0, 0), "explicit")
+    sched = (0, 0, 0)
     with pytest.raises(ValueError, match="audio features shape"):
         generate_sequence(initial, np.zeros(3), sched, config, params)
     clips = clips.copy()
@@ -293,9 +254,7 @@ def test_initial_pose_shape_mismatch_rejected(gen_setup, small_spec):
     config, params, _, clips = gen_setup
     wrong = np.zeros((6, small_spec.d_m))
     with pytest.raises(ValueError, match=r"initial pose shape \(6, 6\) does not match configured \(4, 6\)"):
-        generate_sequence(
-            wrong, clips[:1], ModeSchedule((0,), "explicit"), config, params,
-        )
+        generate_sequence(wrong, clips[:1], (0,), config, params)
 
 
 def test_non_finite_initial_pose_rejected(gen_setup):
@@ -303,9 +262,7 @@ def test_non_finite_initial_pose_rejected(gen_setup):
     initial = initial.copy()
     initial[1, 2] = np.inf
     with pytest.raises(DataError, match="initial pose contains non-finite values"):
-        generate_sequence(
-            initial, clips[:1], ModeSchedule((0,), "explicit"), config, params,
-        )
+        generate_sequence(initial, clips[:1], (0,), config, params)
 
 
 # -- seeds in one batch ------------------------------------------------------------------
@@ -331,14 +288,11 @@ def batch_setup():
 @pytest.mark.parametrize("n_seeds", [1, 3, 8, 9])
 def test_batched_seeds_match_single_seed_runs(batch_setup, n_seeds):
     config, params, initial, clips = batch_setup
-    sched = ModeSchedule(MIXED, "explicit")
     seeds = [100 + s for s in range(n_seeds)]
-    batched = generate_sequence(initial, clips, sched, config, params, seeds=seeds)
+    batched = generate_sequence(initial, clips, MIXED, config, params, seeds=seeds)
     assert [r.seed for r in batched] == seeds
     for seed, got in zip(seeds, batched):
-        (alone,) = generate_sequence(
-            initial, clips, sched, config, params, seeds=[seed]
-        )
+        (alone,) = generate_sequence(initial, clips, MIXED, config, params, seeds=[seed])
         scale = np.abs(alone.motion).max()
         assert np.abs(got.motion - alone.motion).max() <= 1e-12 * scale
         for i in range(got.n_steps):
@@ -350,10 +304,7 @@ def test_batched_seeds_match_single_seed_runs(batch_setup, n_seeds):
 @pytest.mark.parametrize("n_seeds", [1, 3, 8, 9])
 def test_batched_rows_before_first_draw_identical_across_seeds(batch_setup, n_seeds):
     config, params, initial, clips = batch_setup
-    sched = ModeSchedule(MIXED, "explicit")
-    results = generate_sequence(
-        initial, clips, sched, config, params, seeds=range(n_seeds)
-    )
+    results = generate_sequence(initial, clips, MIXED, config, params, seeds=range(n_seeds))
     t = len(initial)
     before = MIXED.index(1) * t
     for r in results:
@@ -380,10 +331,8 @@ def long_setup(batch_setup):
                                      2 * _RHYTHM_BLOCK + 1])
 def test_prefix_bit_identical_across_rhythm_blocks(long_setup, n_steps):
     config, params, initial, clips = long_setup
-    full = generate_sequence(initial, clips, ModeSchedule(LONG, "explicit"), config, params,
-                             seeds=[3, 4])
-    prefix = generate_sequence(initial, clips[:n_steps], ModeSchedule(LONG[:n_steps], "explicit"),
-                               config, params, seeds=[3, 4])
+    full = generate_sequence(initial, clips, LONG, config, params, seeds=[3, 4])
+    prefix = generate_sequence(initial, clips[:n_steps], LONG[:n_steps], config, params, seeds=[3, 4])
     for a, b in zip(full, prefix):
         assert np.array_equal(a.motion[: n_steps * config.t_frames], b.motion)
         assert np.array_equal(a.offsets[:n_steps], b.offsets)
@@ -391,7 +340,7 @@ def test_prefix_bit_identical_across_rhythm_blocks(long_setup, n_steps):
 
 def test_offsets_equal_one_clip_forward_across_block_boundaries(long_setup):
     config, params, initial, clips = long_setup
-    (result,) = generate_sequence(initial, clips, ModeSchedule(LONG, "explicit"), config, params)
+    (result,) = generate_sequence(initial, clips, LONG, config, params)
     rhythm = RhythmBranch(config)
     for i in (0, _RHYTHM_BLOCK - 1, _RHYTHM_BLOCK, 2 * _RHYTHM_BLOCK - 1, 2 * _RHYTHM_BLOCK,
               len(LONG) - 1):
@@ -406,5 +355,4 @@ def test_offsets_equal_one_clip_forward_across_block_boundaries(long_setup):
 def test_bad_generation_arguments_say_what_is_wrong(gen_setup, labels, n_clips, seeds, error, message):
     config, params, initial, clips = gen_setup
     with pytest.raises(error, match=message):
-        generate_sequence(initial, clips[:n_clips], ModeSchedule(labels, "explicit"), config, params,
-                          seeds=seeds)
+        generate_sequence(initial, clips[:n_clips], labels, config, params, seeds=seeds)

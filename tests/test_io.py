@@ -21,7 +21,6 @@ from speechmotion import (
     Transcript,
     generate_sequence,
     io,
-    mode_schedule,
     nn,
 )
 from speechmotion.config import TrainSettings, plain_hash
@@ -411,7 +410,7 @@ def test_checkpoint_1_file_generates_same_motion(tmp_path):
     rng = np.random.default_rng(8)
     initial = rng.normal(size=(config.t_frames, config.d_m))
     audio = np.stack([rng.normal(size=(config.t_frames, config.mfcc.d_s)) for _ in range(3)])
-    schedule = mode_schedule(None, 3, "explicit", explicit=[0, 1, 1])
+    schedule = [0, 1, 1]
     expected = generate_sequence(initial, audio, schedule, config, ckpt.params, seeds=[1, 2])
     got = generate_sequence(initial, audio, schedule, config, loaded.params, seeds=[1, 2])
     for a, b in zip(expected, got):
