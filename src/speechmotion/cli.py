@@ -191,6 +191,8 @@ def _schedule_for(args, config: RunConfig, n_steps: int, transcript) -> tuple[tu
             text = "1" * n_steps
         if set(text) - {"0", "1"}:
             raise _UsageError(f"--labels must be 0/1 digits or zeros/ones, got {args.labels!r}")
+        if len(text) != n_steps:
+            raise _UsageError(f"--labels gives {len(text)} labels but the audio has {n_steps} steps")
         return tuple(int(ch) for ch in text), "explicit"
     if args.policy == "keyword":
         if transcript is None:
@@ -213,16 +215,16 @@ def cmd_generate(args) -> int:
     # cannot drop a clip; check_coverage still checks the features reach it
     n_steps = int(round(duration_s * config.fps)) // config.t_frames
     n_frames = n_steps * config.t_frames
+    if n_steps < 1:
+        raise DataError(f"{args.audio}: audio of {duration_s:.2f}s yields no full clip of {config.t_frames} frames")
+    transcript = io.load_transcript(args.transcript) if args.transcript else None
+    schedule, provenance = _schedule_for(args, config, n_steps, transcript)
     try:
         aligned, n_audio = motion_features(wave, rate, config.mfcc, config.fps, n_frames)
-        if n_steps < 1:
-            raise DataError(f"audio of {duration_s:.2f}s yields no full clip of {config.t_frames} frames")
         check_coverage(n_audio, config.mfcc.hop_s, config.fps, n_frames)
     except DataError as exc:
         raise DataError(f"{args.audio}: {exc}") from None
     standardized = ckpt.feature_stats.transform(aligned, args.speaker)
-    transcript = io.load_transcript(args.transcript) if args.transcript else None
-    schedule, provenance = _schedule_for(args, config, n_steps, transcript)
     initial = _initial_pose(args, ckpt)
 
     out = _out_path(args.out)

@@ -18,7 +18,6 @@ from pathlib import Path
 
 import numpy as np
 from numpy.lib.npyio import NpzFile
-from scipy.io import wavfile
 
 from .audio import FeatureStats, Transcript
 from .config import RunConfig, plain_hash
@@ -269,6 +268,8 @@ def load_waveform(path) -> tuple[np.ndarray, int]:
     if path.suffix.lower() != ".wav":
         fields = _read(path, "waveform/1")
         return fields["samples"], fields["sample_rate"]
+    from scipy.io import wavfile  # imported here so that commands that read no WAV never load scipy
+
     try:
         rate, data = wavfile.read(path)
     except FileNotFoundError:
@@ -285,6 +286,8 @@ def load_waveform(path) -> tuple[np.ndarray, int]:
 
 
 def save_wav(path, samples: np.ndarray, sample_rate: int) -> None:
+    from scipy.io import wavfile  # imported here so that commands that write no WAV never load scipy
+
     samples = np.clip(np.asarray(samples, dtype=np.float64), -1.0, 1.0)
     wavfile.write(path, int(sample_rate), np.round(samples * 32767.0).astype(np.int16))
 

@@ -506,8 +506,8 @@ def test_checkpoint_with_retired_keys_generates_the_same_motion(tmp_path):
 
 
 @pytest.mark.parametrize("n_samples, message", [
-    # too short for a window and for a clip: extraction's check comes first
-    (300, "waveform of 300 samples is shorter than one window (400)"),
+    # too short for a window and for a clip: the clip check comes before extraction
+    (300, "audio of 0.02s yields no full clip of 16 frames"),
     (8000, "audio of 0.50s yields no full clip of 16 frames"),
 ])
 def test_short_audio_generate_names_file(workspace, tmp_path, capsys, n_samples, message):
@@ -561,7 +561,7 @@ def test_uncovered_audio_preprocess_skips_naming_file(workspace, tmp_path, capsy
     assert skipped[0].endswith(f"{short}: audio covers 2.980s but motion runs to 5.267s")
 
 
-def test_bad_labels_exit_1(workspace, tmp_path):
+def test_bad_labels_exit_1(workspace, tmp_path, capsys):
     code = main(
         [
             "generate",
@@ -570,12 +570,26 @@ def test_bad_labels_exit_1(workspace, tmp_path):
             "--audio",
             str(workspace["audio"]),
             "--labels",
-            "01x",
+            "01x01",  # one label per step of the audio, so only the digit check can refuse it
             "--out",
             str(tmp_path / "x.npz"),
         ]
     )
     assert code == 1
+    assert "--labels must be 0/1 digits or zeros/ones, got '01x01'" in capsys.readouterr().err
+
+
+def test_labels_of_wrong_length_is_usage_error_before_features(workspace, tmp_path, capsys, monkeypatch):
+    def no_features(*args):
+        raise AssertionError("MFCCs computed before the --labels length check")
+
+    monkeypatch.setattr(cli, "motion_features", no_features)
+    out = tmp_path / "x.npz"
+    code = main(["generate", "--checkpoint", str(workspace["checkpoint"]), "--audio", str(workspace["audio"]),
+                 "--labels", "01", "--out", str(out)])
+    assert code == 1
+    assert "usage error: --labels gives 2 labels but the audio has 5 steps" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_data_errors_exit_2(tmp_path):
@@ -1165,3 +1179,37 @@ def test_module_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert "make-toy" in proc.stdout
+
+
+def _scipy_loaded_by(*argv: str) -> list[str]:
+    """The scipy modules a fresh interpreter holds after `import speechmotion`
+    and, given arguments, a successful CLI run with them."""
+    script = (
+        "import json, sys, speechmotion\n"
+        "if sys.argv[1:]:\n"
+        "    from speechmotion.cli import main\n"
+        "    assert main(sys.argv[1:]) == 0\n"
+        "print(json.dumps(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy')))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_import_loads_no_scipy():
+    assert _scipy_loaded_by() == []
+
+
+def test_train_and_evaluate_load_no_scipy(workspace, tmp_path):
+    data = str(workspace["data"])
+    assert _scipy_loaded_by("train", "--config", str(workspace["config"]), "--data", data,
+                            "--out", str(tmp_path / "run"), "--quiet") == []
+    assert _scipy_loaded_by("evaluate", "--checkpoint", str(workspace["checkpoint"]), "--data", data,
+                            "--out", str(tmp_path / "report.json")) == []
+
+
+def test_generate_from_16khz_audio_loads_no_scipy_signal(workspace, tmp_path):
+    loaded = _scipy_loaded_by("generate", "--checkpoint", str(workspace["checkpoint"]),
+                              "--audio", str(workspace["audio"]), "--out", str(tmp_path / "g.npz"))
+    assert "scipy.io" in loaded  # the WAV reader, imported where it runs
+    assert not [m for m in loaded if m.startswith("scipy.signal")]
